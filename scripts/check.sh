@@ -31,6 +31,19 @@ if grep -rn "kMaxNodes" src bench examples tests --include='*.hpp' \
 fi
 echo "  OK: kMaxNodes referenced only under src/dir/"
 
+echo "=== engine-mode branch gate ==="
+# The engine switch (legacy inline vs sharded effect) lives in the
+# scheduler, the cluster that picks the engine, and the interconnect's one
+# op routine. Protocol layers stay engine-agnostic: no Engine::sharded()
+# branches or sharded_engine() helpers anywhere else.
+if grep -rnE '(->|\.)sharded\(\)|sharded_engine\(\)' src bench examples \
+     --include='*.hpp' --include='*.cpp' \
+     | grep -vE '^src/sim/|^src/core/cluster\.cpp:|^src/net/interconnect\.cpp:'; then
+  echo "FAIL: engine-mode branch outside src/sim/, cluster.cpp, interconnect.cpp" >&2
+  exit 1
+fi
+echo "  OK: engine-mode branches confined to the engine and interconnect"
+
 echo "=== default build ==="
 cmake -B build -S .
 cmake --build build -j "$JOBS"

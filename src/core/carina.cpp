@@ -745,16 +745,30 @@ void NodeCache::writeback_locked(Line& l, std::uint64_t page) {
       trace(argoobs::Ev::AdaptDiffMode, page, traced_state(page),
             full ? 1 : 0);
   }
+  // The page's write window closes before the writeback first yields (in
+  // the verb): from then on a sibling store takes the latched write-miss
+  // path and re-twins after this writeback, instead of landing in a copy
+  // whose payload is already captured and that completion marks clean.
+  // The write-buffer slot is released at completion (release_wb_slot). An
+  // aborted verb (crashed home, exhausted retries) leaves the page
+  // unflushed: reopen it so recovery requeues it.
+  const auto flush = [&](auto&& issue) {
+    s.dirty = false;
+    ++tlb_gen_;
+    try {
+      issue();
+    } catch (...) {
+      s.dirty = true;
+      throw;
+    }
+  };
   if (full) {
     // Whole-page downgrade: no diff scan, more wire bytes (§3.2's
     // bandwidth-for-latency trade). Safe: either nobody else writes this
     // page, or (defensively, missing twin) the values we'd "clobber" are
     // bytes no other node has flushed — DRF guarantees disjointness.
     wire = kPageSize;
-    if (pipelined())
-      net_.post_write(node_, home_node, home, cur, kPageSize);
-    else
-      net_.write(node_, home_node, home, cur, kPageSize);
+    flush([&] { net_.post_write(node_, home_node, home, cur, kPageSize); });
     ++stats_.full_page_writebacks;
   } else {
     // Diff against the twin: scan both copies (charged as local memory
@@ -788,16 +802,12 @@ void NodeCache::writeback_locked(Line& l, std::uint64_t page) {
       gather.push_back(argonet::GatherRun{home + r.off, cur + r.off, r.len});
     }
     adapt_.note_diff(page, wire);
-    if (pipelined()) {
-      // One posted scatter-gather writeback for the whole page: the
-      // payload is snapshotted at post time, so the diff for the *next*
-      // buffer entry is computed while this one is on the wire.
-      net_.post_write_gather(node_, home_node, gather, 8);
-    } else {
-      // Blocking scatter-gather: one wire transfer, runs applied at the
-      // home at completion time (on the home's shard when sharded).
-      net_.write_gather(node_, home_node, gather, 8);
-    }
+    // One scatter-gather writeback for the whole page. Pipelined, the
+    // payload is snapshotted at post time, so the diff for the *next*
+    // buffer entry is computed while this one is on the wire; at depth 1
+    // the post is the blocking write, its runs applied at the home at
+    // completion time.
+    flush([&] { net_.post_write_gather(node_, home_node, gather, 8); });
     diff_scratch_ = std::move(runs);
   }
   release_wb_slot(s);
@@ -831,7 +841,7 @@ bool NodeCache::drain_oldest() {
     Line& l = line_of_group(group);
     if (l.group != group) return false;
     const PageSlot& s = slot_of(l, page);
-    return s.valid && s.dirty && s.in_wb;
+    return s.valid && s.in_wb;  // mid-writeback pages count (dirty clear)
   };
   if (!naive) {
     // FIFO: stale leading entries (already written back or evicted) are
@@ -936,7 +946,7 @@ void NodeCache::requeue_stranded_wb() {
     if (l.group == kNoGroup) continue;
     for (std::size_t i = 0; i < l.pages.size(); ++i) {
       const PageSlot& s = l.pages[i];
-      if (!(s.valid && s.dirty && s.in_wb)) continue;
+      if (!(s.valid && s.in_wb)) continue;
       const std::uint64_t page = l.group * cfg_.pages_per_line + i;
       bool queued = false;
       for (const std::uint64_t q : write_buffer_) queued = queued || q == page;
@@ -1213,7 +1223,7 @@ const std::byte* NodeCache::host_page_image(std::uint64_t page, bool* dirty) {
   if (l.group != group || l.fetching) return nullptr;
   PageSlot& s = slot_of(l, page);
   if (!s.valid) return nullptr;
-  *dirty = s.dirty;
+  *dirty = s.dirty || s.in_wb;  // a page mid-writeback is still unflushed
   return page_data(l, page);
 }
 
@@ -1222,7 +1232,8 @@ bool NodeCache::host_drop_page(std::uint64_t page) {
   Line& l = line_of_group(group);
   if (l.group != group || l.fetching) return false;
   PageSlot& s = slot_of(l, page);
-  if (!s.valid || s.dirty) return false;  // dirty copies survive (see .hpp)
+  // Dirty copies survive (see .hpp), including one mid-writeback.
+  if (!s.valid || s.dirty || s.in_wb) return false;
   s.valid = false;
   s.twin.reset();
   ++tlb_gen_;  // residency changed under the threads' feet
@@ -1235,7 +1246,8 @@ bool NodeCache::host_adopt_page(std::uint64_t page) {
   if (l.group != group || l.fetching) return false;
   PageSlot& s = slot_of(l, page);
   if (!s.valid) return false;
-  if (s.dirty) release_wb_slot(s);  // also wakes writers parked on the buffer
+  // Also wakes writers parked on the buffer.
+  if (s.dirty || s.in_wb) release_wb_slot(s);
   s.valid = false;
   s.twin.reset();
   ++tlb_gen_;  // residency changed under the threads' feet

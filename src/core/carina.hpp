@@ -188,8 +188,9 @@ class NodeCache {
 
   struct PageSlot {
     bool valid = false;
-    bool dirty = false;
-    bool in_wb = false;  // queued in the write buffer
+    bool dirty = false;  // write window open: stores land without a latch
+    bool in_wb = false;  // holds a write-buffer slot (unflushed data); stays
+                         // set mid-writeback, after dirty closes
     bool prefetched = false;  // filled by stride prefetch, not yet touched
     argomem::PageBuf twin;  // pool-backed; reset() recycles the block
   };
@@ -320,7 +321,7 @@ class NodeCache {
   /// membership service is attached (the feature is disabled).
   bool crash_failover(const argonet::NodeFailedError& e);
 
-  /// Re-queue valid+dirty+in_wb pages missing from the write buffer deque:
+  /// Re-queue valid+in_wb pages missing from the write buffer deque:
   /// an SD fence that threw between popping an entry and finishing its
   /// writeback strands the page, and FIFO drains must be able to find it.
   void requeue_stranded_wb();

@@ -263,13 +263,6 @@ void Cluster::maybe_enable_sharding() {
     serial_only = "membership daemons probe peers at same-time granularity";
   } else if (barrier_hook_) {
     serial_only = "barrier hooks inspect every node's state at one instant";
-  } else {
-    for (const auto& e : cfg_.faults.crashes) {
-      if (e.after_ops > 0) {
-        serial_only = "op-count crash triggers resolve across shards";
-        break;
-      }
-    }
   }
   if (serial_only != nullptr) {
     engine_fallback_reason_ = serial_only;

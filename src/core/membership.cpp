@@ -136,19 +136,12 @@ void MembershipService::reaper_body() {
   const argonet::FaultInjector* faults = net_.faults();
   if (faults == nullptr || !faults->has_crashes()) return;
   for (;;) {
-    bool pending_unknown = false;  // op-count triggers not yet resolved
     Time next_at = 0;
     const Time now = argosim::now();
     for (int n = 0; n < active_nodes_; ++n) {
       if (reaped_[static_cast<std::size_t>(n)]) continue;
       const Time at = faults->crash_time(n);
-      if (at == 0) {
-        // No crash scheduled, or an after_ops trigger that hasn't fired.
-        // We cannot distinguish the two here; polling is cheap and ends
-        // once every schedule entry resolves or the run finishes.
-        pending_unknown = true;
-        continue;
-      }
+      if (at == 0) continue;  // no crash scheduled
       if (now >= at) {
         reaped_[static_cast<std::size_t>(n)] = true;
         // Crash-stop every fiber of the node: workers and its monitor.
@@ -162,14 +155,8 @@ void MembershipService::reaper_body() {
         next_at = at;
       }
     }
-    if (next_at == 0 && !pending_unknown) return;  // every crash reaped
-    const Time sleep_for =
-        next_at != 0 ? next_at - now
-                     : (cfg_.reap_poll > 0 ? cfg_.reap_poll : Time{10'000});
-    argosim::delay(pending_unknown && sleep_for > cfg_.reap_poll &&
-                           cfg_.reap_poll > 0
-                       ? cfg_.reap_poll
-                       : sleep_for);
+    if (next_at == 0) return;  // every crash reaped
+    argosim::delay(next_at - now);
   }
 }
 

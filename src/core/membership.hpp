@@ -72,10 +72,6 @@ struct MembershipConfig {
   /// Lock lease: virtual ns after *detection* before a dead holder's locks
   /// are forcibly recovered (whole-queue reset + epoch bump).
   argosim::Time lease = 200'000;
-
-  /// Poll granularity of the reaper fiber for crash triggers whose time is
-  /// not known up front ("crash after N ops").
-  argosim::Time reap_poll = 10'000;
 };
 
 /// One node's membership view. Epochs advance locally: each transition the

@@ -4,19 +4,6 @@
 
 namespace argodir {
 
-namespace {
-
-// Under the sharded engine, a displaced owner's TLB generation and
-// notification counter belong to that owner's shard: the bump must ride
-// inside the fetch_or's remote completion instead of running on the
-// notifier's fiber.
-inline bool sharded_engine() {
-  argosim::Engine* e = argosim::Engine::current();
-  return e != nullptr && e->sharded();
-}
-
-}  // namespace
-
 PyxisDirectory::PyxisDirectory(GlobalMemory& gmem, argonet::Interconnect& net)
     : gmem_(gmem), net_(net) {
   assert(net.nodes() <= kMaxNodes &&
@@ -99,6 +86,17 @@ void PyxisDirectory::host_scrub_node(int victim) {
     words_[p * static_cast<std::size_t>(nwords_) + word] &= ~mask;
 }
 
+std::function<void(std::uint64_t)> PyxisDirectory::delivered(int dst) {
+  // Runs at the OR's commit, in dst's context (inline on the legacy engine,
+  // on dst's shard when sharded): the displaced owner's TLB generation and
+  // notification counter belong to dst. The bump revokes dst's soft-TLB
+  // translations now that the deferred invalidation has landed.
+  return [this, dst](std::uint64_t) {
+    bump_gen(dst);
+    ++notify_count_[static_cast<std::size_t>(dst)];
+  };
+}
+
 void PyxisDirectory::cache_merge_remote(int src, int dst, std::uint64_t page,
                                         const DirEntry& entry) {
   // One small RDMA atomic per touched word into the displaced owner's
@@ -108,16 +106,7 @@ void PyxisDirectory::cache_merge_remote(int src, int dst, std::uint64_t page,
   for (int i = 0; i < nwords_; ++i) {
     const std::uint64_t word = entry.w[static_cast<std::size_t>(i)];
     if (word == 0) continue;
-    if (sharded_engine()) {
-      net_.fetch_or(src, dst, slot + i, word, [this, dst](std::uint64_t) {
-        bump_gen(dst);
-        ++notify_count_[static_cast<std::size_t>(dst)];
-      });
-    } else {
-      net_.fetch_or(src, dst, slot + i, word);
-      bump_gen(dst);  // deferred invalidation delivered: revoke dst's TLB
-      ++notify_count_[static_cast<std::size_t>(dst)];
-    }
+    net_.fetch_or(src, dst, slot + i, word, delivered(dst));
   }
   if (tracer_)
     tracer_->emit(src, argoobs::Ev::DeferredInval, page,
@@ -146,17 +135,8 @@ void PyxisDirectory::cache_merge_remote_batch(int src,
     for (int k = 0; k < nwords_; ++k) {
       const std::uint64_t word = merged.w[static_cast<std::size_t>(k)];
       if (word == 0) continue;
-      if (sharded_engine()) {
-        posted.push_back(net_.post_fetch_or(
-            src, dst, slot + k, word, [this, dst](std::uint64_t) {
-              bump_gen(dst);
-              ++notify_count_[static_cast<std::size_t>(dst)];
-            }));
-      } else {
-        posted.push_back(net_.post_fetch_or(src, dst, slot + k, word));
-        bump_gen(dst);  // deferred invalidation: revoke dst's TLB
-        ++notify_count_[static_cast<std::size_t>(dst)];
-      }
+      posted.push_back(
+          net_.post_fetch_or(src, dst, slot + k, word, delivered(dst)));
     }
     if (tracer_)
       tracer_->emit(src, argoobs::Ev::DeferredInval, batch[i].page,

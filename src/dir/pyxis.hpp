@@ -29,6 +29,7 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "mem/global_memory.hpp"
@@ -351,6 +352,9 @@ class PyxisDirectory {
         gen_slots_[static_cast<std::size_t>(node)])
       ++*gen_slots_[static_cast<std::size_t>(node)];
   }
+
+  /// on_remote for a notification OR into `dst`'s directory cache.
+  std::function<void(std::uint64_t)> delivered(int dst);
 
   std::uint64_t* cache_slot(int node, std::uint64_t page) {
     return &caches_[static_cast<std::size_t>(node)]

@@ -40,13 +40,9 @@ FaultInjector::FaultInjector(FaultConfig cfg, int nodes)
     for (const CrashEvent& e : cfg_.crashes) {
       if (e.node < 0 || e.node >= nodes) continue;
       CrashState& c = crash_[static_cast<std::size_t>(e.node)];
+      c.at = e.at;
       c.rejoin_at = e.rejoin_at;
-      if (e.after_ops > 0) {
-        c.after_ops = e.after_ops;  // resolved later by note_op()
-      } else {
-        c.at = e.at;
-        c.resolved = true;
-      }
+      c.scheduled = true;
     }
   }
 }

@@ -71,16 +71,13 @@ struct FaultConfig {
   std::vector<struct CrashEvent> crashes;
 };
 
-/// One scheduled crash-stop failure. A node crashes either at a fixed
-/// virtual time (`at`) or after it has initiated `after_ops` interconnect
-/// operations ("crash under load"); whichever trigger is configured.
-/// `rejoin_at` > 0 optionally brings the node back as a *fresh* node (empty
-/// cache, new identity for membership purposes) at that virtual time.
+/// One scheduled crash-stop failure: a node crashes at a fixed virtual
+/// time. `rejoin_at` > 0 optionally brings the node back as a *fresh* node
+/// (empty cache, new identity for membership purposes) at that virtual time.
 struct CrashEvent {
-  int node = -1;              ///< which node dies
-  Time at = 0;                ///< crash at this virtual time (0 = use after_ops)
-  std::uint64_t after_ops = 0;  ///< crash once the node initiated this many ops
-  Time rejoin_at = 0;         ///< 0 = crash is permanent
+  int node = -1;       ///< which node dies
+  Time at = 0;         ///< crash at this virtual time
+  Time rejoin_at = 0;  ///< 0 = crash is permanent
 };
 
 /// Fault decision for one remote-op attempt.
@@ -140,32 +137,18 @@ class FaultInjector {
   /// rejoin time is dead only inside [crash, rejoin).
   bool crashed(int node, Time now) const {
     const CrashState& c = crash_state(node);
-    if (!c.resolved || now < c.at) return false;
+    if (!c.scheduled || now < c.at) return false;
     return c.rejoin_at == 0 || now < c.rejoin_at;
   }
 
-  /// Resolved crash time of `node` (0 = no crash scheduled / not yet
-  /// triggered for op-count crashes).
+  /// Crash time of `node` (0 = no crash scheduled).
   Time crash_time(int node) const {
     const CrashState& c = crash_state(node);
-    return c.resolved ? c.at : 0;
+    return c.scheduled ? c.at : 0;
   }
 
   /// Rejoin time of `node` (0 = permanent crash or no crash).
   Time rejoin_time(int node) const { return crash_state(node).rejoin_at; }
-
-  /// Account one interconnect op initiated by `node` at `now`; resolves
-  /// "crash after N ops" events by stamping the crash time when the count
-  /// crosses the threshold.
-  void note_op(int node, Time now) {
-    if (crash_.empty()) return;
-    CrashState& c = crash_[static_cast<std::size_t>(node)];
-    if (c.after_ops == 0 || c.resolved) return;
-    if (++c.ops >= c.after_ops) {
-      c.at = now;
-      c.resolved = true;
-    }
-  }
 
  private:
   struct NodeWindows {
@@ -181,11 +164,9 @@ class FaultInjector {
   };
 
   struct CrashState {
-    Time at = 0;                  // resolved crash time
-    std::uint64_t after_ops = 0;  // op-count trigger (0 = time trigger)
+    Time at = 0;
     Time rejoin_at = 0;
-    std::uint64_t ops = 0;        // ops initiated so far (op-count trigger)
-    bool resolved = false;        // crash time known (time triggers always)
+    bool scheduled = false;  // a CrashEvent names this node
   };
 
   const CrashState& crash_state(int node) const {

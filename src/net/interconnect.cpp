@@ -40,6 +40,19 @@ void Interconnect::enable_faults(const FaultConfig& cfg) {
   faults_ = std::make_unique<FaultInjector>(cfg, nodes_);
 }
 
+/// A one-sided verb: what it streams, what it counts, and where its payload
+/// comes from and its result goes. Its remote effect travels separately (a
+/// closure over the target's memory, see the effects below).
+struct Interconnect::Verb {
+  enum Kind { kRead, kWrite, kAtomic };
+  const char* what;  ///< name in error messages ("RDMA read")
+  Kind kind;         ///< which counters it bumps; atomics copy nothing locally
+  std::size_t wire;  ///< payload bytes streamed on the wire
+  std::span<const GatherRun> in = {};  ///< a write's payload (applied remotely)
+  void* out = nullptr;            ///< a read's destination, `out_n` bytes
+  std::size_t out_n = 0;
+};
+
 namespace {
 
 // Shared error-message context: verb, endpoints, virtual time.
@@ -49,240 +62,402 @@ std::string op_context(const char* what, int src, int dst) {
          std::to_string(argosim::now()) + "ns";
 }
 
-// True when the calling fiber runs on the sharded engine: remote memory
-// lives on another shard and every remote touch must ship as an effect.
+// True when the calling fiber runs on the sharded engine: remote memory and
+// inboxes live on another shard and every remote touch ships as an effect.
 inline bool sharded_engine() {
   argosim::Engine* e = argosim::Engine::current();
   return e != nullptr && e->sharded();
 }
 
-}  // namespace
-
-void Interconnect::crash_check(int src, int dst, const char* what) {
-  if (!faults_ || !faults_->has_crashes()) return;
-  const Time now = argosim::now();
-  faults_->note_op(src, now);
-  // A crashed source initiates nothing: its fiber unwinds cleanly here (the
-  // same SimStopped path Engine::kill uses) the moment it touches the
-  // network — never a NetworkError, which nothing on a dead node could
-  // handle and which would otherwise abort the whole simulation when the
-  // reaper's rethrow surfaces it. This also gives "crash after N ops" exact
-  // semantics: the op that trips the counter has no effect.
-  if (faults_->crashed(src, now)) throw argosim::SimStopped{};
-  if (dst != src && faults_->crashed(dst, now))
-    throw NodeFailedError(
-        op_context(what, src, dst) + " failed: target node is down", src, dst);
-}
-
-void Interconnect::charge(int src, Time busy, Time extra_latency) {
-  auto& box = *boxes_[src];
-  box.stats.nic_busy += busy;
-  if (cfg_.serialize_nic) {
-    argosim::SimLockGuard g(box.nic);
-    argosim::delay(busy);
-  } else {
-    argosim::delay(busy);
-  }
-  if (extra_latency > 0) argosim::delay(extra_latency);
-}
-
-bool Interconnect::remote_attempt(int src, int dst, std::size_t stream_bytes,
-                                  Time base_latency, const char* what) {
-  if (!faults_) {
-    charge(src, cfg_.nic_overhead + cfg_.net_transfer(stream_bytes),
-           base_latency);
-    return true;
-  }
-  crash_check(src, dst, what);
-  const AttemptPlan p = faults_->plan_attempt(src, dst, argosim::now());
-  Time stream = cfg_.net_transfer(stream_bytes);
-  if (p.bw_frac < 1.0 && stream > 0)
-    stream = static_cast<Time>(static_cast<double>(stream) / p.bw_frac);
-  const Time latency =
-      static_cast<Time>(static_cast<double>(base_latency) * p.latency_mult) +
-      p.extra_latency;
-  // A failed attempt costs as much as a successful one: the initiator
-  // streams the payload and then waits out the completion timeout.
-  charge(src, cfg_.nic_overhead + stream, latency);
-  if (p.fail) {
-    ++boxes_[src]->stats.faults_injected;
-    return false;
-  }
-  return true;
-}
-
-void Interconnect::remote_op(int src, int dst, std::size_t stream_bytes,
-                             Time base_latency, const char* what) {
-  if (!faults_) {
-    // Fault-free fast path: exactly the historical single-attempt cost.
-    charge(src, cfg_.nic_overhead + cfg_.net_transfer(stream_bytes),
-           base_latency);
-    return;
-  }
-  const RetryPolicy& rp = cfg_.retry;
-  const Time started = argosim::now();
-  Time backoff = rp.backoff_base;
-  for (int attempt = 1;; ++attempt) {
-    if (remote_attempt(src, dst, stream_bytes, base_latency, what)) return;
-    const bool out_of_attempts = attempt >= rp.max_attempts;
-    const bool past_deadline =
-        rp.deadline > 0 && argosim::now() - started >= rp.deadline;
-    if (out_of_attempts || past_deadline) {
-      throw NetworkError(op_context(what, src, dst) + " failed after " +
-                         std::to_string(attempt) + " attempts");
-    }
-    Time wait = backoff;
-    if (rp.backoff_jitter > 0)
-      wait += faults_->backoff_jitter(
-          static_cast<Time>(static_cast<double>(backoff) * rp.backoff_jitter),
-          src);
-    auto& st = boxes_[src]->stats;
-    ++st.retries;
-    st.backoff_time += wait;
-    argosim::delay(wait);
-    backoff = std::min<Time>(
-        static_cast<Time>(static_cast<double>(backoff) * rp.backoff_mult),
-        rp.backoff_max);
-  }
-}
-
-namespace {
 // Pool growth bound per node: past this, acquisitions with no free slot
 // fall back to plain allocations (the shared_ptr still retires normally,
 // it just isn't retained for reuse). Sized past any realistic pipeline
 // depth so steady state never allocates.
 constexpr std::size_t kPoolCap = 64;
 
-// Round-robin scan for a slot nobody but the pool references.
-template <class P>
-typename P::value_type acquire_slot(P& pool, std::size_t& cursor) {
-  for (std::size_t probe = 0; probe < pool.size(); ++probe) {
-    auto& slot = pool[cursor];
-    cursor = (cursor + 1) % pool.size();
-    if (slot.use_count() == 1) return slot;
-  }
-  return nullptr;
+// --- Remote effects ---------------------------------------------------------
+//
+// One closure per verb, run against the target's memory at the op's
+// completion instant. `in` is a write's payload and `out` receives a read's
+// bytes; the return value is an atomic's previous word. Interconnect::op
+// decides where and when an effect runs: inline on the caller's buffers, or
+// deferred over a payload snapshot and a completion record.
+
+using In = std::span<const GatherRun>;
+
+constexpr auto apply_runs = [](In in, std::byte*) -> std::uint64_t {
+  for (const GatherRun& r : in) std::memcpy(r.remote, r.local, r.len);
+  return 0;
+};
+
+auto read_bytes(const void* remote, std::size_t n) {
+  return [remote, n](In, std::byte* out) -> std::uint64_t {
+    std::memcpy(out, remote, n);
+    return 0;
+  };
 }
+
+auto or_bits(std::uint64_t* remote, std::uint64_t bits,
+             std::function<void(std::uint64_t)> on_remote) {
+  return [remote, bits, on_remote = std::move(on_remote)](In, std::byte*) {
+    const std::uint64_t old = *remote;
+    *remote = old | bits;
+    if (on_remote) on_remote(old);
+    return old;
+  };
+}
+
+// One extended atomic: every word's pre-OR value is snapshotted at the same
+// commit instant the ORs land — concurrent registrants therefore totally
+// order, and exactly one of them observes any given displaced owner as the
+// sole accessor.
+auto or_span(std::uint64_t* remote, const std::uint64_t* bits, int nwords) {
+  assert(nwords >= 1 && nwords <= Interconnect::kMaxAtomicSpan);
+  std::array<std::uint64_t, Interconnect::kMaxAtomicSpan> b{};
+  std::copy_n(bits, nwords, b.begin());
+  return [remote, b, nwords](In, std::byte* out) {
+    for (int i = 0; i < nwords; ++i) {
+      const std::uint64_t prev = remote[i];
+      std::memcpy(out + sizeof(prev) * static_cast<std::size_t>(i), &prev,
+                  sizeof(prev));
+      remote[i] = prev | b[static_cast<std::size_t>(i)];
+    }
+    std::uint64_t first;
+    std::memcpy(&first, out, sizeof(first));
+    return first;
+  };
+}
+
+auto add(std::uint64_t* remote, std::uint64_t v) {
+  return [remote, v](In, std::byte*) {
+    const std::uint64_t old = *remote;
+    *remote = old + v;
+    return old;
+  };
+}
+
+auto compare_swap(std::uint64_t* remote, std::uint64_t expected,
+                  std::uint64_t desired) {
+  return [remote, expected, desired](In, std::byte*) {
+    const std::uint64_t old = *remote;
+    if (old == expected) *remote = desired;
+    return old;
+  };
+}
+
+auto swap(std::uint64_t* remote, std::uint64_t desired) {
+  return [remote, desired](In, std::byte*) {
+    const std::uint64_t old = *remote;
+    *remote = desired;
+    return old;
+  };
+}
+
+std::size_t gather_wire(const std::vector<GatherRun>& runs,
+                        std::size_t header_bytes) {
+  std::size_t wire = 0;
+  for (const GatherRun& r : runs) wire += r.len + header_bytes;
+  return wire;
+}
+
 }  // namespace
 
-std::shared_ptr<argosim::SimRecord> Interconnect::acquire_record(NodeBox& box) {
-  if (!argosim::slow_paths()) {
-    if (auto rec = acquire_slot(box.rec_pool, box.rec_cursor)) {
-      rec->reset();
-      rec_pool_hits_.fetch_add(1, std::memory_order_relaxed);
-      return rec;
-    }
-  }
-  rec_pool_misses_.fetch_add(1, std::memory_order_relaxed);
-  auto rec = std::make_shared<argosim::SimRecord>();
-  if (!argosim::slow_paths() && box.rec_pool.size() < kPoolCap)
-    box.rec_pool.push_back(rec);
-  return rec;
-}
+// ---------------------------------------------------------------------------
+// The op routine
+// ---------------------------------------------------------------------------
 
-std::shared_ptr<std::vector<std::byte>> Interconnect::acquire_buf(
-    NodeBox& box) {
-  if (!argosim::slow_paths()) {
-    if (auto buf = acquire_slot(box.buf_pool, box.buf_cursor)) {
-      buf->clear();
-      rec_pool_hits_.fetch_add(1, std::memory_order_relaxed);
-      return buf;
-    }
-  }
-  rec_pool_misses_.fetch_add(1, std::memory_order_relaxed);
-  auto buf = std::make_shared<std::vector<std::byte>>();
-  if (!argosim::slow_paths() && box.buf_pool.size() < kPoolCap)
-    box.buf_pool.push_back(buf);
-  return buf;
-}
-
-bool Interconnect::sharded_attempt(
-    int src, int dst, std::size_t stream_bytes, Time base_latency,
-    const char* what, const std::shared_ptr<argosim::SimRecord>& rec,
-    ApplyFn& apply) {
+template <class Effect>
+std::uint64_t Interconnect::op(int src, int dst, const Verb& v,
+                               Effect&& effect, PostedHandle* posted) {
   auto& box = *boxes_[src];
-  bool fail = false;
+  auto& s = box.stats;
+  switch (v.kind) {
+    case Verb::kRead:
+      ++s.rdma_reads;
+      s.bytes_read += v.wire;
+      break;
+    case Verb::kWrite:
+      ++s.rdma_writes;
+      s.bytes_written += v.wire;
+      break;
+    case Verb::kAtomic:
+      ++s.rdma_atomics;
+      break;
+  }
+  auto* const out = static_cast<std::byte*>(v.out);
+  if (src == dst) {
+    argosim::delay(cfg_.mem_latency +
+                   (v.kind == Verb::kAtomic ? 0 : cfg_.mem_copy(v.wire)));
+    return effect(v.in, out);
+  }
+  const bool queued = posted != nullptr && cfg_.pipeline > 1;
+  const bool sharded = sharded_engine();
+  if (!queued && !sharded) {
+    // Legacy engine, blocking: the issuing fiber itself reaches the
+    // completion instant, so the effect runs right there on the caller's
+    // own buffers — the remote content observed (or overwritten) is that
+    // of the completion time.
+    reliable(src, dst, v.wire, cfg_.rdma_latency, v.what, nullptr);
+    return effect(v.in, out);
+  }
+  // Deferred: the effect runs at retirement or on dst's shard, over a
+  // payload snapshot taken now, leaving its results in a record. The
+  // issuer holds the payload until it has collected the record, so the
+  // pool hands it out again only after the effect that reads it has run.
+  auto rec = acquire(box.rec_pool, box.rec_cursor);
+  std::shared_ptr<Payload> payload;
+  if (!v.in.empty()) payload = snapshot(box, v.in);
+  argosim::EffectFn fn = bind(v, std::forward<Effect>(effect), rec, payload);
+  if (queued) {
+    *posted = enqueue(src, dst, v, std::move(fn), std::move(rec),
+                      std::move(payload), sharded);
+    return 0;
+  }
+  reliable(src, dst, v.wire, cfg_.rdma_latency, v.what, &fn);
+  return collect(rec, v.out, v.out_n);
+}
+
+template <class Effect>
+PostedHandle Interconnect::post(int src, int dst, const Verb& v,
+                                Effect&& effect) {
+  PostedHandle h;
+  const std::uint64_t value = op(src, dst, v, std::forward<Effect>(effect), &h);
+  return h ? h : retired_handle(src, v.kind == Verb::kAtomic, value);
+}
+
+template <class Effect>
+argosim::EffectFn Interconnect::bind(const Verb& v, Effect&& effect,
+                                     std::shared_ptr<argosim::SimRecord> rec,
+                                     std::shared_ptr<Payload> payload) {
+  return [rec = std::move(rec), payload = std::move(payload), out_n = v.out_n,
+          effect = std::forward<Effect>(effect)]() mutable {
+    rec->bytes.resize(out_n);
+    rec->value = effect(payload ? In(payload->runs) : In(), rec->bytes.data());
+    rec->complete();
+  };
+}
+
+std::shared_ptr<Interconnect::Payload> Interconnect::snapshot(
+    NodeBox& box, std::span<const GatherRun> in) {
+  auto p = acquire(box.payload_pool, box.payload_cursor);
+  std::size_t total = 0;
+  for (const GatherRun& r : in) total += r.len;
+  p->bytes.reserve(total);  // no reallocation below: run pointers stay valid
+  for (const GatherRun& r : in) {
+    const auto* from = static_cast<const std::byte*>(r.local);
+    p->runs.push_back(GatherRun{r.remote, p->bytes.data() + p->bytes.size(),
+                                r.len});
+    p->bytes.insert(p->bytes.end(), from, from + r.len);
+  }
+  return p;
+}
+
+template <class T>
+std::shared_ptr<T> Interconnect::acquire(std::vector<std::shared_ptr<T>>& pool,
+                                         std::size_t& cursor) {
+  if (!argosim::slow_paths()) {
+    // Round-robin scan for a slot nobody but the pool references.
+    for (std::size_t probe = 0; probe < pool.size(); ++probe) {
+      auto& slot = pool[cursor];
+      cursor = (cursor + 1) % pool.size();
+      if (slot.use_count() == 1) {
+        slot->reset();
+        rec_pool_hits_.fetch_add(1, std::memory_order_relaxed);
+        return slot;
+      }
+    }
+  }
+  rec_pool_misses_.fetch_add(1, std::memory_order_relaxed);
+  auto fresh = std::make_shared<T>();
+  if (!argosim::slow_paths() && pool.size() < kPoolCap) pool.push_back(fresh);
+  return fresh;
+}
+
+std::uint64_t Interconnect::collect(
+    const std::shared_ptr<argosim::SimRecord>& rec, void* out,
+    std::size_t out_n) {
+  argosim::Engine::current()->await(rec);
+  if (out_n > 0) std::memcpy(out, rec->bytes.data(), out_n);
+  return rec->value;
+}
+
+// ---------------------------------------------------------------------------
+// Attempts, retries and NIC charging
+// ---------------------------------------------------------------------------
+
+void Interconnect::crash_check(int src, int dst, const char* what) {
+  if (!faults_ || !faults_->has_crashes()) return;
+  const Time now = argosim::now();
+  // A crashed source initiates nothing: its fiber unwinds cleanly here (the
+  // same SimStopped path Engine::kill uses) the moment it touches the
+  // network — never a NetworkError, which nothing on a dead node could
+  // handle and which would otherwise abort the whole simulation when the
+  // reaper's rethrow surfaces it.
+  if (faults_->crashed(src, now)) throw argosim::SimStopped{};
+  if (dst != src && faults_->crashed(dst, now))
+    throw NodeFailedError(
+        op_context(what, src, dst) + " failed: target node is down", src, dst);
+}
+
+Interconnect::Attempt Interconnect::plan(int src, int dst,
+                                         std::size_t stream_bytes,
+                                         Time base_latency, Time at) {
   Time stream = cfg_.net_transfer(stream_bytes);
-  Time latency = base_latency;
+  Attempt a{0, base_latency, false};
   if (faults_) {
-    crash_check(src, dst, what);
-    const AttemptPlan p = faults_->plan_attempt(src, dst, argosim::now());
+    const AttemptPlan p = faults_->plan_attempt(src, dst, at);
     if (p.bw_frac < 1.0 && stream > 0)
       stream = static_cast<Time>(static_cast<double>(stream) / p.bw_frac);
-    latency = static_cast<Time>(static_cast<double>(base_latency) *
-                                p.latency_mult) +
-              p.extra_latency;
-    fail = p.fail;
+    a.latency = static_cast<Time>(static_cast<double>(base_latency) *
+                                  p.latency_mult) +
+                p.extra_latency;
+    a.fail = p.fail;
   }
-  const Time busy = cfg_.nic_overhead + stream;
-  box.stats.nic_busy += busy;
-  {
-    // Same NIC serialization as charge(); the effect must be timestamped
-    // from the instant the NIC is acquired, so the post happens under the
-    // lock, before the busy time is paid.
-    std::optional<argosim::SimLockGuard> g;
-    if (cfg_.serialize_nic) g.emplace(box.nic);
-    if (!fail && apply) {
-      // A successful attempt is the op's last: consuming `apply` here is
-      // safe because the retry loop returns as soon as we report success.
-      argosim::Engine::current()->post_effect(
-          static_cast<std::uint32_t>(dst), argosim::now() + busy + latency, 1,
-          static_cast<std::uint64_t>(src), box.effect_seq++,
-          [rec, apply = std::move(apply)]() mutable {
-            apply(*rec);
-            rec->complete();
-          });
-    }
-    argosim::delay(busy);
-  }
-  if (latency > 0) argosim::delay(latency);
-  if (fail) {
-    ++box.stats.faults_injected;
-    return false;
-  }
-  return true;
+  a.busy = cfg_.nic_overhead + stream;
+  return a;
 }
 
-std::shared_ptr<argosim::SimRecord> Interconnect::sharded_op(
-    int src, int dst, std::size_t stream_bytes, Time base_latency,
-    const char* what, ApplyFn apply) {
-  auto rec = acquire_record(*boxes_[src]);
-  if (!faults_) {
-    sharded_attempt(src, dst, stream_bytes, base_latency, what, rec, apply);
-    return rec;
-  }
+bool Interconnect::exhausted(int attempt, Time elapsed) const {
   const RetryPolicy& rp = cfg_.retry;
+  return attempt >= rp.max_attempts ||
+         (rp.deadline > 0 && elapsed >= rp.deadline);
+}
+
+Time Interconnect::backoff_wait(int src, Time& backoff) {
+  const RetryPolicy& rp = cfg_.retry;
+  Time wait = backoff;
+  if (rp.backoff_jitter > 0)
+    wait += faults_->backoff_jitter(
+        static_cast<Time>(static_cast<double>(backoff) * rp.backoff_jitter),
+        src);
+  auto& st = boxes_[src]->stats;
+  ++st.retries;
+  st.backoff_time += wait;
+  backoff = std::min<Time>(
+      static_cast<Time>(static_cast<double>(backoff) * rp.backoff_mult),
+      rp.backoff_max);
+  return wait;
+}
+
+void Interconnect::reliable(int src, int dst, std::size_t stream_bytes,
+                            Time base_latency, const char* what,
+                            argosim::EffectFn* fire) {
+  if (!faults_) {
+    // Fault-free: one attempt that always completes, at base cost.
+    charge(src, cfg_.nic_overhead + cfg_.net_transfer(stream_bytes),
+           base_latency, dst, fire);
+    return;
+  }
   const Time started = argosim::now();
-  Time backoff = rp.backoff_base;
+  Time backoff = cfg_.retry.backoff_base;
   for (int attempt = 1;; ++attempt) {
-    if (sharded_attempt(src, dst, stream_bytes, base_latency, what, rec,
-                        apply))
-      return rec;
-    const bool out_of_attempts = attempt >= rp.max_attempts;
-    const bool past_deadline =
-        rp.deadline > 0 && argosim::now() - started >= rp.deadline;
-    if (out_of_attempts || past_deadline) {
+    crash_check(src, dst, what);
+    const Attempt a =
+        plan(src, dst, stream_bytes, base_latency, argosim::now());
+    // A failed attempt costs as much as a successful one: the initiator
+    // streams the payload and then waits out the completion timeout. It is
+    // detected before the remote NIC executes anything, so only the
+    // successful (last) attempt carries the effect.
+    charge(src, a.busy, a.latency, dst, a.fail ? nullptr : fire);
+    if (!a.fail) return;
+    ++boxes_[src]->stats.faults_injected;
+    if (exhausted(attempt, argosim::now() - started)) {
       throw NetworkError(op_context(what, src, dst) + " failed after " +
                          std::to_string(attempt) + " attempts");
     }
-    Time wait = backoff;
-    if (rp.backoff_jitter > 0)
-      wait += faults_->backoff_jitter(
-          static_cast<Time>(static_cast<double>(backoff) * rp.backoff_jitter),
-          src);
-    auto& st = boxes_[src]->stats;
-    ++st.retries;
-    st.backoff_time += wait;
-    argosim::delay(wait);
-    backoff = std::min<Time>(
-        static_cast<Time>(static_cast<double>(backoff) * rp.backoff_mult),
-        rp.backoff_max);
+    argosim::delay(backoff_wait(src, backoff));
   }
+}
+
+std::pair<Time, bool> Interconnect::project(int src, int dst,
+                                            std::size_t stream_bytes,
+                                            Time base_latency) {
+  // Plans must be drawn against the posting-time clock: FaultInjector
+  // brownout queries are required to be monotonic in `now` per node, so
+  // probing the future per retry would be unsound once several ops are in
+  // flight. The first attempt holds the NIC for real; retransmissions of an
+  // in-flight op are NIC work too, but only their time is folded into the
+  // completion (accounted in nic_busy, not serialized — the queue depth
+  // already bounds how much can pile up).
+  auto& box = *boxes_[src];
+  const Time post_now = argosim::now();
+  Time backoff = cfg_.retry.backoff_base;
+  Time done = 0;
+  for (int attempt = 1;; ++attempt) {
+    const Attempt a = plan(src, dst, stream_bytes, base_latency, post_now);
+    if (attempt == 1) {
+      charge(src, a.busy, 0);
+      done = argosim::now() + a.latency;
+    } else {
+      box.stats.nic_busy += a.busy;
+      done += a.busy + a.latency;
+    }
+    if (!a.fail) return {done, false};
+    ++box.stats.faults_injected;
+    if (exhausted(attempt, done - post_now)) return {done, true};
+    done += backoff_wait(src, backoff);
+  }
+}
+
+void Interconnect::charge(int src, Time busy, Time latency, int dst,
+                          argosim::EffectFn* fire) {
+  auto& box = *boxes_[src];
+  box.stats.nic_busy += busy;
+  {
+    std::optional<argosim::SimLockGuard> g;
+    if (cfg_.serialize_nic) g.emplace(box.nic);
+    // The effect is timestamped from the instant the NIC is acquired, so it
+    // ships under the lock, before the busy time is paid.
+    if (fire != nullptr)
+      ship(src, dst, argosim::now() + busy + latency, std::move(*fire));
+    argosim::delay(busy);
+  }
+  if (latency > 0) argosim::delay(latency);
+}
+
+void Interconnect::ship(int src, int dst, Time when, argosim::EffectFn fn) {
+  argosim::Engine::current()->post_effect(
+      static_cast<std::uint32_t>(dst), when, 1,
+      static_cast<std::uint64_t>(src), boxes_[src]->effect_seq++,
+      std::move(fn));
 }
 
 // ---------------------------------------------------------------------------
 // Posted (asynchronous) verbs
 // ---------------------------------------------------------------------------
+
+PostedHandle Interconnect::enqueue(int src, int dst, const Verb& v,
+                                   argosim::EffectFn fn,
+                                   std::shared_ptr<argosim::SimRecord> rec,
+                                   std::shared_ptr<Payload> payload,
+                                   bool sharded) {
+  auto& box = *boxes_[src];
+  crash_check(src, dst, v.what);
+  while (box.sendq.size() >= static_cast<std::size_t>(cfg_.pipeline))
+    retire_front(src);
+  ++box.stats.posted_ops;
+  auto [done, hard_fail] = project(src, dst, v.wire, cfg_.rdma_latency);
+  // In-order completion (reliable-connection queue-pair semantics): an op
+  // can never retire before its predecessors.
+  if (!box.sendq.empty() && box.sendq.back().complete_at > done)
+    done = box.sendq.back().complete_at;
+  const std::uint64_t id = box.posted_next_id++;
+  Posted& p = box.sendq.emplace_back(Posted{
+      id, done, hard_fail, v.kind == Verb::kAtomic, v.what, dst, v.out,
+      v.out_n, std::move(rec), std::move(payload), nullptr});
+  if (!hard_fail) {
+    // Sharded: the remote half lands on dst's shard at the (fully
+    // projected, in-order bumped) completion time. Legacy: it runs inline
+    // when the op retires.
+    if (sharded)
+      ship(src, dst, done, std::move(fn));
+    else
+      p.effect = std::move(fn);
+  }
+  box.stats.posted_inflight_hwm =
+      std::max<std::uint64_t>(box.stats.posted_inflight_hwm, box.sendq.size());
+  return PostedHandle{src, id};
+}
 
 void Interconnect::throw_posted_failure(int node, PostedFailure f) {
   const std::string msg = op_context(f.what, node, f.dst) +
@@ -313,18 +488,15 @@ void Interconnect::retire_front(int src) {
                     argoobs::kUnknownState, p.hard_fail ? 1 : 0);
     if (p.hard_fail) {
       box.posted_failed.emplace(p.id, PostedFailure{p.what, p.dst});
-    } else if (p.rec) {
-      // Sharded engine: the remote half ran (or is about to run) on dst's
-      // shard at complete_at; wait for the record, then run the src-side
-      // finish. Remote application order per destination is preserved by
-      // the effect keys, so interleaved retirements of later ops are fine.
-      argosim::Engine::current()->await(p.rec);
-      const std::uint64_t v = p.finish ? p.finish(*p.rec) : 0;
-      if (p.has_value) box.posted_results.emplace(p.id, v);
-    } else {
-      const std::uint64_t v = p.effect ? p.effect() : 0;
-      if (p.has_value) box.posted_results.emplace(p.id, v);
+      continue;
     }
+    // Sharded: the effect ran (or is about to run) on dst's shard at
+    // complete_at and collect() awaits it. Remote application order per
+    // destination is preserved by the effect keys, so interleaved
+    // retirements of later ops are fine.
+    if (p.effect) p.effect();
+    const std::uint64_t v = collect(p.rec, p.out, p.out_n);
+    if (p.has_value) box.posted_results.emplace(p.id, v);
   }
 }
 
@@ -333,120 +505,6 @@ PostedHandle Interconnect::retired_handle(int src, bool has_value,
   auto& box = *boxes_[src];
   const std::uint64_t id = box.posted_next_id++;
   if (has_value) box.posted_results.emplace(id, value);
-  return PostedHandle{src, id};
-}
-
-PostedHandle Interconnect::post_remote(int src, int dst,
-                                       std::size_t stream_bytes,
-                                       Time base_latency, const char* what,
-                                       bool has_value, PostedEffectFn effect,
-                                       ApplyFn dst_apply, FinishFn finish) {
-  auto& box = *boxes_[src];
-  crash_check(src, dst, what);
-  const bool sharded = sharded_engine();
-  const int depth = cfg_.pipeline > 1 ? cfg_.pipeline : 1;
-  if (depth == 1) {
-    // Depth 1 degenerates to the blocking verb: identical charges and
-    // retry loop, effect applied at completion time.
-    if (sharded) {
-      auto rec = sharded_op(src, dst, stream_bytes, base_latency, what,
-                            std::move(dst_apply));
-      std::uint64_t v = 0;
-      if (finish) {
-        argosim::Engine::current()->await(rec);
-        v = finish(*rec);
-      }
-      return retired_handle(src, has_value, v);
-    }
-    remote_op(src, dst, stream_bytes, base_latency, what);
-    const std::uint64_t v = effect ? effect() : 0;
-    return retired_handle(src, has_value, v);
-  }
-  while (box.sendq.size() >= static_cast<std::size_t>(depth))
-    retire_front(src);
-  ++box.stats.posted_ops;
-
-  Time done = 0;
-  bool hard_fail = false;
-  if (!faults_) {
-    charge(src, cfg_.nic_overhead + cfg_.net_transfer(stream_bytes), 0);
-    done = argosim::now() + base_latency;
-  } else {
-    // Project the whole retry history at post time. Plans must be drawn
-    // against the posting-time clock: FaultInjector brownout queries are
-    // required to be monotonic in `now` per node, so probing the future
-    // per retry would be unsound once several ops are in flight. The
-    // first attempt holds the NIC for real; retransmissions of an
-    // in-flight op are NIC work too, but only their time is folded into
-    // the completion (accounted in nic_busy, not serialized — the queue
-    // depth already bounds how much can pile up).
-    const RetryPolicy& rp = cfg_.retry;
-    const Time post_now = argosim::now();
-    Time backoff = rp.backoff_base;
-    for (int attempt = 1;; ++attempt) {
-      const AttemptPlan p = faults_->plan_attempt(src, dst, post_now);
-      Time stream = cfg_.net_transfer(stream_bytes);
-      if (p.bw_frac < 1.0 && stream > 0)
-        stream = static_cast<Time>(static_cast<double>(stream) / p.bw_frac);
-      const Time latency =
-          static_cast<Time>(static_cast<double>(base_latency) *
-                            p.latency_mult) +
-          p.extra_latency;
-      const Time busy = cfg_.nic_overhead + stream;
-      if (attempt == 1) {
-        charge(src, busy, 0);
-        done = argosim::now() + latency;
-      } else {
-        box.stats.nic_busy += busy;
-        done += busy + latency;
-      }
-      if (!p.fail) break;
-      ++box.stats.faults_injected;
-      const bool out_of_attempts = attempt >= rp.max_attempts;
-      const bool past_deadline =
-          rp.deadline > 0 && done - post_now >= rp.deadline;
-      if (out_of_attempts || past_deadline) {
-        hard_fail = true;
-        break;
-      }
-      Time wait = backoff;
-      if (rp.backoff_jitter > 0)
-        wait += faults_->backoff_jitter(
-            static_cast<Time>(static_cast<double>(backoff) *
-                              rp.backoff_jitter),
-            src);
-      ++box.stats.retries;
-      box.stats.backoff_time += wait;
-      done += wait;
-      backoff = std::min<Time>(
-          static_cast<Time>(static_cast<double>(backoff) * rp.backoff_mult),
-          rp.backoff_max);
-    }
-  }
-  // In-order completion (reliable-connection queue-pair semantics): an op
-  // can never retire before its predecessors.
-  if (!box.sendq.empty() && box.sendq.back().complete_at > done)
-    done = box.sendq.back().complete_at;
-  const std::uint64_t id = box.posted_next_id++;
-  Posted p{id,  done,      hard_fail,         what,    dst,
-           has_value, std::move(effect), nullptr, nullptr};
-  if (sharded && !hard_fail) {
-    // Ship the remote half to dst's shard at the (fully projected, in-order
-    // bumped) completion time; the dst-shard effect replaces the inline one.
-    p.rec = acquire_record(box);
-    p.finish = std::move(finish);
-    p.effect = nullptr;
-    argosim::Engine::current()->post_effect(
-        static_cast<std::uint32_t>(dst), done, 1,
-        static_cast<std::uint64_t>(src), box.effect_seq++,
-        [rec = p.rec, apply = std::move(dst_apply)]() mutable {
-          if (apply) apply(*rec);
-          rec->complete();
-        });
-  }
-  box.sendq.push_back(std::move(p));
-  box.stats.posted_inflight_hwm =
-      std::max<std::uint64_t>(box.stats.posted_inflight_hwm, box.sendq.size());
   return PostedHandle{src, id};
 }
 
@@ -484,404 +542,56 @@ void Interconnect::wait_all(int node) {
   }
 }
 
-PostedHandle Interconnect::post_read(int src, int dst, const void* remote,
-                                     void* local, std::size_t n) {
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_reads;
-  s.bytes_read += n;
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency + cfg_.mem_copy(n));
-    std::memcpy(local, remote, n);
-    return retired_handle(src, false, 0);
-  }
-  return post_remote(
-      src, dst, n, cfg_.rdma_latency, "RDMA read", false,
-      [remote, local, n]() -> std::uint64_t {
-        std::memcpy(local, remote, n);
-        return 0;
-      },
-      // Sharded: capture the remote bytes on dst's shard at the completion
-      // instant; copy them out on the issuing shard at retirement.
-      [remote, n](argosim::SimRecord& r) {
-        const auto* p = static_cast<const std::byte*>(remote);
-        r.bytes.assign(p, p + n);
-      },
-      [local, n](argosim::SimRecord& r) -> std::uint64_t {
-        std::memcpy(local, r.bytes.data(), n);
-        return 0;
-      });
-}
-
-PostedHandle Interconnect::post_write(int src, int dst, void* remote,
-                                      const void* local, std::size_t n) {
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_writes;
-  s.bytes_written += n;
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency + cfg_.mem_copy(n));
-    std::memcpy(remote, local, n);
-    return retired_handle(src, false, 0);
-  }
-  // Posted semantics capture the payload at post time: the source buffer
-  // may be reused (page evicted, refetched, re-dirtied) before retirement.
-  auto buf = acquire_buf(*boxes_[src]);
-  buf->assign(static_cast<const std::byte*>(local),
-              static_cast<const std::byte*>(local) + n);
-  return post_remote(
-      src, dst, n, cfg_.rdma_latency, "RDMA write", false,
-      [remote, buf, n]() -> std::uint64_t {
-        std::memcpy(remote, buf->data(), n);
-        return 0;
-      },
-      [remote, buf, n](argosim::SimRecord&) {
-        std::memcpy(remote, buf->data(), n);
-      },
-      nullptr);
-}
-
-PostedHandle Interconnect::post_write_gather(int src, int dst,
-                                             const std::vector<GatherRun>& runs,
-                                             std::size_t header_bytes) {
-  std::size_t wire = 0;
-  for (const GatherRun& r : runs) wire += r.len + header_bytes;
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_writes;
-  s.bytes_written += wire;
-  auto buf = acquire_buf(*boxes_[src]);
-  buf->reserve(wire);
-  std::vector<std::pair<void*, std::size_t>> targets;
-  targets.reserve(runs.size());
-  for (const GatherRun& r : runs) {
-    const std::byte* p = static_cast<const std::byte*>(r.local);
-    buf->insert(buf->end(), p, p + r.len);
-    targets.emplace_back(r.remote, r.len);
-  }
-  auto effect = [buf, targets = std::move(targets)]() -> std::uint64_t {
-    std::size_t off = 0;
-    for (const auto& [to, len] : targets) {
-      std::memcpy(to, buf->data() + off, len);
-      off += len;
-    }
-    return 0;
-  };
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency + cfg_.mem_copy(wire));
-    effect();
-    return retired_handle(src, false, 0);
-  }
-  auto dst_apply = [effect](argosim::SimRecord&) { effect(); };
-  return post_remote(src, dst, wire, cfg_.rdma_latency, "RDMA gather write",
-                     false, std::move(effect), std::move(dst_apply), nullptr);
-}
-
-PostedHandle Interconnect::post_fetch_or(int src, int dst,
-                                         std::uint64_t* remote,
-                                         std::uint64_t bits,
-                                         std::function<void(std::uint64_t)>
-                                             on_remote) {
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_atomics;
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency);
-    const std::uint64_t old = *remote;
-    *remote = old | bits;
-    if (on_remote) on_remote(old);
-    return retired_handle(src, true, old);
-  }
-  return post_remote(
-      src, dst, 0, cfg_.rdma_latency, "RDMA fetch-or", true,
-      [remote, bits, on_remote]() -> std::uint64_t {
-        const std::uint64_t old = *remote;
-        *remote = old | bits;
-        if (on_remote) on_remote(old);
-        return old;
-      },
-      [remote, bits, on_remote](argosim::SimRecord& r) {
-        r.value = *remote;
-        *remote = r.value | bits;
-        if (on_remote) on_remote(r.value);
-      },
-      [](argosim::SimRecord& r) -> std::uint64_t { return r.value; });
-}
-
-PostedHandle Interconnect::post_fetch_or(int src, int dst,
-                                         std::uint64_t* remote,
-                                         std::uint64_t bits) {
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_atomics;
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency);
-    const std::uint64_t old = *remote;
-    *remote = old | bits;
-    return retired_handle(src, true, old);
-  }
-  return post_remote(
-      src, dst, 0, cfg_.rdma_latency, "RDMA fetch-or", true,
-      [remote, bits]() -> std::uint64_t {
-        const std::uint64_t old = *remote;
-        *remote = old | bits;
-        return old;
-      },
-      [remote, bits](argosim::SimRecord& r) {
-        r.value = *remote;
-        *remote = r.value | bits;
-      },
-      [](argosim::SimRecord& r) -> std::uint64_t { return r.value; });
-}
-
-PostedHandle Interconnect::post_fetch_or_span(int src, int dst,
-                                              std::uint64_t* remote,
-                                              const std::uint64_t* bits,
-                                              int nwords,
-                                              std::uint64_t* prev_out) {
-  assert(nwords >= 1 && nwords <= kMaxAtomicSpan);
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_atomics;
-  std::array<std::uint64_t, kMaxAtomicSpan> b{};
-  std::copy_n(bits, nwords, b.begin());
-  auto apply = [remote, b, nwords, prev_out]() {
-    for (int i = 0; i < nwords; ++i) {
-      prev_out[i] = remote[i];
-      remote[i] |= b[static_cast<std::size_t>(i)];
-    }
-  };
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency);
-    apply();
-    return retired_handle(src, true, prev_out[0]);
-  }
-  const std::size_t extra = sizeof(std::uint64_t) *
-                            static_cast<std::size_t>(nwords - 1);
-  return post_remote(
-      src, dst, extra, cfg_.rdma_latency, "RDMA masked fetch-or", true,
-      [apply, prev_out]() -> std::uint64_t {
-        apply();
-        return prev_out[0];
-      },
-      [apply, prev_out](argosim::SimRecord& r) {
-        apply();
-        r.value = prev_out[0];
-      },
-      [](argosim::SimRecord& r) -> std::uint64_t { return r.value; });
-}
-
-PostedHandle Interconnect::post_fetch_add(int src, int dst,
-                                          std::uint64_t* remote,
-                                          std::uint64_t v) {
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_atomics;
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency);
-    const std::uint64_t old = *remote;
-    *remote = old + v;
-    return retired_handle(src, true, old);
-  }
-  return post_remote(
-      src, dst, 0, cfg_.rdma_latency, "RDMA fetch-add", true,
-      [remote, v]() -> std::uint64_t {
-        const std::uint64_t old = *remote;
-        *remote = old + v;
-        return old;
-      },
-      [remote, v](argosim::SimRecord& r) {
-        r.value = *remote;
-        *remote = r.value + v;
-      },
-      [](argosim::SimRecord& r) -> std::uint64_t { return r.value; });
-}
-
-PostedHandle Interconnect::post_cas(int src, int dst, std::uint64_t* remote,
-                                    std::uint64_t expected,
-                                    std::uint64_t desired) {
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_atomics;
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency);
-    const std::uint64_t old = *remote;
-    if (old == expected) *remote = desired;
-    return retired_handle(src, true, old);
-  }
-  return post_remote(
-      src, dst, 0, cfg_.rdma_latency, "RDMA CAS", true,
-      [remote, expected, desired]() -> std::uint64_t {
-        const std::uint64_t old = *remote;
-        if (old == expected) *remote = desired;
-        return old;
-      },
-      [remote, expected, desired](argosim::SimRecord& r) {
-        r.value = *remote;
-        if (r.value == expected) *remote = desired;
-      },
-      [](argosim::SimRecord& r) -> std::uint64_t { return r.value; });
-}
-
-namespace {
-
-// Sharded dst_apply for reads: capture the remote content on dst's shard at
-// the wire-completion instant; the issuing fiber copies it out after await.
-std::function<void(argosim::SimRecord&)> capture_bytes(const void* remote,
-                                                       std::size_t n) {
-  return [remote, n](argosim::SimRecord& r) {
-    const auto* p = static_cast<const std::byte*>(remote);
-    r.bytes.assign(p, p + n);
-  };
-}
-
-// Sharded dst_apply for writes: the payload snapshot taken at issue time
-// lands on dst's shard at the completion instant.
-std::function<void(argosim::SimRecord&)> apply_bytes(
-    void* remote, std::shared_ptr<std::vector<std::byte>> buf) {
-  return [remote, buf = std::move(buf)](argosim::SimRecord&) {
-    std::memcpy(remote, buf->data(), buf->size());
-  };
-}
-
-std::shared_ptr<std::vector<std::byte>> snapshot(const void* local,
-                                                 std::size_t n) {
-  const auto* p = static_cast<const std::byte*>(local);
-  return std::make_shared<std::vector<std::byte>>(p, p + n);
-}
-
-}  // namespace
+// ---------------------------------------------------------------------------
+// The verbs: each is a Verb plus its remote effect
+// ---------------------------------------------------------------------------
 
 void Interconnect::read(int src, int dst, const void* remote, void* local,
                         std::size_t n) {
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_reads;
-  s.bytes_read += n;
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency + cfg_.mem_copy(n));
-  } else if (sharded_engine()) {
-    auto rec = sharded_op(src, dst, n, cfg_.rdma_latency, "RDMA read",
-                          capture_bytes(remote, n));
-    argosim::Engine::current()->await(rec);
-    std::memcpy(local, rec->bytes.data(), n);
-    return;
-  } else {
-    remote_op(src, dst, n, cfg_.rdma_latency, "RDMA read");
-  }
-  // The value observed is the remote content at completion time.
-  std::memcpy(local, remote, n);
+  op(src, dst, {"RDMA read", Verb::kRead, n, {}, local, n},
+     read_bytes(remote, n));
 }
 
-bool Interconnect::try_read(int src, int dst, const void* remote, void* local,
-                            std::size_t n) {
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_reads;
-  s.bytes_read += n;
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency + cfg_.mem_copy(n));
-  } else if (sharded_engine()) {
-    auto rec = acquire_record(*boxes_[src]);
-    ApplyFn apply = capture_bytes(remote, n);
-    if (!sharded_attempt(src, dst, n, cfg_.rdma_latency, "RDMA read", rec,
-                         apply))
-      return false;
-    argosim::Engine::current()->await(rec);
-    std::memcpy(local, rec->bytes.data(), n);
-    return true;
-  } else if (!remote_attempt(src, dst, n, cfg_.rdma_latency, "RDMA read")) {
-    return false;
-  }
-  std::memcpy(local, remote, n);
-  return true;
+PostedHandle Interconnect::post_read(int src, int dst, const void* remote,
+                                     void* local, std::size_t n) {
+  return post(src, dst, {"RDMA read", Verb::kRead, n, {}, local, n},
+              read_bytes(remote, n));
 }
 
 void Interconnect::write(int src, int dst, void* remote, const void* local,
                          std::size_t n) {
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_writes;
-  s.bytes_written += n;
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency + cfg_.mem_copy(n));
-  } else if (sharded_engine()) {
-    // Snapshot at issue time (as the posted verbs do) and apply on dst's
-    // shard at the completion instant. No await: the fiber's clock already
-    // equals the completion time, and any later verb touching the same
-    // remote bytes lands at a strictly later effect key.
-    sharded_op(src, dst, n, cfg_.rdma_latency, "RDMA write",
-               apply_bytes(remote, snapshot(local, n)));
-    return;
-  } else {
-    remote_op(src, dst, n, cfg_.rdma_latency, "RDMA write");
-  }
-  // The data becomes globally visible at completion time.
-  std::memcpy(remote, local, n);
+  const GatherRun run{remote, local, n};
+  op(src, dst, {"RDMA write", Verb::kWrite, n, {&run, 1}}, apply_runs);
 }
 
-bool Interconnect::try_write(int src, int dst, void* remote, const void* local,
-                             std::size_t n) {
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_writes;
-  s.bytes_written += n;
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency + cfg_.mem_copy(n));
-  } else if (sharded_engine()) {
-    auto rec = acquire_record(*boxes_[src]);
-    ApplyFn apply = apply_bytes(remote, snapshot(local, n));
-    return sharded_attempt(src, dst, n, cfg_.rdma_latency, "RDMA write", rec,
-                           apply);
-  } else if (!remote_attempt(src, dst, n, cfg_.rdma_latency, "RDMA write")) {
-    return false;
-  }
-  std::memcpy(remote, local, n);
-  return true;
-}
-
-void Interconnect::charge_write(int src, int dst, std::size_t n) {
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_writes;
-  s.bytes_written += n;
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency + cfg_.mem_copy(n));
-  } else {
-    remote_op(src, dst, n, cfg_.rdma_latency, "RDMA write");
-  }
+PostedHandle Interconnect::post_write(int src, int dst, void* remote,
+                                      const void* local, std::size_t n) {
+  const GatherRun run{remote, local, n};
+  return post(src, dst, {"RDMA write", Verb::kWrite, n, {&run, 1}},
+              apply_runs);
 }
 
 void Interconnect::write_gather(int src, int dst,
                                 const std::vector<GatherRun>& runs,
                                 std::size_t header_bytes) {
-  std::size_t wire = 0;
-  for (const GatherRun& r : runs) wire += r.len + header_bytes;
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_writes;
-  s.bytes_written += wire;
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency + cfg_.mem_copy(wire));
-    for (const GatherRun& r : runs) std::memcpy(r.remote, r.local, r.len);
-    return;
-  }
-  if (sharded_engine()) {
-    auto buf = std::make_shared<std::vector<std::byte>>();
-    buf->reserve(wire);
-    std::vector<std::pair<void*, std::size_t>> targets;
-    targets.reserve(runs.size());
-    for (const GatherRun& r : runs) {
-      const std::byte* p = static_cast<const std::byte*>(r.local);
-      buf->insert(buf->end(), p, p + r.len);
-      targets.emplace_back(r.remote, r.len);
-    }
-    sharded_op(src, dst, wire, cfg_.rdma_latency, "RDMA write",
-               [buf, targets = std::move(targets)](argosim::SimRecord&) {
-                 std::size_t off = 0;
-                 for (const auto& [to, len] : targets) {
-                   std::memcpy(to, buf->data() + off, len);
-                   off += len;
-                 }
-               });
-    return;
-  }
-  // Legacy engine: charge one wire transfer, then apply the runs in place
-  // at completion time — charge_write() plus the caller's own memcpys,
-  // byte-identical in virtual time.
-  remote_op(src, dst, wire, cfg_.rdma_latency, "RDMA write");
-  for (const GatherRun& r : runs) std::memcpy(r.remote, r.local, r.len);
+  op(src, dst,
+     {"RDMA gather write", Verb::kWrite, gather_wire(runs, header_bytes),
+      runs},
+     apply_runs);
 }
 
-// Remote atomics share one attempt shape: no payload streaming, one
-// completion latency; the operation commits only on a successful attempt
-// (a failed attempt is detected before the NIC executes it remotely).
+PostedHandle Interconnect::post_write_gather(int src, int dst,
+                                             const std::vector<GatherRun>& runs,
+                                             std::size_t header_bytes) {
+  return post(src, dst,
+              {"RDMA gather write", Verb::kWrite,
+               gather_wire(runs, header_bytes), runs},
+              apply_runs);
+}
+
+// Remote atomics share one attempt shape: no payload streaming beyond the
+// extended operand, one completion latency; the operation commits only on
+// a successful attempt.
 
 std::uint64_t Interconnect::fetch_or(int src, int dst, std::uint64_t* remote,
                                      std::uint64_t bits) {
@@ -891,243 +601,78 @@ std::uint64_t Interconnect::fetch_or(int src, int dst, std::uint64_t* remote,
 std::uint64_t Interconnect::fetch_or(
     int src, int dst, std::uint64_t* remote, std::uint64_t bits,
     std::function<void(std::uint64_t)> on_remote) {
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_atomics;
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency);
-  } else if (sharded_engine()) {
-    auto rec = sharded_op(src, dst, 0, cfg_.rdma_latency, "RDMA fetch-or",
-                          [remote, bits, on_remote](argosim::SimRecord& r) {
-                            r.value = *remote;
-                            *remote = r.value | bits;
-                            if (on_remote) on_remote(r.value);
-                          });
-    argosim::Engine::current()->await(rec);
-    return rec->value;
-  } else {
-    remote_op(src, dst, 0, cfg_.rdma_latency, "RDMA fetch-or");
-  }
-  std::uint64_t old = *remote;
-  *remote = old | bits;
-  if (on_remote) on_remote(old);
-  return old;
+  return op(src, dst, {"RDMA fetch-or", Verb::kAtomic, 0},
+            or_bits(remote, bits, std::move(on_remote)));
+}
+
+PostedHandle Interconnect::post_fetch_or(int src, int dst,
+                                         std::uint64_t* remote,
+                                         std::uint64_t bits) {
+  return post_fetch_or(src, dst, remote, bits, nullptr);
+}
+
+PostedHandle Interconnect::post_fetch_or(
+    int src, int dst, std::uint64_t* remote, std::uint64_t bits,
+    std::function<void(std::uint64_t)> on_remote) {
+  return post(src, dst, {"RDMA fetch-or", Verb::kAtomic, 0},
+              or_bits(remote, bits, std::move(on_remote)));
 }
 
 void Interconnect::fetch_or_span(int src, int dst, std::uint64_t* remote,
                                  const std::uint64_t* bits, int nwords,
                                  std::uint64_t* prev_out) {
-  assert(nwords >= 1 && nwords <= kMaxAtomicSpan);
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_atomics;
-  std::array<std::uint64_t, kMaxAtomicSpan> b{};
-  std::copy_n(bits, nwords, b.begin());
-  // One extended atomic: every word's pre-OR value is snapshotted at the
-  // same commit instant the ORs land — concurrent registrants therefore
-  // totally order, and exactly one of them observes any given displaced
-  // owner as the sole accessor.
-  auto apply = [remote, b, nwords, prev_out]() {
-    for (int i = 0; i < nwords; ++i) {
-      prev_out[i] = remote[i];
-      remote[i] |= b[static_cast<std::size_t>(i)];
-    }
-  };
-  const std::size_t extra = sizeof(std::uint64_t) *
-                            static_cast<std::size_t>(nwords - 1);
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency);
-    apply();
-    return;
-  }
-  if (sharded_engine()) {
-    auto rec = sharded_op(src, dst, extra, cfg_.rdma_latency,
-                          "RDMA masked fetch-or",
-                          [apply](argosim::SimRecord& r) {
-                            apply();
-                            r.value = 0;
-                          });
-    argosim::Engine::current()->await(rec);
-    return;
-  }
-  remote_op(src, dst, extra, cfg_.rdma_latency, "RDMA masked fetch-or");
-  apply();
+  const auto n = static_cast<std::size_t>(nwords);
+  op(src, dst,
+     {"RDMA masked fetch-or", Verb::kAtomic, sizeof(std::uint64_t) * (n - 1),
+      {}, prev_out, sizeof(std::uint64_t) * n},
+     or_span(remote, bits, nwords));
 }
 
-std::optional<std::uint64_t> Interconnect::try_fetch_or(int src, int dst,
-                                                        std::uint64_t* remote,
-                                                        std::uint64_t bits) {
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_atomics;
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency);
-  } else if (sharded_engine()) {
-    auto rec = acquire_record(*boxes_[src]);
-    ApplyFn apply = [remote, bits](argosim::SimRecord& r) {
-      r.value = *remote;
-      *remote = r.value | bits;
-    };
-    if (!sharded_attempt(src, dst, 0, cfg_.rdma_latency, "RDMA fetch-or", rec,
-                         apply))
-      return std::nullopt;
-    argosim::Engine::current()->await(rec);
-    return rec->value;
-  } else if (!remote_attempt(src, dst, 0, cfg_.rdma_latency,
-                             "RDMA fetch-or")) {
-    return std::nullopt;
-  }
-  std::uint64_t old = *remote;
-  *remote = old | bits;
-  return old;
+PostedHandle Interconnect::post_fetch_or_span(int src, int dst,
+                                              std::uint64_t* remote,
+                                              const std::uint64_t* bits,
+                                              int nwords,
+                                              std::uint64_t* prev_out) {
+  const auto n = static_cast<std::size_t>(nwords);
+  return post(src, dst,
+              {"RDMA masked fetch-or", Verb::kAtomic,
+               sizeof(std::uint64_t) * (n - 1), {}, prev_out,
+               sizeof(std::uint64_t) * n},
+              or_span(remote, bits, nwords));
 }
 
 std::uint64_t Interconnect::fetch_add(int src, int dst, std::uint64_t* remote,
                                       std::uint64_t v) {
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_atomics;
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency);
-  } else if (sharded_engine()) {
-    auto rec = sharded_op(src, dst, 0, cfg_.rdma_latency, "RDMA fetch-add",
-                          [remote, v](argosim::SimRecord& r) {
-                            r.value = *remote;
-                            *remote = r.value + v;
-                          });
-    argosim::Engine::current()->await(rec);
-    return rec->value;
-  } else {
-    remote_op(src, dst, 0, cfg_.rdma_latency, "RDMA fetch-add");
-  }
-  std::uint64_t old = *remote;
-  *remote = old + v;
-  return old;
+  return op(src, dst, {"RDMA fetch-add", Verb::kAtomic, 0}, add(remote, v));
 }
 
-std::optional<std::uint64_t> Interconnect::try_fetch_add(int src, int dst,
-                                                         std::uint64_t* remote,
-                                                         std::uint64_t v) {
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_atomics;
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency);
-  } else if (sharded_engine()) {
-    auto rec = acquire_record(*boxes_[src]);
-    ApplyFn apply = [remote, v](argosim::SimRecord& r) {
-      r.value = *remote;
-      *remote = r.value + v;
-    };
-    if (!sharded_attempt(src, dst, 0, cfg_.rdma_latency, "RDMA fetch-add",
-                         rec, apply))
-      return std::nullopt;
-    argosim::Engine::current()->await(rec);
-    return rec->value;
-  } else if (!remote_attempt(src, dst, 0, cfg_.rdma_latency,
-                             "RDMA fetch-add")) {
-    return std::nullopt;
-  }
-  std::uint64_t old = *remote;
-  *remote = old + v;
-  return old;
+PostedHandle Interconnect::post_fetch_add(int src, int dst,
+                                          std::uint64_t* remote,
+                                          std::uint64_t v) {
+  return post(src, dst, {"RDMA fetch-add", Verb::kAtomic, 0}, add(remote, v));
 }
 
 std::uint64_t Interconnect::cas(int src, int dst, std::uint64_t* remote,
                                 std::uint64_t expected, std::uint64_t desired) {
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_atomics;
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency);
-  } else if (sharded_engine()) {
-    auto rec = sharded_op(src, dst, 0, cfg_.rdma_latency, "RDMA CAS",
-                          [remote, expected, desired](argosim::SimRecord& r) {
-                            r.value = *remote;
-                            if (r.value == expected) *remote = desired;
-                          });
-    argosim::Engine::current()->await(rec);
-    return rec->value;
-  } else {
-    remote_op(src, dst, 0, cfg_.rdma_latency, "RDMA CAS");
-  }
-  std::uint64_t old = *remote;
-  if (old == expected) *remote = desired;
-  return old;
+  return op(src, dst, {"RDMA CAS", Verb::kAtomic, 0},
+            compare_swap(remote, expected, desired));
 }
 
-std::optional<std::uint64_t> Interconnect::try_cas(int src, int dst,
-                                                   std::uint64_t* remote,
-                                                   std::uint64_t expected,
-                                                   std::uint64_t desired) {
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_atomics;
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency);
-  } else if (sharded_engine()) {
-    auto rec = acquire_record(*boxes_[src]);
-    ApplyFn apply = [remote, expected, desired](argosim::SimRecord& r) {
-      r.value = *remote;
-      if (r.value == expected) *remote = desired;
-    };
-    if (!sharded_attempt(src, dst, 0, cfg_.rdma_latency, "RDMA CAS", rec,
-                         apply))
-      return std::nullopt;
-    argosim::Engine::current()->await(rec);
-    return rec->value;
-  } else if (!remote_attempt(src, dst, 0, cfg_.rdma_latency, "RDMA CAS")) {
-    return std::nullopt;
-  }
-  std::uint64_t old = *remote;
-  if (old == expected) *remote = desired;
-  return old;
+PostedHandle Interconnect::post_cas(int src, int dst, std::uint64_t* remote,
+                                    std::uint64_t expected,
+                                    std::uint64_t desired) {
+  return post(src, dst, {"RDMA CAS", Verb::kAtomic, 0},
+              compare_swap(remote, expected, desired));
 }
 
 std::uint64_t Interconnect::exchange(int src, int dst, std::uint64_t* remote,
                                      std::uint64_t desired) {
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_atomics;
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency);
-  } else if (sharded_engine()) {
-    auto rec = sharded_op(src, dst, 0, cfg_.rdma_latency, "RDMA exchange",
-                          [remote, desired](argosim::SimRecord& r) {
-                            r.value = *remote;
-                            *remote = desired;
-                          });
-    argosim::Engine::current()->await(rec);
-    return rec->value;
-  } else {
-    remote_op(src, dst, 0, cfg_.rdma_latency, "RDMA exchange");
-  }
-  std::uint64_t old = *remote;
-  *remote = desired;
-  return old;
-}
-
-std::optional<std::uint64_t> Interconnect::try_exchange(int src, int dst,
-                                                        std::uint64_t* remote,
-                                                        std::uint64_t desired) {
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_atomics;
-  if (src == dst) {
-    argosim::delay(cfg_.mem_latency);
-  } else if (sharded_engine()) {
-    auto rec = acquire_record(*boxes_[src]);
-    ApplyFn apply = [remote, desired](argosim::SimRecord& r) {
-      r.value = *remote;
-      *remote = desired;
-    };
-    if (!sharded_attempt(src, dst, 0, cfg_.rdma_latency, "RDMA exchange",
-                         rec, apply))
-      return std::nullopt;
-    argosim::Engine::current()->await(rec);
-    return rec->value;
-  } else if (!remote_attempt(src, dst, 0, cfg_.rdma_latency,
-                             "RDMA exchange")) {
-    return std::nullopt;
-  }
-  std::uint64_t old = *remote;
-  *remote = desired;
-  return old;
+  return op(src, dst, {"RDMA exchange", Verb::kAtomic, 0},
+            swap(remote, desired));
 }
 
 void Interconnect::barrier_round(int node, int partner) {
-  remote_op(node, partner, 0, cfg_.msg_latency, "barrier round");
+  reliable(node, partner, 0, cfg_.msg_latency, "barrier round", nullptr);
 }
 
 bool Interconnect::probe(int src, int dst) {
@@ -1138,27 +683,33 @@ bool Interconnect::probe(int src, int dst) {
   return !node_dead(dst);
 }
 
+// ---------------------------------------------------------------------------
+// Two-sided messages
+// ---------------------------------------------------------------------------
+
 void Interconnect::deliver(Message msg, Time deliver_at) {
   auto& box = *boxes_[msg.dst];
   box.inbox.push(Pending{deliver_at, send_seq_++, std::move(msg)});
   box.rx_waiters.notify_all();
 }
 
-void Interconnect::ship_message(Message msg, Time deliver_at) {
+void Interconnect::arrive(Message msg, Time deliver_at) {
+  if (!sharded_engine()) {
+    deliver(std::move(msg), deliver_at);
+    return;
+  }
   // Sharded engine: the inbox belongs to dst's shard, so delivery travels
   // as a timestamped effect. The inbox sequence number is assigned on the
   // destination in effect-key order — deterministic regardless of which
   // workers ran the senders.
-  auto& src_box = *boxes_[msg.src];
+  const int src = msg.src;
   const int dst = msg.dst;
-  argosim::Engine::current()->post_effect(
-      static_cast<std::uint32_t>(dst), deliver_at, 1,
-      static_cast<std::uint64_t>(msg.src), src_box.effect_seq++,
-      [this, dst, deliver_at, m = std::make_shared<Message>(std::move(msg))] {
-        auto& box = *boxes_[dst];
-        box.inbox.push(Pending{deliver_at, box.rx_seq++, std::move(*m)});
-        box.rx_waiters.notify_all();
-      });
+  ship(src, dst, deliver_at,
+       [this, dst, deliver_at, m = std::make_shared<Message>(std::move(msg))] {
+         auto& box = *boxes_[dst];
+         box.inbox.push(Pending{deliver_at, box.rx_seq++, std::move(*m)});
+         box.rx_waiters.notify_all();
+       });
 }
 
 void Interconnect::purge_stale(NodeBox& box) {
@@ -1176,11 +727,8 @@ void Interconnect::send(Message msg) { try_send(std::move(msg)); }
 
 bool Interconnect::try_send(Message msg) {
   assert(msg.src >= 0 && msg.src < nodes_ && msg.dst >= 0 && msg.dst < nodes_);
-  if (faults_ && faults_->has_crashes()) {
-    faults_->note_op(msg.src, argosim::now());
-    // Crashed senders unwind instead of emitting (see crash_check).
-    if (faults_->crashed(msg.src, argosim::now())) throw argosim::SimStopped{};
-  }
+  // Crashed senders unwind instead of emitting (see crash_check).
+  if (node_dead(msg.src)) throw argosim::SimStopped{};
   auto& s = boxes_[msg.src]->stats;
   ++s.msgs_sent;
   s.bytes_sent += msg.payload.size();
@@ -1190,45 +738,20 @@ bool Interconnect::try_send(Message msg) {
     deliver(std::move(msg), argosim::now());
     return true;
   }
-  const bool sharded = sharded_engine();
-  if (!faults_) {
-    charge(msg.src, cfg_.nic_overhead + cfg_.net_transfer(wire), 0);
-    const Time deliver_at = argosim::now() + cfg_.msg_latency;
-    if (sharded)
-      ship_message(std::move(msg), deliver_at);
-    else
-      deliver(std::move(msg), deliver_at);
-    return true;
-  }
-  const AttemptPlan p = faults_->plan_attempt(msg.src, msg.dst, argosim::now());
-  Time stream = cfg_.net_transfer(wire);
-  if (p.bw_frac < 1.0 && stream > 0)
-    stream = static_cast<Time>(static_cast<double>(stream) / p.bw_frac);
-  charge(msg.src, cfg_.nic_overhead + stream, 0);
-  if (faults_->drop_message(msg.src)) {
+  const Attempt a =
+      plan(msg.src, msg.dst, wire, cfg_.msg_latency, argosim::now());
+  charge(msg.src, a.busy, 0);
+  if (faults_ && faults_->drop_message(msg.src)) {
     ++s.faults_injected;
     return false;
   }
-  const Time latency =
-      static_cast<Time>(static_cast<double>(cfg_.msg_latency) *
-                        p.latency_mult) +
-      p.extra_latency;
-  const bool dup = faults_->duplicate_message(msg.src);
-  const Time deliver_at = argosim::now() + latency;
-  if (dup) {
-    Message copy = msg;
-    if (sharded) {
-      ship_message(std::move(copy), deliver_at);
-      // The spurious retransmission arrives one latency later still.
-      ship_message(std::move(msg), deliver_at + cfg_.msg_latency);
-    } else {
-      deliver(std::move(copy), deliver_at);
-      deliver(std::move(msg), deliver_at + cfg_.msg_latency);
-    }
-  } else if (sharded) {
-    ship_message(std::move(msg), deliver_at);
+  const Time deliver_at = argosim::now() + a.latency;
+  if (faults_ && faults_->duplicate_message(msg.src)) {
+    arrive(msg, deliver_at);
+    // The spurious retransmission arrives one latency later still.
+    arrive(std::move(msg), deliver_at + cfg_.msg_latency);
   } else {
-    deliver(std::move(msg), deliver_at);
+    arrive(std::move(msg), deliver_at);
   }
   return true;
 }

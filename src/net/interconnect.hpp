@@ -24,29 +24,20 @@
 #include <memory>
 #include <optional>
 #include <queue>
+#include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "net/faults.hpp"
 #include "net/netconfig.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
-#include "sim/smallfn.hpp"
 #include "sim/sync.hpp"
 
 namespace argonet {
 
 using argosim::Time;
-
-// Hot-path closures ride in inline-storage SmallFns (sim/smallfn.hpp): a
-// posted verb builds up to three of them, and std::function would heap-
-// allocate each. Capacities cover the largest capture each role carries
-// (post_fetch_or_span's apply: a pointer, a 32-byte operand array, a count
-// and an output pointer); oversized captures still work, they just spill
-// to the heap and tick sim.effect_pool_misses.
-using ApplyFn = argosim::SmallFn<void(argosim::SimRecord&), 64>;
-using PostedEffectFn = argosim::SmallFn<std::uint64_t(), 64>;
-using FinishFn = argosim::SmallFn<std::uint64_t(argosim::SimRecord&), 32>;
 
 /// Thrown by the reliable verbs when an op still fails after the
 /// RetryPolicy's attempt budget / deadline is exhausted (a hard, rather
@@ -139,7 +130,7 @@ class Interconnect {
 
   /// Attach a fault injector. From here on every *remote* op consults it:
   /// the reliable verbs below turn into retry loops (RetryPolicy in
-  /// NetConfig) and the try_* variants may report failure. Without an
+  /// NetConfig) and try_send may report a dropped message. Without an
   /// injector the fault machinery is never consulted — the fault-free
   /// path's virtual times are identical to a build without this feature.
   void enable_faults(const FaultConfig& cfg);
@@ -159,19 +150,9 @@ class Interconnect {
   /// Write `n` bytes from `local` into `remote` (memory homed on node `dst`).
   void write(int src, int dst, void* remote, const void* local, std::size_t n);
 
-  /// Charge an RDMA write of `n` payload bytes without performing a copy.
-  /// Used for scattered payloads (diff runs): the caller applies the bytes
-  /// itself immediately after this returns (i.e. at completion time).
-  /// Legacy-engine only as a remote-apply idiom: under the sharded engine a
-  /// caller-side apply would touch another shard's memory — use
-  /// write_gather(), which ships the runs to the target's shard.
-  void charge_write(int src, int dst, std::size_t n);
-
   /// Blocking scatter-gather write: one wire transfer of
   /// sum(len + header_bytes) covering every run, applied at completion
-  /// time. Charges exactly what charge_write(sum) does; on the sharded
-  /// engine the runs are snapshotted and applied on `dst`'s shard at the
-  /// completion instant.
+  /// time (on `dst`'s shard when sharded, from a snapshot of the runs).
   void write_gather(int src, int dst, const std::vector<GatherRun>& runs,
                     std::size_t header_bytes);
 
@@ -316,30 +297,6 @@ class Interconnect {
     return stale_msgs_dropped_.load(std::memory_order_relaxed);
   }
 
-  // --- Fallible single-attempt variants -----------------------------------
-  //
-  // One wire attempt each: the caller is charged the attempt's full cost
-  // whether it completes or not; on failure (injected fault) the op has no
-  // remote effect and the caller owns recovery. Without a fault injector
-  // they always succeed and cost exactly what the reliable verbs cost.
-
-  bool try_read(int src, int dst, const void* remote, void* local,
-                std::size_t n);
-  bool try_write(int src, int dst, void* remote, const void* local,
-                 std::size_t n);
-  std::optional<std::uint64_t> try_fetch_or(int src, int dst,
-                                            std::uint64_t* remote,
-                                            std::uint64_t bits);
-  std::optional<std::uint64_t> try_fetch_add(int src, int dst,
-                                             std::uint64_t* remote,
-                                             std::uint64_t v);
-  std::optional<std::uint64_t> try_cas(int src, int dst, std::uint64_t* remote,
-                                       std::uint64_t expected,
-                                       std::uint64_t desired);
-  std::optional<std::uint64_t> try_exchange(int src, int dst,
-                                            std::uint64_t* remote,
-                                            std::uint64_t desired);
-
   /// One dissemination round of the hierarchical barrier, issued by
   /// `node` toward `partner`: charged like a small one-sided notification
   /// (nic_overhead busy + msg_latency in flight) and retried under the
@@ -403,6 +360,21 @@ class Interconnect {
     }
   };
 
+  /// One remote verb as the op routine sees it; defined in interconnect.cpp
+  /// next to the routine and the per-verb remote effects.
+  struct Verb;
+
+  /// A deferred write's payload: the source bytes captured at issue time and
+  /// the runs re-pointed at them.
+  struct Payload {
+    std::vector<std::byte> bytes;
+    std::vector<GatherRun> runs;
+    void reset() {
+      bytes.clear();
+      runs.clear();
+    }
+  };
+
   /// A posted op sitting in a node's send queue. `complete_at` already
   /// folds in NIC occupancy, wire latency, projected fault retries and the
   /// in-order constraint against earlier ops.
@@ -410,16 +382,17 @@ class Interconnect {
     std::uint64_t id;
     Time complete_at;
     bool hard_fail;
+    bool has_value;
     const char* what;
     int dst;  ///< target node (error context)
-    bool has_value;
-    PostedEffectFn effect;  ///< applied at retirement (legacy)
-    /// Sharded engine: the remote effect was shipped to dst's shard as a
-    /// timestamped effect completing this record; retirement awaits it and
-    /// runs `finish` (src-side copy-out / value extraction) instead of
-    /// `effect`.
+    void* out;  ///< where a read's bytes land at retirement
+    std::size_t out_n;
+    /// Filled and completed by the remote effect. On the sharded engine the
+    /// effect was shipped to dst's shard at post time; on the legacy engine
+    /// it waits in `effect` and runs at retirement.
     std::shared_ptr<argosim::SimRecord> rec;
-    FinishFn finish;
+    std::shared_ptr<Payload> payload;  ///< held until retirement (see op)
+    argosim::EffectFn effect;
   };
 
   struct PostedFailure {
@@ -450,71 +423,95 @@ class Interconnect {
     // oracle keeps the seed's allocation pattern.
     std::vector<std::shared_ptr<argosim::SimRecord>> rec_pool;
     std::size_t rec_cursor = 0;
-    std::vector<std::shared_ptr<std::vector<std::byte>>> buf_pool;
-    std::size_t buf_cursor = 0;
+    std::vector<std::shared_ptr<Payload>> payload_pool;
+    std::size_t payload_cursor = 0;
   };
 
-  /// Hold node `src`'s NIC for `busy` ns, then charge `extra_latency` more
-  /// (time the op is in flight but the NIC is free again).
-  void charge(int src, Time busy, Time extra_latency);
+  /// Cost and fate of one remote-op attempt.
+  struct Attempt {
+    Time busy;     ///< NIC occupancy: overhead + (brownout-scaled) streaming
+    Time latency;  ///< in flight after the NIC is free again
+    bool fail;     ///< injected fault: charged, but never completes
+  };
 
-  /// Account one op initiated by `src` against the crash schedule (resolves
-  /// "crash after N ops" triggers) and fail fast with NodeFailedError if
-  /// `dst` is crash-stopped. A dead *source* never throws: its fibers are
-  /// being reaped and must unwind only via SimStopped. No-op (and zero
-  /// cost) without a crash schedule.
+  /// The single op routine behind every one-sided verb. Blocking, or with
+  /// `posted` set queued on `src`'s send queue when the pipeline is deeper
+  /// than 1 (a depth-1 or local post is the blocking verb and leaves
+  /// `posted` inert). Returns the effect's value for a completed op.
+  template <class Effect>
+  std::uint64_t op(int src, int dst, const Verb& v, Effect&& effect,
+                   PostedHandle* posted = nullptr);
+
+  /// Posted form of op(): a handle for a queued op, else a retired one.
+  template <class Effect>
+  PostedHandle post(int src, int dst, const Verb& v, Effect&& effect);
+
+  /// Package `effect` for deferred execution: against `payload` (a write's
+  /// snapshot, else null), leaving read bytes and value in `rec`.
+  template <class Effect>
+  argosim::EffectFn bind(const Verb& v, Effect&& effect,
+                         std::shared_ptr<argosim::SimRecord> rec,
+                         std::shared_ptr<Payload> payload);
+
+  /// Queue a deferred op (pipeline depth > 1): reclaim a slot if the queue
+  /// is full, charge its NIC occupancy, project its completion and hand
+  /// its effect to dst's shard (sharded) or keep it for retirement.
+  PostedHandle enqueue(int src, int dst, const Verb& v, argosim::EffectFn fn,
+                       std::shared_ptr<argosim::SimRecord> rec,
+                       std::shared_ptr<Payload> payload, bool sharded);
+
+  /// Await a deferred op's record; copy its read bytes out; its value.
+  std::uint64_t collect(const std::shared_ptr<argosim::SimRecord>& rec,
+                        void* out, std::size_t out_n);
+
+  /// Draw the plan for one attempt issued at `at` (fault-free: the base
+  /// costs, no draws).
+  Attempt plan(int src, int dst, std::size_t stream_bytes, Time base_latency,
+               Time at);
+
+  /// Retry budget spent after `attempt` attempts taking `elapsed`?
+  bool exhausted(int attempt, Time elapsed) const;
+
+  /// Next backoff wait (jittered, counted in `src`'s stats); grows
+  /// `backoff` for the attempt after.
+  Time backoff_wait(int src, Time& backoff);
+
+  /// The real-time retry loop: attempt until success under the
+  /// RetryPolicy; throws NetworkError when the budget is exhausted. `fire`
+  /// (sharded engine) ships with the successful attempt.
+  void reliable(int src, int dst, std::size_t stream_bytes, Time base_latency,
+                const char* what, argosim::EffectFn* fire);
+
+  /// A posted op's whole retry history, projected at post time: the first
+  /// attempt holds the NIC, later ones fold into the completion time.
+  /// Returns {completion time, hard failure}.
+  std::pair<Time, bool> project(int src, int dst, std::size_t stream_bytes,
+                                Time base_latency);
+
+  /// Hold node `src`'s NIC for `busy` ns, then charge `latency` more (time
+  /// the op is in flight but the NIC is free again). `fire` ships to `dst`'s
+  /// shard, stamped at the completion instant, once the NIC is acquired.
+  void charge(int src, Time busy, Time latency, int dst = -1,
+              argosim::EffectFn* fire = nullptr);
+
+  /// Post `fn` on `dst`'s shard at `when`, keyed by (src, post order).
+  void ship(int src, int dst, Time when, argosim::EffectFn fn);
+
+  /// Fail fast with NodeFailedError if `dst` is crash-stopped. A dead
+  /// *source* never throws it: its fibers are being reaped and must unwind
+  /// only via SimStopped. No-op (and zero cost) without a crash schedule.
   void crash_check(int src, int dst, const char* what);
 
-  /// Charge one remote-op attempt (streaming `stream_bytes`, completing
-  /// after `base_latency`); returns false if an injected fault consumed it.
-  /// Throws NodeFailedError (named `what`) when `dst` is crash-stopped.
-  bool remote_attempt(int src, int dst, std::size_t stream_bytes,
-                      Time base_latency, const char* what);
+  /// Pooled completion record / payload snapshot for a node's next op:
+  /// reuses a free slot when one exists, else allocates (and grows the pool
+  /// up to its cap). Fresh allocations under ARGO_SLOW_PATHS.
+  template <class T>
+  std::shared_ptr<T> acquire(std::vector<std::shared_ptr<T>>& pool,
+                             std::size_t& cursor);
 
-  /// Reliable remote op: retry remote_attempt under the RetryPolicy.
-  /// Throws NetworkError when the budget is exhausted.
-  void remote_op(int src, int dst, std::size_t stream_bytes,
-                 Time base_latency, const char* what);
-
-  /// Sharded-engine attempt: identical charges to remote_attempt, but a
-  /// successful attempt ships `apply` to dst's shard as an effect executing
-  /// exactly at the attempt's completion instant (NIC acquisition + busy +
-  /// latency), filling and completing `rec`. Failed attempts post nothing.
-  /// `apply` is consumed (moved into the effect) by a successful attempt —
-  /// which is always the last one — and left intact by failed attempts.
-  bool sharded_attempt(int src, int dst, std::size_t stream_bytes,
-                       Time base_latency, const char* what,
-                       const std::shared_ptr<argosim::SimRecord>& rec,
-                       ApplyFn& apply);
-
-  /// Reliable sharded remote op: retry sharded_attempt under the
-  /// RetryPolicy (same loop as remote_op); returns the completion record.
-  std::shared_ptr<argosim::SimRecord> sharded_op(int src, int dst,
-                                                 std::size_t stream_bytes,
-                                                 Time base_latency,
-                                                 const char* what,
-                                                 ApplyFn apply);
-
-  /// Post one message-delivery effect on the destination's shard.
-  void ship_message(Message msg, Time deliver_at);
-
-  /// Core of the posted verbs: reclaim a queue slot if the pipeline is
-  /// full, charge this op's NIC occupancy, project its completion time
-  /// (including fault retries), and enqueue it. At depth 1, runs the
-  /// blocking remote_op and returns an already-retired handle.
-  /// `effect` is the legacy inline retirement effect; `dst_apply`/`finish`
-  /// are the sharded split of the same work (remote half on dst's shard at
-  /// the completion instant, src-side half at retirement).
-  PostedHandle post_remote(int src, int dst, std::size_t stream_bytes,
-                           Time base_latency, const char* what, bool has_value,
-                           PostedEffectFn effect, ApplyFn dst_apply,
-                           FinishFn finish);
-
-  /// Pooled completion record / payload-snapshot buffer for `box`'s next
-  /// op: reuses a free slot when one exists, else allocates (and grows the
-  /// pool up to its cap). Fresh allocations under ARGO_SLOW_PATHS.
-  std::shared_ptr<argosim::SimRecord> acquire_record(NodeBox& box);
-  std::shared_ptr<std::vector<std::byte>> acquire_buf(NodeBox& box);
+  /// Copy a write's runs into a pooled payload.
+  std::shared_ptr<Payload> snapshot(NodeBox& box,
+                                    std::span<const GatherRun> in);
 
   /// Handle for an op that completed synchronously (local ops, depth 1).
   PostedHandle retired_handle(int src, bool has_value, std::uint64_t value);
@@ -524,6 +521,10 @@ class Interconnect {
   void retire_front(int src);
 
   [[noreturn]] void throw_posted_failure(int node, PostedFailure f);
+
+  /// Put a remote message in flight: into the inbox now (legacy), or as a
+  /// delivery effect on the destination's shard (sharded).
+  void arrive(Message msg, Time deliver_at);
 
   void deliver(Message msg, Time deliver_at);
 

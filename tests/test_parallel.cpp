@@ -317,7 +317,6 @@ Fingerprint run_crash_stop(std::uint64_t seed, int workers) {
   cfg.faults.jitter_max = 700;
   cfg.faults.crashes.push_back(argonet::CrashEvent{/*node=*/3,
                                                    /*at=*/2500000,
-                                                   /*after_ops=*/0,
                                                    /*rejoin_at=*/0});
   Cluster cl(cfg);
 
