@@ -5,6 +5,7 @@ time and gate on the geometric-mean ratio.
 Usage:
   scripts/bench_compare.py BASELINE FRESH [--max-regress 0.10]
                                           [--min-speedup 1.25]
+                                          [--max-rss-regress 0.10]
                                           [--mode fast]
                                           [--nodes 64]
   scripts/bench_compare.py --par-gate FILE [--min-par-speedup 2.0]
@@ -19,6 +20,11 @@ the fresh build is faster). Gates:
                     perf-smoke setting.
   --min-speedup S   fail when the geomean ratio < S — used by perf PRs
                     that must demonstrate a wall-clock win.
+  --max-rss-regress R
+                    fail when any row's peak RSS (max_rss_kb) exceeds the
+                    baseline row's by more than R. Per row, not geomean:
+                    RSS repeats to within 0.05% run to run, so one bench
+                    growing is a real regression, not noise.
   --par-gate FILE   single-file mode: compare the parallel-engine sweep
                     rows (mode "par", written by scripts/bench_host.sh)
                     at --par-threads workers against their threads=1
@@ -97,9 +103,12 @@ def key_label(key):
 
 
 def load_rows(path, mode, nodes=None):
+    """Rows of one mode keyed by row_key: ({key: wall_s}, {key:
+    max_rss_kb}, provenance stamp)."""
     with open(path) as f:
         rows = json.load(f)
     out = {}
+    rss = {}
     stamp = None
     warned = False
     seen = set()
@@ -116,10 +125,12 @@ def load_rows(path, mode, nodes=None):
                 and int(row["nodes"]) != nodes:
             continue
         out[row_key(row)] = float(row["wall_s"])
+        if row.get("max_rss_kb") is not None:
+            rss[row_key(row)] = int(row["max_rss_kb"])
     if not out:
         sys.exit(f"{path}: no rows with mode={mode!r}"
                  + (f" and nodes={nodes}" if nodes is not None else ""))
-    return out, stamp or ("unknown", "unknown")
+    return out, rss, stamp or ("unknown", "unknown")
 
 
 def geomean_ratios(pairs):
@@ -236,6 +247,28 @@ def adapt_gate(path, min_geomean, max_regress):
           f"{1.0 - max_regress:.2f}x")
 
 
+def rss_gate(base, fresh, max_regress):
+    """Per-row peak-RSS gate: fresh max_rss_kb / baseline max_rss_kb must
+    stay at or below 1 + max_regress for every row both files carry."""
+    common = sorted(set(base) & set(fresh), key=key_label)
+    if not common:
+        sys.exit("no rows with max_rss_kb in common between the two files")
+    print(f"{'bench':<24} {'base_MB':>8} {'fresh_MB':>8} {'ratio':>7}")
+    worst = None
+    for key in common:
+        ratio = fresh[key] / base[key]
+        if worst is None or ratio > worst[0]:
+            worst = (ratio, key)
+        print(f"{key_label(key):<24} {base[key] / 1024:>8.1f} "
+              f"{fresh[key] / 1024:>8.1f} {ratio:>6.3f}x")
+    if worst[0] > 1.0 + max_regress:
+        sys.exit(f"FAIL: {key_label(worst[1])} peak RSS grew to "
+                 f"{worst[0]:.3f}x the baseline (allowed "
+                 f"{1.0 + max_regress:.2f}x)")
+    print(f"OK: worst peak RSS {key_label(worst[1])} {worst[0]:.3f}x <= "
+          f"{1.0 + max_regress:.2f}x")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("baseline", nargs="?")
@@ -244,6 +277,9 @@ def main():
                     help="fail when geomean ratio < 1 - R")
     ap.add_argument("--min-speedup", type=float, default=None,
                     help="fail when geomean ratio < S")
+    ap.add_argument("--max-rss-regress", type=float, default=None,
+                    help="fail when any row's max_rss_kb exceeds the "
+                         "baseline's by more than R")
     ap.add_argument("--mode", default="fast",
                     help="which rows to compare (default: fast)")
     ap.add_argument("--nodes", type=int, default=None,
@@ -279,8 +315,10 @@ def main():
         ap.error("BASELINE and FRESH files are required unless --par-gate "
                  "or --adapt-gate is used alone")
 
-    base, base_stamp = load_rows(args.baseline, args.mode, args.nodes)
-    fresh, fresh_stamp = load_rows(args.fresh, args.mode, args.nodes)
+    base, base_rss, base_stamp = load_rows(args.baseline, args.mode,
+                                           args.nodes)
+    fresh, fresh_rss, fresh_stamp = load_rows(args.fresh, args.mode,
+                                              args.nodes)
 
     common = sorted(set(base) & set(fresh), key=key_label)
     if not common:
@@ -314,6 +352,8 @@ def main():
     if args.min_speedup is not None and geomean < args.min_speedup:
         sys.exit(f"FAIL: geomean {geomean:.3f}x < required "
                  f"{args.min_speedup:.2f}x speedup")
+    if args.max_rss_regress is not None:
+        rss_gate(base_rss, fresh_rss, args.max_rss_regress)
     print("OK")
 
 

@@ -150,6 +150,12 @@ echo "=== perf smoke: host fast paths ==="
 # themselves in wall clock (fast <= 0.95 * slow).
 scripts/bench_host.sh --gate --out build/BENCH_host.json
 
+echo "=== perf smoke: peak RSS vs the committed BENCH_host.json ==="
+# Peak RSS repeats to within 0.05% run to run, so unlike wall time it is
+# gated per bench: no fast-mode row may grow more than 10%.
+python3 scripts/bench_compare.py BENCH_host.json build/BENCH_host.json \
+  --max-rss-regress 0.10
+
 echo "=== perf smoke: parallel engine speedup ==="
 # 8 sharded workers vs the sequential reference on the fig13 quick suite
 # at 32 nodes (rows written by bench_host.sh above). Required speedup is

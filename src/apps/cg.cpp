@@ -1,5 +1,6 @@
 #include "apps/cg.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "apps/span_util.hpp"
@@ -22,6 +23,20 @@ void CgMatrix::spmv_rows(const double* p, double* y, std::size_t n,
       acc += off_value(k) * p[(i + n - o) % n];
     }
     y[i - lo] = acc;
+  }
+}
+
+void CgMatrix::spmv_band(const double* band, double* y, std::size_t rows) {
+  constexpr auto kHalo = static_cast<std::size_t>(kOffsets[3]);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* c = band + kHalo + r;  // row r's diagonal element
+    double acc = kDiag * *c;
+    for (int k = 0; k < 4; ++k) {
+      const auto o = static_cast<std::ptrdiff_t>(kOffsets[k]);
+      acc += off_value(k) * c[o];
+      acc += off_value(k) * c[-o];
+    }
+    y[r] = acc;
   }
 }
 
@@ -75,6 +90,7 @@ CgResult cg_reference(const CgParams& prm) {
 
 CgResult cg_run_argo(argo::Cluster& cl, const CgParams& prm) {
   const std::size_t n = prm.n;
+  constexpr auto kHalo = static_cast<std::size_t>(CgMatrix::kOffsets[3]);
   auto result = cl.alloc<double>(2);
   const auto nt = static_cast<std::size_t>(cl.nthreads());
   auto part_pq = cl.alloc<double>(nt);
@@ -96,16 +112,43 @@ CgResult cg_run_argo(argo::Cluster& cl, const CgParams& prm) {
     const auto g = static_cast<std::size_t>(t.gid());
     const std::size_t lo = n * g / T, hi = n * (g + 1) / T;
     const std::size_t cnt = hi - lo;
-    std::vector<double> p(n), x(cnt), r(cnt), q(cnt);
+    // The rows [lo, hi) read p only within the band [lo - halo, hi + halo)
+    // mod n; the thread keeps that band (the whole vector once the band
+    // covers it). band[k] holds p[(blo + k) mod n]; `own` is the thread's
+    // slice p[lo, hi).
+    const bool whole = cnt + 2 * kHalo >= n;
+    const std::size_t blen = whole ? n : cnt + 2 * kHalo;
+    const std::size_t blo = whole ? 0 : (lo + n - kHalo) % n;
+    std::vector<double> band(blen), x(cnt), r(cnt), q(cnt);
+    double* const own = band.data() + (whole ? lo : kHalo);
     t.load_bulk(gx + static_cast<std::ptrdiff_t>(lo), x.data(), cnt);
     t.load_bulk(gr + static_cast<std::ptrdiff_t>(lo), r.data(), cnt);
     double rho = cg_rho0(n);
     for (int it = 0; it < prm.iterations; ++it) {
-      t.load_bulk(gp, p.data(), n);  // whole direction vector
-      CgMatrix::spmv_rows(p.data(), q.data(), n, lo, hi);
+      // Walk the whole direction vector page by page — the same accesses
+      // as a load_bulk of all of it — but copy out only the band.
+      std::size_t at = 0;
+      while (at < n) {
+        const auto sp =
+            t.load_span(gp + static_cast<std::ptrdiff_t>(at), n - at);
+        // The span's band indices run k, k+1, ... mod n: its head lies in
+        // the band while below blen, its tail once it wraps past n.
+        const std::size_t k = (at + n - blo) % n;
+        if (k < blen)
+          std::copy_n(sp.data(), std::min(sp.size(), blen - k),
+                      band.data() + k);
+        if (k + sp.size() > n)
+          std::copy_n(sp.data() + (n - k), std::min(k + sp.size() - n, blen),
+                      band.data());
+        at += sp.size();
+      }
+      if (whole)
+        CgMatrix::spmv_rows(band.data(), q.data(), n, lo, hi);
+      else
+        CgMatrix::spmv_band(band.data(), q.data(), cnt);
       t.compute(spmv_cost(prm, cnt));
       double pq = 0;
-      for (std::size_t i = 0; i < cnt; ++i) pq += p[lo + i] * q[i];
+      for (std::size_t i = 0; i < cnt; ++i) pq += own[i] * q[i];
       t.compute(vec_cost(prm, cnt));
       t.store(part_pq + t.gid(), pq);
       t.barrier();
@@ -117,7 +160,7 @@ CgResult cg_run_argo(argo::Cluster& cl, const CgParams& prm) {
       for (std::size_t i = 0; i < cnt; i += 64) {
         const std::size_t end = std::min(cnt, i + 64);
         for (std::size_t j = i; j < end; ++j) {
-          x[j] += alpha * p[lo + j];
+          x[j] += alpha * own[j];
           r[j] -= alpha * q[j];
           rr += r[j] * r[j];
         }
@@ -135,9 +178,9 @@ CgResult cg_run_argo(argo::Cluster& cl, const CgParams& prm) {
       for (std::size_t i = 0; i < cnt; i += 64) {
         const std::size_t end = std::min(cnt, i + 64);
         for (std::size_t j = i; j < end; ++j)
-          p[lo + j] = r[j] + beta * p[lo + j];
+          own[j] = r[j] + beta * own[j];
         t.compute(vec_cost(prm, end - i));
-        t.store_bulk(gp + static_cast<std::ptrdiff_t>(lo + i), p.data() + lo + i,
+        t.store_bulk(gp + static_cast<std::ptrdiff_t>(lo + i), own + i,
                      end - i);
       }
       t.barrier();  // p complete before the next SpMV

@@ -38,6 +38,10 @@ struct CgMatrix {
   /// y[i] for rows [lo, hi), reading the full vector p.
   static void spmv_rows(const double* p, double* y, std::size_t n,
                         std::size_t lo, std::size_t hi);
+  /// y[r] for `rows` consecutive rows from a band of p: band[kOffsets[3] +
+  /// r] is row r's diagonal element, with kOffsets[3] elements of halo on
+  /// each side. Same floating-point order as spmv_rows.
+  static void spmv_band(const double* band, double* y, std::size_t rows);
   /// nnz per row (diagonal + both sides of each offset).
   static constexpr std::size_t nnz_per_row() { return 9; }
 };

@@ -333,6 +333,7 @@ void NodeCache::ensure_cached(std::uint64_t page, bool for_write) {
           if (s.valid && !s.dirty) {
             s.valid = false;
             ++tlb_gen_;
+            release_if_invalid(l);
           }
         }
         unlock_line(l);
@@ -369,18 +370,7 @@ void NodeCache::ensure_cached(std::uint64_t page, bool for_write) {
     try {
       if (l.group != group) {
         evict_line_locked(l);
-        l.group = group;
-        occupy(group % cfg_.cache_lines);
-        if (!l.data) l.data = pool_.acquire(cfg_.pages_per_line * kPageSize);
-        if (l.pages.size() != cfg_.pages_per_line)
-          l.pages.resize(cfg_.pages_per_line);  // first claim of this slot
-        for (auto& s : l.pages) {
-          s.valid = false;
-          s.dirty = false;
-          s.in_wb = false;
-          s.prefetched = false;
-          s.twin.reset();
-        }
+        claim_line(l, group);
         fetch_line_locked(l, group);
         unlock_line(l);
         continue;
@@ -430,18 +420,7 @@ void NodeCache::ensure_cached_pipelined(std::uint64_t page, bool for_write) {
     try {
       if (l.group != group) {
         evict_line_locked(l);
-        l.group = group;
-        occupy(group % cfg_.cache_lines);
-        if (!l.data) l.data = pool_.acquire(cfg_.pages_per_line * kPageSize);
-        if (l.pages.size() != cfg_.pages_per_line)
-          l.pages.resize(cfg_.pages_per_line);  // first claim of this slot
-        for (auto& s : l.pages) {
-          s.valid = false;
-          s.dirty = false;
-          s.in_wb = false;
-          s.prefetched = false;
-          s.twin.reset();
-        }
+        claim_line(l, group);
         fetch_line_locked(l, group);
       } else if (!slot_of(l, page).valid) {
         fetch_line_locked(l, group);
@@ -602,6 +581,7 @@ void NodeCache::fetch_line_locked(Line& l, std::uint64_t group) {
       std::min<std::uint64_t>(first + cfg_.pages_per_line, gmem_.pages());
   ++stats_.line_fetches;
   ++tlb_gen_;  // a fill changes residency: conservative, see tlb.hpp
+  if (!l.data) l.data = pool_.acquire(cfg_.pages_per_line * kPageSize);
   // Fetch contiguous runs of invalid pages that share a home node with one
   // RDMA read each (own-home pages are never cached; they stay invalid).
   // With pipelining the reads are posted back to back — the runs' wire
@@ -685,6 +665,27 @@ void NodeCache::evict_line_locked(Line& l) {
             was_dirty ? 1 : 0);
   }
   l.group = kNoGroup;
+  l.data.reset();  // every page is invalid, each after its ++tlb_gen_
+}
+
+void NodeCache::claim_line(Line& l, std::uint64_t group) {
+  l.group = group;
+  occupy(group % cfg_.cache_lines);
+  if (l.pages.size() != cfg_.pages_per_line)
+    l.pages.resize(cfg_.pages_per_line);  // first claim of this slot
+  for (auto& s : l.pages) {
+    s.valid = false;
+    s.dirty = false;
+    s.in_wb = false;
+    s.prefetched = false;
+    s.twin.reset();
+  }
+}
+
+void NodeCache::release_if_invalid(Line& l) {
+  for (const PageSlot& s : l.pages)
+    if (s.valid) return;
+  l.data.reset();
 }
 
 void NodeCache::refresh_checkpoint(Line& l, std::uint64_t page) {
@@ -1001,6 +1002,7 @@ void NodeCache::si_fence_impl() {
       unlock_line(l);  // crashed home mid-writeback; see si_fence
       throw;
     }
+    release_if_invalid(l);
     unlock_line(l);
   }
   fence_scratch_.push_back(std::move(occ));
@@ -1161,20 +1163,7 @@ std::size_t NodeCache::try_prefetch_line(std::uint64_t page) {
     if (blocked()) return 0;
   }
   lock_line(l);  // immediate: blocked() just saw fetching == false
-  if (l.group != group) {
-    l.group = group;
-    occupy(group % cfg_.cache_lines);
-    if (!l.data) l.data = pool_.acquire(cfg_.pages_per_line * kPageSize);
-    if (l.pages.size() != cfg_.pages_per_line)
-      l.pages.resize(cfg_.pages_per_line);
-    for (auto& s : l.pages) {
-      s.valid = false;
-      s.dirty = false;
-      s.in_wb = false;
-      s.prefetched = false;
-      s.twin.reset();
-    }
-  }
+  if (l.group != group) claim_line(l, group);
   // Snapshot which slots were already valid: only the newly filled ones
   // are this prefetch's doing. (The node-global pages_fetched delta would
   // over-count — the fill yields, and other fibers fetch meanwhile.)
@@ -1237,6 +1226,7 @@ bool NodeCache::host_drop_page(std::uint64_t page) {
   s.valid = false;
   s.twin.reset();
   ++tlb_gen_;  // residency changed under the threads' feet
+  release_if_invalid(l);
   return true;
 }
 
@@ -1251,6 +1241,7 @@ bool NodeCache::host_adopt_page(std::uint64_t page) {
   s.valid = false;
   s.twin.reset();
   ++tlb_gen_;  // residency changed under the threads' feet
+  release_if_invalid(l);
   return true;
 }
 
@@ -1274,8 +1265,9 @@ void NodeCache::invalidate_all_free() {
     }
     occ_bits_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
   }
-  occ_idx_.clear();
   ++tlb_gen_;  // every translation any thread holds is now invalid
+  for (const std::size_t idx : occ_idx_) lines_[idx].data.reset();
+  occ_idx_.clear();
   write_buffer_.clear();
   wb_live_ = 0;
   // Adaptive runtime state (capacity, density history, phase accumulators)

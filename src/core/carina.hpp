@@ -198,7 +198,12 @@ class NodeCache {
   struct Line {
     std::uint64_t group = kNoGroup;
     bool fetching = false;
-    argomem::PageBuf data;  // pages_per_line * kPageSize, pool-backed
+    // pages_per_line * kPageSize, pool-backed. Held only while some page
+    // is valid or mid-fill: fetch_line_locked acquires it, and every path
+    // that leaves the whole line invalid returns it to the pool after that
+    // path's ++tlb_gen_, so no live translation can point into a buffer
+    // another line reuses.
+    argomem::PageBuf data;
     std::vector<PageSlot> pages;
     argosim::WaitQueue waiters;
   };
@@ -262,11 +267,22 @@ class NodeCache {
                           const argodir::DirEntry& prev,
                           const argodir::DirEntry& bits, bool for_write);
 
-  /// Evict the current contents of `l` (flushing dirty pages). Latch held.
+  /// Evict the current contents of `l` (flushing dirty pages) and release
+  /// its buffer. Latch held.
   void evict_line_locked(Line& l);
 
+  /// Make the (evicted or unclaimed) line `l` hold `group`, every slot
+  /// invalid. Latch held.
+  void claim_line(Line& l, std::uint64_t group);
+
+  /// Return `l`'s buffer to the pool if none of its pages is valid. Call
+  /// only after the ++tlb_gen_ that invalidated the last page, and never
+  /// on a line that is mid-fill.
+  void release_if_invalid(Line& l);
+
   /// Fetch every invalid page of `group` into `l`, one RDMA read per
-  /// contiguous same-home segment (prefetching). Latch held.
+  /// contiguous same-home segment (prefetching), acquiring the line's
+  /// buffer if it holds none. Latch held.
   void fetch_line_locked(Line& l, std::uint64_t group);
 
   /// Write one dirty cached page back to its home (diff or whole page).

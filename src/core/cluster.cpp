@@ -142,7 +142,7 @@ void Cluster::register_metrics() {
   // engine configuration, but NOT part of the cross-engine identity
   // contract — the legacy and sharded schedulers context-switch different
   // amounts, and the slow-path oracle takes none of the fast paths these
-  // count. Identity suites compare only non-"sim." counters.
+  // count. Identity suites skip them (ClusterStats::host_side).
   metrics_.add_counter("sim.context_switches",
                        [this] { return eng_.context_switches(); });
   metrics_.add_counter("sim.runq_pushes", [this] { return eng_.runq_pushes(); });
@@ -154,6 +154,16 @@ void Cluster::register_metrics() {
                        [this] { return eng_.delay_fast_forwards(); });
   metrics_.add_counter("sim.stacks_reused",
                        [this] { return eng_.stacks_reused(); });
+  metrics_.add_counter("sim.stacks_mapped",
+                       [this] { return eng_.stacks_mapped(); });
+  // Page buffers (line buffers, twins, checkpoints) ever allocated: the
+  // pools never free, so this is their high-water mark. Host-side like the
+  // sim.* counters (ARGO_SLOW_PATHS allocates on every acquire).
+  metrics_.add_counter("carina.page_buffers_allocated", [this] {
+    std::uint64_t total = 0;
+    for (const auto& c : caches_) total += c->buffer_pool().allocations();
+    return total;
+  });
   // The SmallFn counters are process-wide; report this cluster's share by
   // subtracting the construction-time baseline.
   metrics_.add_counter("sim.effect_pool_hits",
@@ -387,6 +397,10 @@ std::uint64_t ClusterStats::counter(const std::string& name) const {
   for (const auto& c : counters)
     if (c.name == name) return c.value;
   return 0;
+}
+
+bool ClusterStats::host_side(const std::string& name) {
+  return name.rfind("sim.", 0) == 0 || name == "carina.page_buffers_allocated";
 }
 
 argoobs::LatencyHist ClusterStats::hist(const std::string& name) const {

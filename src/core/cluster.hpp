@@ -82,6 +82,13 @@ struct ClusterStats {
   std::uint64_t counter(const std::string& name) const;
   /// One named histogram (empty if absent).
   argoobs::LatencyHist hist(const std::string& name) const;
+
+  /// True for host-side diagnostics outside the identity contract: the
+  /// sim.* scheduler counters and carina.page_buffers_allocated. They are
+  /// deterministic for one engine configuration but differ between the
+  /// legacy and sharded engines and between fast and slow paths; identity
+  /// checks compare every other counter.
+  static bool host_side(const std::string& name);
 };
 
 /// Execution context handed to every simulated application thread.

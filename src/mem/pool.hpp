@@ -1,13 +1,16 @@
 // Page-buffer pooling for the protocol hot paths.
 //
 // Carina's write path allocates a 4 KiB twin on every write-allocate, a
-// 4 KiB checkpoint per naive-P/S sync, and a line buffer per cache-line
-// slot; the seed implementation paid a zero-initializing heap allocation
-// (make_unique<std::byte[]>) plus a free for each. BufferPool keeps
-// released buffers on per-size free lists so steady-state protocol
-// traffic recycles the same blocks with no allocator round trips and no
-// redundant zeroing (every consumer fully overwrites the buffer before
-// reading it).
+// 4 KiB checkpoint per naive-P/S sync, and a line buffer whenever a
+// cache-line slot fills while holding none (slots release their buffer
+// once no page in them is valid); the seed implementation paid a
+// zero-initializing heap allocation (make_unique<std::byte[]>) plus a free
+// for each. BufferPool keeps released buffers on per-size free lists so
+// steady-state protocol traffic recycles the same blocks with no allocator
+// round trips and no redundant zeroing (every consumer fully overwrites the
+// buffer before reading it). Outside ARGO_SLOW_PATHS, allocations() is
+// therefore the high-water mark of buffers in use (per size class,
+// summed).
 //
 // Pooling is a *host*-side optimization only: it charges no virtual time
 // and hands back deterministic buffer contents, so simulated behaviour is

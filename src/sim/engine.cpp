@@ -1,6 +1,8 @@
 #include "sim/engine.hpp"
 
+#include <sys/mman.h>
 #include <ucontext.h>
+#include <unistd.h>
 
 #include "sim/slowpath.hpp"
 
@@ -8,7 +10,9 @@
 #include <cassert>
 #include <exception>
 #include <limits>
+#include <new>
 #include <sstream>
+#include <utility>
 
 // AddressSanitizer needs to be told about stack switches, otherwise its
 // stack bookkeeping (fake stacks, use-after-return detection) corrupts as
@@ -22,6 +26,7 @@
 #endif
 #endif
 #if defined(ARGO_ASAN_FIBERS)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -115,12 +120,52 @@ thread_local std::size_t g_sched_stack_size = 0;
 thread_local void* g_tsan_sched_fiber = nullptr;
 #endif
 
+std::size_t page_size() {
+  static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
+
 }  // namespace
+
+FiberStack::FiberStack(std::size_t size) {
+  const std::size_t page = page_size();
+  size = (size + page - 1) / page * page;
+  void* map = mmap(nullptr, size + page, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+  if (map == MAP_FAILED) throw std::bad_alloc();
+  if (mprotect(map, page, PROT_NONE) != 0) {
+    munmap(map, size + page);
+    throw std::bad_alloc();
+  }
+  base_ = static_cast<char*>(map) + page;
+  size_ = size;
+}
+
+FiberStack& FiberStack::operator=(FiberStack&& o) noexcept {
+  if (this != &o) {
+    unmap();
+    base_ = std::exchange(o.base_, nullptr);
+    size_ = std::exchange(o.size_, 0);
+  }
+  return *this;
+}
+
+void FiberStack::unmap() {
+  if (base_ == nullptr) return;
+#if defined(ARGO_ASAN_FIBERS)
+  // Frames of a fiber that exited by switching away never unwound: clear
+  // their redzone poisoning before the range can be mapped again.
+  ASAN_UNPOISON_MEMORY_REGION(base_, size_);
+#endif
+  const std::size_t page = page_size();
+  munmap(static_cast<char*>(base_) - page, size_ + page);
+  base_ = nullptr;
+  size_ = 0;
+}
 
 struct SimThread::Impl {
   ucontext_t ctx{};
-  std::unique_ptr<char[]> stack;
-  std::size_t stack_size = 0;
+  FiberStack stack;
   bool started = false;
   // fcontext backend (engine fast path): the fiber's suspended context.
   // The backend is fixed at first start — a fiber begun on one switch
@@ -138,20 +183,19 @@ struct SimThread::Impl {
 };
 
 SimThread::SimThread(Engine* eng, std::uint64_t id, std::string name,
-                     std::function<void()> body,
-                     std::unique_ptr<char[]> stack, std::size_t stack_size,
-                     bool daemon)
+                     std::function<void()> body, FiberStack stack, bool daemon)
     : impl_(std::make_unique<Impl>()),
       engine_(eng),
       id_(id),
       name_(std::move(name)),
       body_(std::move(body)),
       daemon_(daemon) {
-  impl_->stack_size = stack_size;
   impl_->stack = std::move(stack);
 }
 
 SimThread::~SimThread() = default;
+
+const FiberStack& SimThread::stack() const { return impl_->stack; }
 
 Engine::Engine() = default;
 
@@ -261,9 +305,9 @@ SimThread* Engine::spawn_on(std::uint32_t shard, std::string name,
     throw std::logic_error(
         "argosim: spawn during a parallel window is not supported; spawn "
         "between runs instead");
-  std::unique_ptr<char[]> stack;
+  FiberStack stack;
 #if !defined(ARGO_ASAN_FIBERS)
-  // Recycle a finished fiber's stack rather than freeing and re-mapping
+  // Recycle a finished fiber's stack rather than unmapping and mapping
   // one per spawn. Only default-size stacks are pooled (odd sizes are rare
   // enough not to matter). ASan builds always allocate fresh: its shadow
   // poisoning from a dead fiber's frames may outlive the fiber. Sharded
@@ -275,10 +319,13 @@ SimThread* Engine::spawn_on(std::uint32_t shard, std::string name,
     ++stacks_reused_;
   }
 #endif
-  if (!stack) stack = std::make_unique<char[]>(stack_size);
+  if (!stack) {
+    stack = FiberStack(stack_size);
+    ++stacks_mapped_;
+  }
   auto t = std::unique_ptr<SimThread>(
       new SimThread(this, next_id_++, std::move(name), std::move(body),
-                    std::move(stack), stack_size, daemon));
+                    std::move(stack), daemon));
   SimThread* raw = t.get();
   if (sharded_) {
     assert(shard < shards_.size());
@@ -415,14 +462,14 @@ void Engine::switch_to(SimThread* t) {
     if (!slow_paths()) {
       t->impl_->use_fctx = true;
       t->impl_->fctx =
-          argo_fctx_make(t->impl_->stack.get(), t->impl_->stack_size,
+          argo_fctx_make(t->impl_->stack.base(), t->impl_->stack.size(),
                          &Engine::fiber_main_fctx);
     }
 #endif
     if (!t->impl_->use_fctx) {
       getcontext(&t->impl_->ctx);
-      t->impl_->ctx.uc_stack.ss_sp = t->impl_->stack.get();
-      t->impl_->ctx.uc_stack.ss_size = t->impl_->stack_size;
+      t->impl_->ctx.uc_stack.ss_sp = t->impl_->stack.base();
+      t->impl_->ctx.uc_stack.ss_size = t->impl_->stack.size();
       t->impl_->ctx.uc_link = &g_sched_ctx;
       unsigned hi, lo;
       pack_ptr(t, hi, lo);
@@ -433,8 +480,8 @@ void Engine::switch_to(SimThread* t) {
   }
 #if defined(ARGO_ASAN_FIBERS)
   void* fake_stack = nullptr;
-  __sanitizer_start_switch_fiber(&fake_stack, t->impl_->stack.get(),
-                                 t->impl_->stack_size);
+  __sanitizer_start_switch_fiber(&fake_stack, t->impl_->stack.base(),
+                                 t->impl_->stack.size());
 #endif
 #if defined(ARGO_TSAN_FIBERS)
   if (t->impl_->tsan_fiber == nullptr)
@@ -468,7 +515,7 @@ void Engine::reap_finished_one(SimThread* t) {
   // dead and can serve the next spawn (legacy engine only: sharded runs
   // reap on worker threads and the pool is unsynchronized).
   if (!slow_paths() && !sharded_ &&
-      t->impl_->stack_size == default_stack_size && t->impl_->stack)
+      t->impl_->stack.size() == default_stack_size)
     stack_pool_.push_back(std::move(t->impl_->stack));
 #endif
   if (t->daemon_) {

@@ -37,6 +37,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/calqueue.hpp"
@@ -81,6 +82,34 @@ struct SimRecord {
   std::atomic<bool> done_{false};
 };
 
+/// A fiber's stack: an anonymous private mapping of the usable bytes plus
+/// one PROT_NONE guard page below them. Pages commit lazily on first touch
+/// (nothing is zero-filled up front), and a fiber that runs off the bottom
+/// faults on the guard page (SIGSEGV) instead of corrupting its neighbour.
+class FiberStack {
+ public:
+  FiberStack() = default;
+  /// Maps `size` usable bytes, rounded up to whole pages. Throws
+  /// std::bad_alloc when the mapping fails.
+  explicit FiberStack(std::size_t size);
+  FiberStack(FiberStack&& o) noexcept { *this = std::move(o); }
+  FiberStack& operator=(FiberStack&& o) noexcept;
+  FiberStack(const FiberStack&) = delete;
+  FiberStack& operator=(const FiberStack&) = delete;
+  ~FiberStack() { unmap(); }
+
+  /// Lowest usable byte (the guard page lies just below); the stack grows
+  /// down from base() + size().
+  void* base() const { return base_; }
+  std::size_t size() const { return size_; }
+  explicit operator bool() const { return base_ != nullptr; }
+
+ private:
+  void unmap();
+  void* base_ = nullptr;
+  std::size_t size_ = 0;
+};
+
 /// Cross-shard effect body. Inline capacity covers every closure the
 /// engine and interconnect post (the largest is a posted verb's remote
 /// apply — itself a SmallFn — plus its completion record).
@@ -100,6 +129,9 @@ class SimThread {
   /// True once Engine::kill() (or shutdown) marked this fiber: it will
   /// unwind at its next scheduling point and can no longer make progress.
   bool stop_requested() const { return stop_requested_; }
+  /// This fiber's stack (usable range; empty once the finished fiber's
+  /// stack went back to the engine's pool).
+  const FiberStack& stack() const;
   ~SimThread();
 
  private:
@@ -107,8 +139,7 @@ class SimThread {
   friend class WaitQueue;
   friend class SimGate;
   SimThread(Engine* eng, std::uint64_t id, std::string name,
-            std::function<void()> body, std::unique_ptr<char[]> stack,
-            std::size_t stack_size, bool daemon);
+            std::function<void()> body, FiberStack stack, bool daemon);
   SimThread(const SimThread&) = delete;
   SimThread& operator=(const SimThread&) = delete;
 
@@ -204,6 +235,8 @@ class Engine {
     return fast_forwards_.load(std::memory_order_relaxed);
   }
   std::uint64_t stacks_reused() const { return stacks_reused_; }
+  /// Fiber stacks freshly mapped (spawns the pool could not serve).
+  std::uint64_t stacks_mapped() const { return stacks_mapped_; }
   /// Stale (wake_token-invalidated) run-queue entries removed by heap
   /// compaction instead of being popped one by one.
   std::uint64_t runq_purged() const {
@@ -358,11 +391,13 @@ class Engine {
   std::size_t runq_dead_ = 0;
   std::vector<std::unique_ptr<SimThread>> threads_;
   // Recycled default-size fiber stacks: a finished fiber's stack is reused
-  // by the next spawn instead of being freed and re-mapped. Disabled under
-  // ASan (fake-stack bookkeeping assumes fresh stacks) and ARGO_SLOW_PATHS.
-  std::vector<std::unique_ptr<char[]>> stack_pool_;
+  // by the next spawn instead of being unmapped and mapped again. Disabled
+  // under ASan (fake-stack bookkeeping assumes fresh stacks) and
+  // ARGO_SLOW_PATHS.
+  std::vector<FiberStack> stack_pool_;
   std::atomic<std::uint64_t> fast_forwards_{0};
   std::uint64_t stacks_reused_ = 0;
+  std::uint64_t stacks_mapped_ = 0;
   std::atomic<std::uint64_t> runq_purged_{0};
   std::uint64_t switches_ = 0;     // legacy-engine context switches
   std::uint64_t runq_pushes_ = 0;  // legacy-engine live pushes/pops

@@ -219,6 +219,46 @@ TEST(Cg, ArgoMatchesReference) {
   }
 }
 
+// Each Argo CG thread keeps only the band of p its rows read, but still
+// walks the whole shared vector every iteration. Virtual time, read
+// hit/miss counts and both outputs are pinned bit-exactly to the values of
+// the full-copy kernel, for three shapes: the band wraps around zero for
+// the first and last threads (4x4, n=4096; 2x2, n=1024), and one thread
+// whose band is the whole vector (1x1).
+TEST(Cg, BandedArgoKernelMatchesFullCopy) {
+  struct Shape {
+    int nodes, tpn;
+    std::size_t n;
+    Time elapsed;
+    std::uint64_t read_hits, read_misses;
+    double rho, checksum;
+  };
+  const Shape shapes[] = {
+      {4, 4, 4096, 714624, 120, 624, 0x1.d0271a0f515bep-29,
+       0x1.1e7a07f32b7cep+10},
+      {2, 2, 1024, 417226, 10, 42, 0x1.5a43cf17b9b3p-30,
+       0x1.1e1a8746009fcp+8},
+      {1, 1, 2048, 394466, 0, 0, 0x1.97cf95b60cb29p-29,
+       0x1.1e3a5cd46e99bp+9},
+  };
+  for (const Shape& s : shapes) {
+    CgParams p;
+    p.n = s.n;
+    p.iterations = 6;
+    Cluster cl(app_cfg(s.nodes, s.tpn, 128));
+    const auto r = cg_run_argo(cl, p);
+    const auto st = cl.coherence_stats();
+    const std::string what = std::to_string(s.nodes) + "x" +
+                             std::to_string(s.tpn) + " n=" +
+                             std::to_string(s.n);
+    EXPECT_EQ(r.elapsed, s.elapsed) << what;
+    EXPECT_EQ(st.read_hits, s.read_hits) << what;
+    EXPECT_EQ(st.read_misses, s.read_misses) << what;
+    EXPECT_EQ(r.final_rho, s.rho) << what;
+    EXPECT_EQ(r.x_checksum, s.checksum) << what;
+  }
+}
+
 TEST(Cg, UpcMatchesReference) {
   CgParams p;
   p.n = 1024;

@@ -333,6 +333,84 @@ TEST(Carina, StoreDuringWritebackIsNotLost) {
   }
 }
 
+// A line slot holds its page buffer only while one of its pages is valid:
+// the SI sweep hands the buffers of fully invalidated lines back to the
+// node's pool, and the refill takes them from there.
+TEST(Carina, SelfInvalidationReturnsLineBuffersToThePool) {
+  constexpr std::size_t kPages = 8;
+  Cluster cl(small_cfg(2, 1, Mode::S));
+  cl.run([&](Thread& t) {
+    if (t.node() == 0) {
+      for (std::uint64_t pg = 16; pg < 16 + kPages; ++pg)  // homed on node 1
+        (void)t.load(page_addr(pg).cast<std::uint64_t>());
+    }
+    const std::size_t pooled = t.cache().buffer_pool().pooled_buffers();
+    t.barrier();
+    if (t.node() != 0) return;
+    const auto& pool = t.cache().buffer_pool();
+    EXPECT_EQ(t.cache().resident_pages(), 0u);
+    EXPECT_EQ(pool.pooled_buffers(), pooled + kPages);
+    const std::uint64_t allocated = pool.allocations();
+    for (std::uint64_t pg = 16; pg < 16 + kPages; ++pg)
+      (void)t.load(page_addr(pg).cast<std::uint64_t>());
+    EXPECT_EQ(t.cache().resident_pages(), kPages);
+    EXPECT_EQ(pool.allocations(), allocated);
+    EXPECT_EQ(pool.pooled_buffers(), pooled);
+  });
+}
+
+TEST(Carina, LineWithOneValidPageKeepsItsBuffer) {
+  // Naive P/S classifies per page: node 0's demand read registers page 16
+  // alone, so the SI sweep keeps it (private) and drops the unregistered
+  // pages 17..19 the line fill brought along.
+  Cluster cl(small_cfg(2, 1, Mode::PSNaive, /*pages_per_line=*/4));
+  *cl.host_ptr(page_addr(16).cast<std::uint64_t>()) = 1616;
+  cl.reset_classification();
+  cl.run([&](Thread& t) {
+    if (t.node() == 0)
+      EXPECT_EQ(t.load(page_addr(16).cast<std::uint64_t>()), 1616u);
+    const std::size_t pooled = t.cache().buffer_pool().pooled_buffers();
+    t.barrier();
+    if (t.node() != 0) return;
+    EXPECT_EQ(t.cache().resident_pages(), 1u);
+    EXPECT_EQ(t.cache().stats().si_invalidations, 3u);
+    EXPECT_EQ(t.cache().buffer_pool().pooled_buffers(), pooled);
+    const std::uint64_t misses = t.cache().stats().read_misses;
+    EXPECT_EQ(t.load(page_addr(16).cast<std::uint64_t>()), 1616u);
+    EXPECT_EQ(t.cache().stats().read_misses, misses);  // still a hit
+  });
+}
+
+// A soft-TLB translation into a line buffer must die with the pages it
+// covers: after the fence releases the buffer and another line's fill
+// reacquires it, re-reading the first page must miss and fetch, never
+// serve the other page's bytes (2020) through the old translation.
+TEST(Carina, StaleTranslationNeverReadsAReacquiredBuffer) {
+  for (const int pipeline : {1, 16}) {
+    auto cfg = small_cfg(2, 1, Mode::S);
+    cfg.net.pipeline = pipeline;
+    Cluster cl(cfg);
+    auto a = page_addr(16).cast<std::uint64_t>();  // both homed on node 1
+    auto b = page_addr(20).cast<std::uint64_t>();
+    *cl.host_ptr(a) = 1616;
+    *cl.host_ptr(b) = 2020;
+    cl.reset_classification();
+    const std::string what = "pipeline " + std::to_string(pipeline);
+    cl.run([&](Thread& t) {
+      if (t.node() == 0) EXPECT_EQ(t.load(a), 1616u) << what;  // translated
+      t.barrier();
+      if (t.node() != 0) return;
+      const auto& pool = t.cache().buffer_pool();
+      const std::uint64_t allocated = pool.allocations();
+      EXPECT_EQ(t.load(b), 2020u) << what;  // refill reuses a's old buffer
+      EXPECT_EQ(pool.allocations(), allocated) << what;
+      const std::uint64_t misses = t.cache().stats().read_misses;
+      EXPECT_EQ(t.load(a), 1616u) << what;
+      EXPECT_EQ(t.cache().stats().read_misses, misses + 1) << what;
+    });
+  }
+}
+
 TEST(Carina, AtomicsAccumulateAcrossNodes) {
   Cluster cl(small_cfg(4, 2, Mode::PS3));
   auto ctr = cl.alloc<std::uint64_t>(1);

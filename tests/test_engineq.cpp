@@ -235,10 +235,11 @@ struct AppFp {
 };
 
 void append_observables(AppFp& f, Cluster& cl) {
-  // sim.* counters are host-side scheduler diagnostics, intentionally
-  // different between fast and slow paths — outside the contract.
+  // Host-side diagnostics (sim.* scheduler counters, page-buffer
+  // allocations) intentionally differ between fast and slow paths —
+  // outside the contract.
   for (const auto& c : cl.stats().counters)
-    if (c.name.rfind("sim.", 0) != 0)
+    if (!argo::ClusterStats::host_side(c.name))
       f.counters.push_back(c.name + "=" + std::to_string(c.value));
   for (const auto& e : cl.tracer().snapshot())
     f.trace.push_back(std::to_string(e.seq) + ":" + std::to_string(e.t) + ":" +

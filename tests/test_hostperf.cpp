@@ -4,6 +4,8 @@
 // *observationally identical* to the slow (seed) ones — same diff runs,
 // same buffer contents, same virtual times — differing only in host work.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstddef>
@@ -416,6 +418,58 @@ TEST(EngineFastForward, StackPoolRecyclesSequentialSpawns) {
   // ASan builds intentionally allocate every stack fresh.
   EXPECT_GT(eng.stacks_reused(), 0u);
 #endif
+}
+
+// ---------------------------------------------------------------------------
+// Fiber stacks: lazily committed mappings with a guard page
+
+TEST(FiberStacks, SpawnedStacksCommitOnlyTouchedPages) {
+  argosim::Engine eng;
+  std::vector<argosim::SimThread*> fibers;
+  for (int i = 0; i < 64; ++i)
+    fibers.push_back(eng.spawn("f" + std::to_string(i), [] {
+      volatile char frame[4096];  // with its callers, well under 8 KiB
+      for (std::size_t k = 0; k < sizeof frame; k += 64) frame[k] = 1;
+      argosim::delay(100);
+    }));
+  std::vector<std::size_t> resident;
+  eng.spawn("probe", [&] {
+    argosim::delay(10);  // every fiber above is parked inside its delay
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    for (const argosim::SimThread* f : fibers) {
+      const argosim::FiberStack& st = f->stack();
+      std::vector<unsigned char> vec(st.size() / page);
+      ASSERT_EQ(mincore(st.base(), st.size(), vec.data()), 0);
+      resident.push_back(static_cast<std::size_t>(std::count_if(
+          vec.begin(), vec.end(), [](unsigned char v) { return v & 1; })));
+    }
+  });
+  eng.run();
+  ASSERT_EQ(resident.size(), fibers.size());
+  for (const std::size_t pages : resident) EXPECT_LE(pages, 4u);
+  EXPECT_EQ(eng.stacks_mapped(), 65u);
+}
+
+// Recurses through at least 128 KiB of stack and returns. Every frame is
+// smaller than the guard page, so an overflow cannot jump over it.
+int recurse_deep(int depth) {
+  volatile char frame[512];
+  frame[0] = static_cast<char>(depth);
+  if (depth > 256) return frame[0];
+  return recurse_deep(depth + 1) + frame[0];
+}
+
+// On a 64 KiB fiber stack the recursion must fault on the guard page; a
+// heap-allocated stack lets it return after overwriting whatever lay below.
+TEST(FiberStacksDeathTest, OverflowFaultsOnTheGuardPage) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        argosim::Engine eng;
+        eng.spawn("deep", [] { recurse_deep(0); }, false, 64 * 1024);
+        eng.run();
+      },
+      "");
 }
 
 // ---------------------------------------------------------------------------

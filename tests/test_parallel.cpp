@@ -74,12 +74,13 @@ void append_words(Fingerprint& f, const void* p, std::size_t bytes) {
 }
 
 void append_counters(Fingerprint& f, const Cluster& cl) {
-  // sim.* counters are host-side scheduler diagnostics (context switches,
-  // queue ops, pool hits): deterministic per engine configuration but
-  // intentionally different between the legacy and sharded schedulers and
-  // between fast and slow paths — outside the identity contract.
+  // Host-side diagnostics (sim.* scheduler counters — context switches,
+  // queue ops, pool hits — and page-buffer allocations): deterministic per
+  // engine configuration but intentionally different between the legacy
+  // and sharded schedulers and between fast and slow paths — outside the
+  // identity contract.
   for (const auto& c : const_cast<Cluster&>(cl).stats().counters)
-    if (c.name.rfind("sim.", 0) != 0)
+    if (!argo::ClusterStats::host_side(c.name))
       f.counters.push_back(c.name + "=" + std::to_string(c.value));
 }
 
