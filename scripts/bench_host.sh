@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Host-side (wall-clock) performance of the simulator itself: runs the
 # fig13 quick suite plus the fig09 write-buffer sweep twice — once with the
-# host fast paths on (word-wise diffs, buffer pooling, scheduler
-# fast-forward, stack recycling) and once with ARGO_SLOW_PATHS=1 forcing
+# host fast paths on (buffer pooling, scheduler fast-forward, stack
+# recycling) and once with ARGO_SLOW_PATHS=1 forcing
 # the seed's slow paths — and records wall time and peak RSS per run.
 #
 # The two modes are bit-identical in simulated behaviour (the determinism

@@ -42,7 +42,14 @@ if grep -rnE '(->|\.)sharded\(\)|sharded_engine\(\)' src bench examples \
   echo "FAIL: engine-mode branch outside src/sim/, cluster.cpp, interconnect.cpp" >&2
   exit 1
 fi
-echo "  OK: engine-mode branches confined to the engine and interconnect"
+# Pipeline depth is an interconnect property: at depth 1 every post is the
+# blocking verb, so protocol code posts unconditionally and never reads it.
+if grep -rnE 'config\(\)\.pipeline|pipelined\(\)' src bench examples \
+     --include='*.hpp' --include='*.cpp' | grep -vE '^src/net/'; then
+  echo "FAIL: pipeline-depth read outside src/net/" >&2
+  exit 1
+fi
+echo "  OK: engine-mode branches and pipeline-depth reads confined to their layers"
 
 echo "=== default build ==="
 cmake -B build -S .

@@ -300,15 +300,9 @@ std::byte* NodeCache::write_ptr(GAddr a, std::size_t len, SoftTlb* tlb,
 }
 
 void NodeCache::ensure_cached(std::uint64_t page, bool for_write) {
-  // Naive P/S keeps the sequential miss path: its heal decisions need the
-  // registration's result *before* any data moves, so there is nothing to
-  // overlap.
-  if (pipelined() && cfg_.classification != Mode::PSNaive) {
-    ensure_cached_pipelined(page, for_write);
-    return;
-  }
   const std::uint64_t group = group_of(page);
   Line& l = line_of_group(group);
+  const bool naive = cfg_.classification == Mode::PSNaive;
   bool registered_this_call = false;
   for (;;) {
     // A crash recovery can re-home the page onto *this* node while we are
@@ -317,41 +311,36 @@ void NodeCache::ensure_cached(std::uint64_t page, bool for_write) {
     // no longer terminate with a valid copy. Bail; the caller re-checks the
     // home and re-dispatches through its home fast path.
     if (gmem_.home_of_page(page) == node_) return;
-    // Register first (deposit our ID, learn the maps, trigger transitions
-    // and naive-P/S healing) so the subsequent data fetch sees the healed
-    // home copy.
+    // Post the directory registration (deposit our ID, learn the maps),
+    // then run the fill while it is on the wire. The send queue is FIFO,
+    // so the home-side fetch_or precedes the data reads.
+    argodir::RegTicket reg;
+    DirEntry bits;
+    const std::uint64_t dp = dir_page(page);
+    bool healed = false;
     if ((for_write && !my_writer_bit_set(page)) || !my_reader_bit_set(page)) {
-      const bool healed = register_access(page, for_write);
+      bits.add_reader(node_);
+      if (for_write) bits.add_writer(node_);
+      ++stats_.dir_ops;
+      dir_.post_fetch_or(node_, dp, bits, reg);
       registered_this_call = true;
-      if (healed) {
-        // A copy prefetched before the heal (as part of a neighbouring
-        // page's line fill) predates the healed home content: drop it.
-        // (Group check first: an unclaimed line has no slots yet.)
-        lock_line(l);
-        if (l.group == group) {
-          PageSlot& s = slot_of(l, page);
-          if (s.valid && !s.dirty) {
-            s.valid = false;
-            ++tlb_gen_;
-            release_if_invalid(l);
-          }
-        }
-        unlock_line(l);
-      }
-      continue;
-    }
-    // Naive P/S: about to (re)fetch a page we registered for long ago — a
-    // page whose sole writer is another node may be stale at the home (the
-    // writer checkpoints instead of downgrading), so heal it from that
-    // writer's checkpoint first (§3.4.2). The heal decision must NOT use
-    // the cached word: SW→MW transitions only notify the previous single
-    // writer, so our cached word can claim "single writer X" long after
-    // more writers appeared — healing on that stale claim would rewind the
-    // home copy to X's old checkpoint. Re-read the word from the home
-    // directory (one more RDMA read naive P/S pays that Carina's private
-    // self-downgrade avoids). Skipped if we registered within this miss:
-    // registration already healed on fresh information.
-    if (cfg_.classification == Mode::PSNaive && !registered_this_call) {
+      // Naive P/S decides whether to heal from the registration's result,
+      // and the heal must reach the home copy before the fill reads it.
+      if (naive)
+        healed = apply_registration(page, dp, dir_.wait_entry(reg), bits,
+                                    for_write);
+    } else if (naive && !registered_this_call) {
+      // Naive P/S: about to (re)fetch a page we registered for long ago — a
+      // page whose sole writer is another node may be stale at the home
+      // (the writer checkpoints instead of downgrading), so heal it from
+      // that writer's checkpoint first (§3.4.2). The heal decision must NOT
+      // use the cached word: SW→MW transitions only notify the previous
+      // single writer, so our cached word can claim "single writer X" long
+      // after more writers appeared — healing on that stale claim would
+      // rewind the home copy to X's old checkpoint. Re-read the word from
+      // the home directory (one more RDMA read naive P/S pays that Carina's
+      // private self-downgrade avoids). Skipped if we registered within
+      // this miss: registration already healed on fresh information.
       const DirEntry stale = dir_.cache_get(node_, page);
       const bool resident =
           l.group == group && slot_of(l, page).valid && !l.fetching;
@@ -372,68 +361,35 @@ void NodeCache::ensure_cached(std::uint64_t page, bool for_write) {
         evict_line_locked(l);
         claim_line(l, group);
         fetch_line_locked(l, group);
-        unlock_line(l);
-        continue;
-      }
-      PageSlot& s = slot_of(l, page);
-      if (!s.valid) {
-        fetch_line_locked(l, group);
-        unlock_line(l);
-        continue;
+      } else {
+        PageSlot& s = slot_of(l, page);
+        if (healed && s.valid && !s.dirty) {
+          // A copy prefetched before the heal (as part of a neighbouring
+          // page's line fill) predates the healed home content: refetch.
+          s.valid = false;
+          ++tlb_gen_;
+        }
+        if (!s.valid) fetch_line_locked(l, group);
       }
     } catch (...) {
       unlock_line(l);
+      // The registration may have landed although the fill failed (another
+      // page of the line is homed on a crashed node). Apply it now: the
+      // retry's fetch_or would find this node's bits already set, displace
+      // nobody, and the owners' deferred invalidations would be lost. Not
+      // if the directory's own home is dead — the ticket may have failed
+      // with it, and recovery rebuilds that entry from the caches, so the
+      // retry registers afresh.
+      if (reg) {
+        const DirEntry prev = dir_.wait_entry(reg);
+        if (!net_.node_dead(gmem_.home_of_page(dp)))
+          apply_registration(page, dp, prev, bits, for_write);
+      }
       throw;
     }
     unlock_line(l);
+    if (reg) apply_registration(page, dp, dir_.wait_entry(reg), bits, for_write);
     // Re-validate with no intervening delays.
-    if (l.group == group && slot_of(l, page).valid &&
-        my_reader_bit_set(page) &&
-        (!for_write || my_writer_bit_set(page)))
-      return;
-  }
-}
-
-void NodeCache::ensure_cached_pipelined(std::uint64_t page, bool for_write) {
-  const std::uint64_t group = group_of(page);
-  Line& l = line_of_group(group);
-  for (;;) {
-    // Crash recovery may have re-homed the page onto this node mid-miss;
-    // own-home pages can never become valid in the cache, so return and
-    // let the caller re-dispatch (see ensure_cached).
-    if (gmem_.home_of_page(page) == node_) return;
-    // Post the directory registration, then run the fill while it is on
-    // the wire. The send queue is FIFO, so the home-side fetch_or still
-    // precedes the data reads — same ordering as the blocking path, minus
-    // the dead time between them.
-    argodir::RegTicket reg;
-    DirEntry bits;
-    std::uint64_t dp = 0;
-    if ((for_write && !my_writer_bit_set(page)) || !my_reader_bit_set(page)) {
-      dp = dir_page(page);
-      bits.add_reader(node_);
-      if (for_write) bits.add_writer(node_);
-      ++stats_.dir_ops;
-      dir_.post_fetch_or(node_, dp, bits, reg);
-    }
-    lock_line(l);
-    try {
-      if (l.group != group) {
-        evict_line_locked(l);
-        claim_line(l, group);
-        fetch_line_locked(l, group);
-      } else if (!slot_of(l, page).valid) {
-        fetch_line_locked(l, group);
-      }
-    } catch (...) {
-      unlock_line(l);
-      throw;
-    }
-    unlock_line(l);
-    if (reg) {
-      const DirEntry prev = dir_.wait_entry(reg);
-      apply_registration(page, dp, prev, bits, for_write);
-    }
     if (l.group == group && slot_of(l, page).valid && my_reader_bit_set(page) &&
         (!for_write || my_writer_bit_set(page)))
       return;
@@ -466,9 +422,8 @@ bool NodeCache::apply_registration(std::uint64_t page, std::uint64_t dp,
       updated.w[static_cast<std::size_t>(DirEntry::word_of(node_))];
   NodeSet notified;
 
-  // Notification fan-out: blocking one at a time at depth 1 (the historical
-  // behaviour), collected and posted as one coalesced batch when
-  // pipelining — the multi-reader NW→SW case then overlaps its atomics.
+  // Notifications are collected and posted as one coalesced batch, so the
+  // multi-reader NW→SW case overlaps its atomics.
   std::vector<argodir::DirNotify> batch;
   auto notify = [&](int dst) {
     // A displaced owner that crash-stopped needs no deferred invalidation;
@@ -476,10 +431,7 @@ bool NodeCache::apply_registration(std::uint64_t page, std::uint64_t dp,
     // the merge itself — the caller's failover retry handles those, and
     // the re-run skips the node once it is declared.)
     if (membership_ != nullptr && !membership_->is_live(dst)) return;
-    if (pipelined())
-      batch.push_back(argodir::DirNotify{dst, dp, updated});
-    else
-      dir_.cache_merge_remote(node_, dst, dp, updated);
+    batch.push_back(argodir::DirNotify{dst, dp, updated});
   };
 
   // P→S: before us, exactly one *other* node had accessed the page. The
@@ -544,7 +496,7 @@ bool NodeCache::apply_registration(std::uint64_t page, std::uint64_t dp,
         break;  // already MW: no action needed
     }
   }
-  if (!batch.empty()) dir_.cache_merge_remote_batch(node_, std::move(batch));
+  dir_.cache_merge_remote(node_, std::move(batch));
   return healed;
 }
 
@@ -583,15 +535,15 @@ void NodeCache::fetch_line_locked(Line& l, std::uint64_t group) {
   ++tlb_gen_;  // a fill changes residency: conservative, see tlb.hpp
   if (!l.data) l.data = pool_.acquire(cfg_.pages_per_line * kPageSize);
   // Fetch contiguous runs of invalid pages that share a home node with one
-  // RDMA read each (own-home pages are never cached; they stay invalid).
-  // With pipelining the reads are posted back to back — the runs' wire
-  // latencies overlap — and retired together before the pages turn valid.
-  // The latch is held throughout, so the slots and line buffer are stable
-  // until the posted memcpys have landed.
-  struct Fetched {
+  // posted RDMA read each (own-home pages are never cached; they stay
+  // invalid). The runs' wire latencies overlap, and the pages turn valid
+  // together once every read has retired. The latch is held throughout, so
+  // the slots and line buffer are stable until the posted memcpys have
+  // landed.
+  struct Run {
     std::uint64_t begin, end;
   };
-  std::vector<Fetched> posted_runs;
+  std::vector<Run> runs;
   std::uint64_t p = first;
   while (p < last) {
     PageSlot& s = slot_of(l, p);
@@ -608,36 +560,22 @@ void NodeCache::fetch_line_locked(Line& l, std::uint64_t group) {
     stats_.pages_fetched += end - p;
     stats_.bytes_fetched += bytes;
     if (tracer_) trace(argoobs::Ev::LineFill, p, traced_state(p), bytes);
-    if (pipelined()) {
-      net_.post_read(node_, home, gmem_.home_ptr(p * kPageSize),
-                     page_data(l, p), bytes);
-      posted_runs.push_back(Fetched{p, end});
-    } else {
-      net_.read(node_, home, gmem_.home_ptr(p * kPageSize), page_data(l, p),
-                bytes);
-      for (std::uint64_t q = p; q < end; ++q) {
-        PageSlot& qs = slot_of(l, q);
-        qs.valid = true;
-        qs.dirty = false;
-        qs.in_wb = false;
-        qs.prefetched = false;
-        qs.twin.reset();
-      }
-    }
+    net_.post_read(node_, home, gmem_.home_ptr(p * kPageSize), page_data(l, p),
+                   bytes);
+    runs.push_back(Run{p, end});
     p = end;
   }
-  if (!posted_runs.empty()) {
-    net_.wait_all(node_);
-    for (const Fetched& r : posted_runs)
-      for (std::uint64_t q = r.begin; q < r.end; ++q) {
-        PageSlot& qs = slot_of(l, q);
-        qs.valid = true;
-        qs.dirty = false;
-        qs.in_wb = false;
-        qs.prefetched = false;
-        qs.twin.reset();
-      }
-  }
+  if (runs.empty()) return;
+  net_.wait_all(node_);
+  for (const Run& r : runs)
+    for (std::uint64_t q = r.begin; q < r.end; ++q) {
+      PageSlot& s = slot_of(l, q);
+      s.valid = true;
+      s.dirty = false;
+      s.in_wb = false;
+      s.prefetched = false;
+      s.twin.reset();
+    }
 }
 
 void NodeCache::evict_line_locked(Line& l) {
@@ -776,18 +714,14 @@ void NodeCache::writeback_locked(Line& l, std::uint64_t page) {
     // traffic), transmit only changed runs, apply them at the home. The
     // scan itself is host work only — the charge covers it whatever the
     // scanner — so the word-wise scanner must (and does, by construction
-    // and by property test) emit exactly the reference runs. The scratch
-    // vector is stolen from the member for the duration: the gather write
-    // yields, and a concurrent writeback on another line must not clobber
-    // the runs while this one is mid-flight.
+    // and by property test against diff_runs_reference) emit exactly the
+    // reference runs. The scratch vector is stolen from the member for the
+    // duration: the gather write yields, and a concurrent writeback on
+    // another line must not clobber the runs while this one is mid-flight.
     argosim::delay(net_.config().mem_copy(2 * kPageSize));
     std::vector<DiffRun> runs = std::move(diff_scratch_);
     runs.clear();
-    const std::byte* twin = s.twin.get();
-    if (argosim::slow_paths())
-      diff_runs_reference(cur, twin, kPageSize, runs);
-    else
-      diff_runs(cur, twin, kPageSize, runs);
+    diff_runs(cur, s.twin.get(), kPageSize, runs);
     ++stats_.diffs_built;
     if (runs.empty()) {
       // Nothing actually changed; no transmission needed.
@@ -1167,9 +1101,8 @@ std::size_t NodeCache::try_prefetch_line(std::uint64_t page) {
   // Snapshot which slots were already valid: only the newly filled ones
   // are this prefetch's doing. (The node-global pages_fetched delta would
   // over-count — the fill yields, and other fibers fetch meanwhile.)
-  std::uint64_t pre = 0;
-  for (std::size_t i = 0; i < l.pages.size(); ++i)
-    if (l.pages[i].valid) pre |= std::uint64_t{1} << i;
+  std::vector<bool> pre(l.pages.size());
+  for (std::size_t i = 0; i < l.pages.size(); ++i) pre[i] = l.pages[i].valid;
   try {
     fetch_line_locked(l, group);
   } catch (...) {
@@ -1181,7 +1114,7 @@ std::size_t NodeCache::try_prefetch_line(std::uint64_t page) {
   std::size_t fetched = 0;
   for (std::size_t i = 0; i < l.pages.size(); ++i) {
     PageSlot& s = l.pages[i];
-    if (s.valid && (pre & (std::uint64_t{1} << i)) == 0) {
+    if (s.valid && !pre[i]) {
       s.prefetched = true;  // cleared (and credited) on first demand touch
       ++fetched;
     }

@@ -241,28 +241,31 @@ class NodeCache {
   void lock_line(Line& l);
   void unlock_line(Line& l);
 
-  /// Fault `page` into the cache (registering first, then fetching its
-  /// line). Returns with the page valid and this node registered as reader
-  /// (and writer if `for_write`).
+  /// Fault `page` into the cache. Returns with the page valid and this
+  /// node registered as reader (and writer if `for_write`). The one miss
+  /// path of every mode: the directory fetch_or is posted, the line is
+  /// filled while it is on the wire, then the registration is applied. The
+  /// send queue is FIFO, so the home sees the registration before the
+  /// reads; at pipeline depth 1 each post is simply the blocking verb.
+  /// Naive P/S applies the registration before the fill instead, since its
+  /// heal must land in the home copy before any data moves. A fill that
+  /// throws still applies a registration that landed, so a crash-failover
+  /// retry never loses its transition notifications.
   void ensure_cached(std::uint64_t page, bool for_write);
 
-  /// Pipelined miss path (NetConfig::pipeline > 1, non-naive modes): the
-  /// directory fetch_or is *posted* before the line fill so the
-  /// registration latency overlaps the data reads, which are themselves
-  /// posted back to back. The posted send queue keeps home-side ordering
-  /// identical to the blocking path (registration precedes the fill).
-  void ensure_cached_pipelined(std::uint64_t page, bool for_write);
-
-  /// Register access bits at the home directory and notify displaced
-  /// owners/writers of the transitions this causes. Returns true if the
-  /// naive-P/S path healed the home copy (the caller must then drop any
-  /// copy fetched before the heal).
+  /// Register access bits at the home directory with one blocking
+  /// fetch_or and apply the result (see apply_registration). Used outside
+  /// the miss path: home-page accesses, which fill nothing, and stride
+  /// prefetches, which re-check the line after the registration yields.
+  /// Returns true if the naive-P/S path healed the home copy.
   bool register_access(std::uint64_t page, bool for_write);
 
-  /// Post-fetch_or half of register_access: merge the updated entry into
-  /// our directory cache and fan out the transition notifications `prev`
-  /// implies (batched/coalesced when pipelining). Returns true if the
-  /// naive-P/S path healed the home copy.
+  /// Post-fetch_or half of a registration: merge the updated entry into
+  /// our directory cache and post the transition notifications `prev`
+  /// implies as one coalesced batch (Pyxis' cache_merge_remote). Under
+  /// naive P/S it also heals the home copy from a single other writer's
+  /// checkpoint, before the batch goes out; returns true if it did (the
+  /// caller must then drop any copy fetched before the heal).
   bool apply_registration(std::uint64_t page, std::uint64_t dp,
                           const argodir::DirEntry& prev,
                           const argodir::DirEntry& bits, bool for_write);
@@ -280,22 +283,21 @@ class NodeCache {
   /// on a line that is mid-fill.
   void release_if_invalid(Line& l);
 
-  /// Fetch every invalid page of `group` into `l`, one RDMA read per
+  /// Fetch every invalid page of `group` into `l`, one posted RDMA read per
   /// contiguous same-home segment (prefetching), acquiring the line's
-  /// buffer if it holds none. Latch held.
+  /// buffer if it holds none. The pages turn valid once every read has
+  /// retired. Latch held.
   void fetch_line_locked(Line& l, std::uint64_t group);
 
   /// Write one dirty cached page back to its home (diff or whole page).
-  /// With pipelining the transfer is *posted* (payload snapshotted) and the
-  /// slot is released immediately — fences retire the queue with wait_all.
+  /// The transfer is *posted* (payload snapshotted) and the slot is
+  /// released immediately — fences retire the queue with wait_all.
   void writeback_locked(Line& l, std::uint64_t page);
   void writeback(std::uint64_t page);  // latches, re-validates, delegates
 
   /// Clear a page's dirty/write-buffer state after its writeback has been
   /// issued, waking any writer parked on a full write buffer.
   void release_wb_slot(PageSlot& s);
-
-  bool pipelined() const { return net_.config().pipeline > 1; }
 
   /// Trace helpers: recording is free of virtual time, so these may be
   /// called anywhere on the protocol paths without perturbing timings.

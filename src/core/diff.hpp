@@ -8,11 +8,11 @@
 // time, so any faster scanner must emit bit-identical runs.
 //
 // Two implementations:
-//  * diff_runs_reference — the seed's byte-at-a-time scan, kept as the
-//    executable specification (and selected by ARGO_SLOW_PATHS);
 //  * diff_runs — memcmp prefilter for clean pages plus a uint64-word scan
-//    that locates differing bytes eight at a time. A randomized property
-//    suite (tests/test_hostperf.cpp) pins the equivalence over adversarial
+//    that locates differing bytes eight at a time; the one Carina runs;
+//  * diff_runs_reference — the seed's byte-at-a-time scan, kept only as
+//    the executable specification. A randomized property suite
+//    (tests/test_hostperf.cpp) pins diff_runs to it over adversarial
 //    pages: runs at word boundaries, sub-8-byte gaps straddling words,
 //    all-equal, all-different, trailing-byte changes.
 #pragma once

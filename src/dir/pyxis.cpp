@@ -97,24 +97,8 @@ std::function<void(std::uint64_t)> PyxisDirectory::delivered(int dst) {
   };
 }
 
-void PyxisDirectory::cache_merge_remote(int src, int dst, std::uint64_t page,
-                                        const DirEntry& entry) {
-  // One small RDMA atomic per touched word into the displaced owner's
-  // (registered) directory-cache window. ORs at completion time, so they
-  // commute with the owner's own lookups and with racing notifications.
-  std::uint64_t* slot = cache_slot(dst, page);
-  for (int i = 0; i < nwords_; ++i) {
-    const std::uint64_t word = entry.w[static_cast<std::size_t>(i)];
-    if (word == 0) continue;
-    net_.fetch_or(src, dst, slot + i, word, delivered(dst));
-  }
-  if (tracer_)
-    tracer_->emit(src, argoobs::Ev::DeferredInval, page,
-                  argoobs::kUnknownState, static_cast<std::uint64_t>(dst));
-}
-
-void PyxisDirectory::cache_merge_remote_batch(int src,
-                                              std::vector<DirNotify> batch) {
+void PyxisDirectory::cache_merge_remote(int src,
+                                        std::vector<DirNotify> batch) {
   if (batch.empty()) return;
   std::sort(batch.begin(), batch.end(),
             [](const DirNotify& a, const DirNotify& b) {

@@ -212,7 +212,7 @@ struct DirEntry {
 
 /// One pending transition notification: OR `entry` into `dst`'s directory
 /// cache slot for `page`. Batches of these are coalesced and posted by
-/// cache_merge_remote_batch.
+/// cache_merge_remote.
 struct DirNotify {
   int dst;
   std::uint64_t page;
@@ -313,20 +313,18 @@ class PyxisDirectory {
       slot[i] |= e.w[static_cast<std::size_t>(i)];
   }
 
-  /// Remotely merge `entry` into `dst`'s directory cache: the RDMA
-  /// notification a transition-causing node uses to tell a displaced
-  /// private owner or single writer. Charged as one remote atomic per
-  /// *touched* (nonzero) word of the entry, issued by `src`.
-  void cache_merge_remote(int src, int dst, std::uint64_t page,
-                          const DirEntry& entry);
-
-  /// Pipelined notification fan-out: coalesce entries that target the same
-  /// (destination, directory entry) into one merged entry — several pages
-  /// of one line share an entry, so a transition touching many of them
-  /// needs one OR, not one per page — then post the distinct atomics (one
-  /// per touched word) back to back and wait for all of them. Notification
-  /// counts reflect the coalesced (actually transmitted) atomics.
-  void cache_merge_remote_batch(int src, std::vector<DirNotify> batch);
+  /// Deferred invalidation: remotely OR each entry into its destination's
+  /// directory cache — the RDMA notifications a transition-causing node
+  /// uses to tell displaced private owners or single writers. Entries that
+  /// target the same (destination, directory entry) coalesce into one
+  /// merged entry first — several pages of one line share an entry, so a
+  /// transition touching many of them needs one OR, not one per page. The
+  /// distinct atomics (one per touched word) are posted back to back and
+  /// waited for together; ORs land at completion time, so they commute
+  /// with the owner's own lookups and with racing notifications.
+  /// Notification counts reflect the coalesced (actually transmitted)
+  /// atomics. An empty batch costs nothing.
+  void cache_merge_remote(int src, std::vector<DirNotify> batch);
 
   /// Number of transition notifications delivered to each node (stats).
   std::uint64_t notifications(int node) const {

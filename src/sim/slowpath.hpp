@@ -1,8 +1,8 @@
 // ARGO_SLOW_PATHS: a process-wide debug toggle that disables every
-// host-side fast path (word-wise diff scanning, page-buffer pooling, the
-// scheduler's same-fiber fast-forward, fiber stack recycling, and the
-// per-thread soft-TLB hit path — src/core/tlb.hpp) and falls back to the
-// straightforward reference implementations.
+// host-side fast path (page-buffer pooling, the scheduler's same-fiber
+// fast-forward, fiber stack recycling, and the per-thread soft-TLB hit
+// path — src/core/tlb.hpp) and falls back to the straightforward
+// reference implementations.
 //
 // The toggle exists to make the repo's central performance invariant
 // checkable: host optimizations must never change *simulated* behaviour.

@@ -381,6 +381,31 @@ TEST(Carina, LineWithOneValidPageKeepsItsBuffer) {
   });
 }
 
+// Line fills have no size limit: one miss on a 128-page line brings in
+// every page, each with its own home content, and the rest are hits.
+TEST(Carina, LineFillCoversMoreThanSixtyFourPages) {
+  constexpr std::uint64_t kLine = 128;
+  for (const int pipeline : {1, 16}) {
+    auto cfg = small_cfg(2, 1, Mode::S, kLine, /*lines=*/2);
+    cfg.global_mem_bytes = 2 * kLine * kPageSize;
+    cfg.net.pipeline = pipeline;
+    Cluster cl(cfg);
+    for (std::uint64_t p = kLine; p < 2 * kLine; ++p)  // homed on node 1
+      *cl.host_ptr(page_addr(p).cast<std::uint64_t>()) = p;
+    cl.reset_classification();
+    const std::string what = "pipeline " + std::to_string(pipeline);
+    cl.run([&](Thread& t) {
+      if (t.node() != 0) return;
+      for (std::uint64_t p = kLine; p < 2 * kLine; ++p)
+        EXPECT_EQ(t.load(page_addr(p).cast<std::uint64_t>()), p) << what;
+      EXPECT_EQ(t.cache().stats().line_fetches, 1u) << what;
+      EXPECT_EQ(t.cache().stats().pages_fetched, kLine) << what;
+      EXPECT_EQ(t.cache().stats().read_misses, 1u) << what;
+      EXPECT_EQ(t.cache().resident_pages(), kLine) << what;
+    });
+  }
+}
+
 // A soft-TLB translation into a line buffer must die with the pages it
 // covers: after the fence releases the buffer and another line's fill
 // reacquires it, re-reading the first page must miss and fetch, never

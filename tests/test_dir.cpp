@@ -185,7 +185,7 @@ TEST(PyxisDirectory, DirectoryCachesMergeMonotonically) {
     f.dir.cache_merge_local(1, 3, DirEntry::reader(0));
     EXPECT_EQ(f.dir.cache_get(1, 3), DirEntry::reader(0).add_reader(1));
     // Remote notification from node 2 into node 1's cache.
-    f.dir.cache_merge_remote(2, 1, 3, DirEntry::writer(2));
+    f.dir.cache_merge_remote(2, {DirNotify{1, 3, DirEntry::writer(2)}});
     DirEntry w = f.dir.cache_get(1, 3);
     EXPECT_TRUE(w.is_reader(0));
     EXPECT_TRUE(w.is_reader(1));
@@ -333,8 +333,8 @@ void run_property_suite(int nodes, unsigned seed) {
                 ref.writers[page].size() == 1 &&
                     ref.writers[page].count(node) == 1);
 
-      // Merge coalescing: notify one random other node through the batch
-      // path; its cache must afterwards contain the merged entry, and its
+      // Merge coalescing: notify one random other node with a two-entry
+      // batch; its cache must afterwards contain the merged entry, and its
       // gen slot must have been bumped once per touched (nonzero) word.
       if (nodes > 1 && (rng() & 7) == 0) {
         int dst = static_cast<int>(rng() % static_cast<unsigned>(nodes));
@@ -347,7 +347,7 @@ void run_property_suite(int nodes, unsigned seed) {
         std::vector<DirNotify> batch;
         batch.push_back(DirNotify{dst, page, updated});
         batch.push_back(DirNotify{dst, page, bits});
-        dir.cache_merge_remote_batch(node, std::move(batch));
+        dir.cache_merge_remote(node, std::move(batch));
         ASSERT_EQ(dir.cache_get(dst, page), before | updated);
         int touched = 0;
         for (int i = 0; i < kMaxDirWords; ++i)

@@ -858,6 +858,44 @@ TEST(CrashRecovery, UnsharedPageOnDeadHomeIsLost) {
   EXPECT_EQ(cl.membership().stats().deaths, 1u);
 }
 
+TEST(CrashRecovery, FailedFillStillNotifiesTheDisplacedOwner) {
+  // A three-page line straddling a live and a doomed home. Node 2 reads it
+  // first (private owner); after node 1 dies, node 3's miss registers at
+  // the live directory home (P→S, displacing node 2) and then the fill's
+  // read from the dead home fails. The transition's deferred invalidation
+  // must still reach node 2: the retry after failover finds node 3's bit
+  // already in the home entry and displaces nobody.
+  for (const int pipeline : {1, 16}) {
+    ClusterConfig cfg = crash_cfg(101);
+    cfg.faults.rdma_fail_prob = 0;  // crash only: just the dead home fails
+    cfg.net.pipeline = pipeline;
+    cfg.cache.pages_per_line = 3;
+    cfg.faults.crashes.push_back(argonet::CrashEvent{.node = 1, .at = 200'000});
+    Cluster cl(cfg);
+    // Line [510, 513): pages 510-511 (and the line's directory word) homed
+    // on node 0, page 512 on node 1.
+    constexpr std::uint64_t kFirst = 510;
+    ASSERT_EQ(cl.gmem().home_of_page(kFirst), 0);
+    ASSERT_EQ(cl.gmem().home_of_page(kFirst + 2), 1);
+    const argomem::gptr<std::uint64_t> word{kFirst * kPageSize};
+    std::uint64_t seen = ~0ull;
+    cl.run([&](argo::Thread& t) {
+      if (t.tid() != 0) return;
+      if (t.node() == 2) t.load(word);
+      if (t.node() == 3) {
+        t.compute(210'000);  // crashed, not yet declared
+        seen = t.load(word);
+      }
+    });
+    const std::string what = "pipeline " + std::to_string(pipeline);
+    EXPECT_EQ(seen, 0u) << what;
+    EXPECT_EQ(cl.membership().stats().deaths, 1u) << what;
+    // The fill did fail and was retried after recovery.
+    EXPECT_GE(cl.membership().stats().aborted_ops, 1u) << what;
+    EXPECT_TRUE(cl.dir().cache_get(2, kFirst).is_accessor(3)) << what;
+  }
+}
+
 TEST(CrashRecovery, DetectionAndRejoinAsFreshNode) {
   ClusterConfig cfg = crash_cfg(202);
   cfg.faults.crashes.push_back(argonet::CrashEvent{

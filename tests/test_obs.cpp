@@ -406,9 +406,9 @@ TEST(ClusterTrace, LuTraceDeterministicUnderChaos) {
   EXPECT_EQ(a, b);
 }
 
-// The host fast paths (word-wise diff scan, buffer pooling, scheduler
-// fast-forward, stack recycling) must be invisible in simulated behaviour.
-// ARGO_SLOW_PATHS forces the seed's byte-scan/allocate/swapcontext paths;
+// The host fast paths (buffer pooling, scheduler fast-forward, stack
+// recycling) must be invisible in simulated behaviour. ARGO_SLOW_PATHS
+// forces the seed's allocate/swapcontext paths;
 // the whole binary trace — every event, state and virtual timestamp —
 // must come out byte-identical either way, at pipeline depths 1 and 16
 // and under chaos fault injection.
@@ -430,6 +430,40 @@ TEST(ClusterTrace, LuTraceIdenticalWithSlowPathsForced) {
   argosim::set_slow_paths(true);
   const auto slow = traced_lu(/*pipeline=*/4, /*chaos=*/true);
   EXPECT_EQ(fast, slow);
+}
+
+// One miss path at every depth: a miss that flips a private page to shared
+// fills the line while its registration is on the wire, then applies the
+// registration (the transition and its deferred invalidation of the old
+// owner). Depth only decides whether the posts overlap, never the order.
+TEST(ClusterTrace, PToSMissTracesTheSameEventsAtEveryDepth) {
+  auto miss_events = [](int pipeline) {
+    ClusterConfig c;
+    c.nodes = 3;
+    c.threads_per_node = 1;
+    c.global_mem_bytes = 3 * 16 * kPageSize;
+    c.net.pipeline = pipeline;
+    c.trace.enabled = true;
+    Cluster cl(c);
+    auto p = argo::gptr<std::uint64_t>(40 * kPageSize);  // homed on node 2
+    cl.run([&](argo::Thread& t) {
+      if (t.node() == 0) (void)t.load(p);  // node 0 holds the page private
+      t.barrier();
+      if (t.node() == 1) (void)t.load(p);  // P→S
+    });
+    std::vector<Ev> kinds;
+    for (const TraceEvent& e : cl.tracer().node_events(1)) {
+      const auto k = static_cast<Ev>(e.kind);
+      if (k == Ev::LineFill || k == Ev::ClassTransition ||
+          k == Ev::DeferredInval)
+        kinds.push_back(k);
+    }
+    return kinds;
+  };
+  const std::vector<Ev> expect = {Ev::LineFill, Ev::ClassTransition,
+                                  Ev::DeferredInval};
+  EXPECT_EQ(miss_events(1), expect);
+  EXPECT_EQ(miss_events(16), expect);
 }
 
 // ---------------------------------------------------------------------------
