@@ -93,9 +93,8 @@ inline void note(const char* text) { std::printf("  %s\n", text); }
 ///   --json <path>      also write the figure's data points as JSON rows
 ///   --pipeline <depth> posted-verb send-queue depth (default 1: blocking)
 ///   --quick            reduced sweep for CI smoke runs
-///   --threads <n>      engine host workers (same as ARGO_THREADS=n; 1 is
-///                      the sequential sharded reference, 0 the legacy
-///                      engine — virtual-time results are identical)
+///   --threads <n>      engine host workers (same as ARGO_THREADS=n; 0 or 1
+///                      is one worker — virtual-time results are identical)
 ///   --nodes <list>     restrict scaling sweeps to these node counts, a
 ///                      comma-separated list ("--nodes 32" or
 ///                      "--nodes 32,64,128"); each count must fit the
@@ -170,11 +169,9 @@ struct BenchOpts {
 /// paired apart (bench_compare.py --adapt-gate).
 inline constexpr int kBenchSchemaVersion = 5;
 
-/// Effective engine worker count for this process: 1 for the legacy
-/// engine and the ARGO_SEQ_ENGINE reference (both sequential), N when
-/// ARGO_THREADS/--threads selected N sharded workers.
+/// Effective engine worker count for this process: N when
+/// ARGO_THREADS/--threads selected N workers, else 1.
 inline int bench_threads() {
-  if (argosim::seq_engine()) return 1;
   const int n = argosim::engine_threads();
   return n > 0 ? n : 1;
 }

@@ -8,9 +8,9 @@
 # The two modes are bit-identical in simulated behaviour (the determinism
 # tests pin that), so the wall-clock ratio isolates pure host overhead.
 #
-# A second sweep runs the fig13 quick suite at 32 nodes on the parallel
-# engine across worker counts (--threads, default "1 2 4 8"; 1 is the
-# ARGO_SEQ_ENGINE sequential reference) — those rows carry "threads",
+# A second sweep runs the fig13 quick suite at 32 nodes across engine
+# worker counts (--threads, default "1 2 4 8"; 1 is the default run, the
+# sequential reference) — those rows carry "threads",
 # "engine" and "host_cpus" so scripts/bench_compare.py --par-gate can
 # judge the 8-worker wall-clock speedup, and skip honestly on hosts
 # without enough cores to demonstrate one.
@@ -106,16 +106,16 @@ unset ARGO_SLOW_PATHS
 
 # Parallel-engine sweep: the fig13 quick suite pinned to 32 nodes (32
 # shards give every worker count headroom), one pass per worker count.
-# threads=1 runs ARGO_SEQ_ENGINE=1 — the sequential sharded reference the
-# parallel runs are bit-identical to — so the wall-clock ratio isolates
-# pure host-level parallelism.
+# threads=1 is the default run — the sequential reference the parallel
+# runs are bit-identical to — so the wall-clock ratio isolates pure
+# host-level parallelism.
 PAR_BENCHES="fig13a_lu fig13b_nbody fig13c_blackscholes fig13d_mm fig13e_ep fig13f_cg"
 for T in $THREADS_SWEEP; do
   if [ "$T" = 1 ]; then
-    export ARGO_SEQ_ENGINE=1; unset ARGO_THREADS || true
+    unset ARGO_THREADS || true
     ENGINE=seq
   else
-    export ARGO_THREADS="$T"; unset ARGO_SEQ_ENGINE || true
+    export ARGO_THREADS="$T"
     ENGINE=par
   fi
   for bench in $PAR_BENCHES; do
@@ -124,7 +124,7 @@ for T in $THREADS_SWEEP; do
     ROWS="$ROWS{\"schema\":$SCHEMA,\"commit\":\"$ARGO_GIT_COMMIT\",\"date\":\"$RUN_DATE\",\"bench\":\"$bench\",\"mode\":\"par\",\"engine\":\"$ENGINE\",\"threads\":$T,\"host_cpus\":$HOST_CPUS,\"adapt\":0,\"nodes\":32,\"wall_s\":$wall,\"max_rss_kb\":$rss},\n"
   done
 done
-unset ARGO_THREADS ARGO_SEQ_ENGINE || true
+unset ARGO_THREADS || true
 
 # Full-scale sweep: the paper's 64/128-node points (the multi-word
 # directory range), quick workloads — one row per (bench, node count) so

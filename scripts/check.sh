@@ -31,15 +31,13 @@ if grep -rn "kMaxNodes" src bench examples tests --include='*.hpp' \
 fi
 echo "  OK: kMaxNodes referenced only under src/dir/"
 
-echo "=== engine-mode branch gate ==="
-# The engine switch (legacy inline vs sharded effect) lives in the
-# scheduler, the cluster that picks the engine, and the interconnect's one
-# op routine. Protocol layers stay engine-agnostic: no Engine::sharded()
-# branches or sharded_engine() helpers anywhere else.
-if grep -rnE '(->|\.)sharded\(\)|sharded_engine\(\)' src bench examples \
-     --include='*.hpp' --include='*.cpp' \
-     | grep -vE '^src/sim/|^src/core/cluster\.cpp:|^src/net/interconnect\.cpp:'; then
-  echo "FAIL: engine-mode branch outside src/sim/, cluster.cpp, interconnect.cpp" >&2
+echo "=== one-engine gate ==="
+# The engine has one scheduler: every run uses the per-node shard
+# scheduler, so no engine-mode query, helper or toggle may come back
+# anywhere (the bracketed characters keep this line from matching itself).
+if grep -rnE 'sharded(_engine)?\(\)|seq[_]engine|ARGO_SEQ[_]ENGINE' \
+     src bench examples tests scripts; then
+  echo "FAIL: engine-mode switch found; there is one engine" >&2
   exit 1
 fi
 # Pipeline depth is an interconnect property: at depth 1 every post is the
@@ -49,7 +47,7 @@ if grep -rnE 'config\(\)\.pipeline|pipelined\(\)' src bench examples \
   echo "FAIL: pipeline-depth read outside src/net/" >&2
   exit 1
 fi
-echo "  OK: engine-mode branches and pipeline-depth reads confined to their layers"
+echo "  OK: no engine-mode switch; pipeline-depth reads confined to src/net/"
 
 echo "=== default build ==="
 cmake -B build -S .
@@ -164,7 +162,7 @@ python3 scripts/bench_compare.py BENCH_host.json build/BENCH_host.json \
   --max-rss-regress 0.10
 
 echo "=== perf smoke: parallel engine speedup ==="
-# 8 sharded workers vs the sequential reference on the fig13 quick suite
+# 8 engine workers vs the sequential reference on the fig13 quick suite
 # at 32 nodes (rows written by bench_host.sh above). Required speedup is
 # capped at host_cpus/2 and skipped on single-core hosts.
 python3 scripts/bench_compare.py --par-gate build/BENCH_host.json \

@@ -1,6 +1,7 @@
 #include "apps/pqueue.hpp"
 
 #include <cassert>
+#include <vector>
 
 #include "sim/random.hpp"
 #include "sync/qd_lock.hpp"
@@ -201,7 +202,9 @@ PqResult pq_bench_dsm(Cluster& cl, DsmLockKind kind, const PqParams& p) {
                               static_cast<std::size_t>(cl.nthreads()) * 64);
   argosync::HqdLock hqdl(cl);
   argosync::DsmCohortLock cohort(cl);
-  std::uint64_t ops = 0;
+  // Counted per node: a node's threads share one engine shard, but
+  // different nodes may run on different host workers.
+  std::vector<std::uint64_t> ops(static_cast<std::size_t>(cl.nodes()), 0);
   argosim::Time t_end = 0;
   cl.run([&](Thread& t) {
     if (t.gid() == 0) {
@@ -228,11 +231,11 @@ PqResult pq_bench_dsm(Cluster& cl, DsmLockKind kind, const PqParams& p) {
         hqdl.execute(t, cs, /*wait=*/!is_insert);
       else
         cohort.execute(t, cs);
-      ++ops;
+      ++ops[static_cast<std::size_t>(t.node())];
     }
   });
   PqResult r;
-  r.ops = ops;
+  for (const std::uint64_t n : ops) r.ops += n;
   r.elapsed = p.duration;
   return r;
 }

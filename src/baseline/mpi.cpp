@@ -17,7 +17,7 @@ MpiWorld::MpiWorld(Interconnect& net, int ranks, int ranks_per_node)
 void MpiWorld::send(int src_rank, int dst_rank, int tag, const void* data,
                     std::size_t bytes) {
   // Rank mailboxes and the global matching sequence are host-shared across
-  // nodes; under the sharded engine a send would write another shard's box.
+  // nodes; with several engine shards a send would write another shard's box.
   if (argosim::Engine* e = argosim::Engine::current())
     e->require_serial("the MPI baseline's shared rank mailboxes");
   const int sn = node_of(src_rank), dn = node_of(dst_rank);

@@ -281,7 +281,7 @@ std::byte* NodeCache::write_ptr(GAddr a, std::size_t len, SoftTlb* tlb,
           s.in_wb = true;
           write_buffer_.push_back(page);
           ++wb_live_;
-          adapt_.note_wb_admit(wb_live_);
+          adapt_.note_wb_admit(wb_live_, page);
         }
       } else {
         unlock_line(l);
@@ -785,6 +785,7 @@ bool NodeCache::drain_oldest() {
       const std::uint64_t page = write_buffer_.front();
       write_buffer_.pop_front();
       if (!is_live(page)) continue;
+      adapt_.note_capacity_drain(page);
       writeback(page);  // latches and re-validates internally
       return true;
     }

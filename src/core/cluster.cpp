@@ -1,6 +1,5 @@
 #include "core/cluster.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -139,10 +138,10 @@ void Cluster::register_metrics() {
   metrics_.add_counter("trace.dropped", [this] { return tracer_.dropped(); });
 
   // Host-side scheduler diagnostics (sim.*): deterministic for a fixed
-  // engine configuration, but NOT part of the cross-engine identity
-  // contract — the legacy and sharded schedulers context-switch different
-  // amounts, and the slow-path oracle takes none of the fast paths these
-  // count. Identity suites skip them (ClusterStats::host_side).
+  // shard partition, but NOT part of the identity contract — one shard and
+  // one per node context-switch different amounts, and the slow-path
+  // oracle takes none of the fast paths these count. Identity suites skip
+  // them (ClusterStats::host_side).
   metrics_.add_counter("sim.context_switches",
                        [this] { return eng_.context_switches(); });
   metrics_.add_counter("sim.runq_pushes", [this] { return eng_.runq_pushes(); });
@@ -257,45 +256,27 @@ Time Cluster::run(const std::function<void(Thread&)>& body) {
   return run_subset(cfg_.nodes, cfg_.threads_per_node, body);
 }
 
-void Cluster::maybe_enable_sharding() {
-  if (sharding_decided_) return;
-  sharding_decided_ = true;
+void Cluster::partition_engine() {
+  if (partitioned_) return;
+  partitioned_ = true;
   int workers = cfg_.engine_threads > 0 ? cfg_.engine_threads
                                         : argosim::engine_threads();
-  if (argosim::seq_engine()) workers = 1;
-  if (workers <= 0) return;  // legacy single-queue engine (the default)
-
-  // Features that need same-time cross-shard wakeups or instant cross-node
-  // inspection cannot run under conservative lookahead; keep the legacy
-  // engine rather than silently changing their semantics.
-  const char* serial_only = nullptr;
-  if (cfg_.membership.enabled) {
-    serial_only = "membership daemons probe peers at same-time granularity";
-  } else if (barrier_hook_) {
-    serial_only = "barrier hooks inspect every node's state at one instant";
-  }
-  if (serial_only != nullptr) {
-    engine_fallback_reason_ = serial_only;
-    // Once per process: sweeps and test suites construct hundreds of
-    // affected clusters, and a per-construction notice drowns real
-    // diagnostics. The per-cluster reason stays queryable via
-    // ClusterStats::engine_fallback_reason.
-    static std::atomic<bool> notice_printed{false};
-    if (!notice_printed.exchange(true, std::memory_order_relaxed)) {
-      std::fprintf(stderr, "argo: sharded engine unavailable (%s); %s\n",
-                   serial_only, "running on the legacy engine");
-    }
-    return;
-  }
-
+  if (workers <= 0) workers = 1;
+  // Features that inspect or wake other nodes at the same instant need
+  // every node on one shard; the rest get one shard per node.
+  if (cfg_.membership.enabled)
+    engine_fallback_reason_ =
+        "membership daemons probe peers at same-time granularity";
+  else if (barrier_hook_)
+    engine_fallback_reason_ =
+        "barrier hooks inspect every node's state at one instant";
   // Conservative lookahead: every cross-shard effect (RDMA completion or
   // message delivery) is timestamped at least one base verb latency after
   // the instant it is posted.
-  const Time lookahead = std::min(cfg_.net.rdma_latency, cfg_.net.msg_latency);
-  eng_.enable_sharding(static_cast<std::uint32_t>(cfg_.nodes), lookahead,
-                       static_cast<std::uint32_t>(workers));
-  tracer_.enable_sharded();
-  if (net_.faults_enabled()) net_.faults()->enable_sharded_streams();
+  eng_.enable_sharding(
+      engine_fallback_reason_ ? 1 : static_cast<std::uint32_t>(cfg_.nodes),
+      std::min(cfg_.net.rdma_latency, cfg_.net.msg_latency),
+      static_cast<std::uint32_t>(workers));
 }
 
 Time Cluster::run_subset(int use_nodes, int use_threads_per_node,
@@ -305,7 +286,7 @@ Time Cluster::run_subset(int use_nodes, int use_threads_per_node,
          use_threads_per_node <= cfg_.threads_per_node);
   active_nodes_ = use_nodes;
   active_tpn_ = use_threads_per_node;
-  maybe_enable_sharding();
+  partition_engine();
 
   node_barriers_.clear();
   for (int n = 0; n < use_nodes; ++n)
@@ -318,20 +299,13 @@ Time Cluster::run_subset(int use_nodes, int use_threads_per_node,
   barrier_rounds_ = rounds;
   barrier_net_cost_ =
       static_cast<Time>(rounds) * (cfg_.net.msg_latency + cfg_.net.nic_overhead);
-  if (eng_.sharded()) {
-    // Cross-shard rendezvous point. Fault-free the gate also charges the
-    // dissemination cost (release = max arrivals + cost, exactly the
-    // legacy barrier + lump-sum delay); with faults the rounds are charged
-    // per-link in global_rendezvous, so the gate only synchronizes.
-    leader_barrier_.reset();
-    leader_gate_ = std::make_unique<argosim::SimGate>(
-        &eng_, static_cast<std::size_t>(use_nodes),
-        net_.faults_enabled() ? 0 : barrier_net_cost_);
-  } else {
-    leader_gate_.reset();
-    leader_barrier_ = std::make_unique<argosim::SimBarrier>(
-        static_cast<std::size_t>(use_nodes));
-  }
+  // Cross-shard rendezvous point. Fault-free the gate also charges the
+  // dissemination cost (release = max arrivals + cost, exactly a barrier
+  // plus a lump-sum delay); with faults the rounds are charged per-link in
+  // global_rendezvous, so the gate only synchronizes.
+  leader_gate_ = std::make_unique<argosim::SimGate>(
+      &eng_, static_cast<std::size_t>(use_nodes),
+      net_.faults_enabled() ? 0 : barrier_net_cost_);
 
   // Membership daemons (heartbeat monitors + crash reaper) spawn before
   // the workers so a node already dead from a previous run is reaped at
@@ -348,14 +322,11 @@ Time Cluster::run_subset(int use_nodes, int use_threads_per_node,
         Thread self(this, n, t, gid, core, caches_[n].get());
         body(self);
       };
-      // Sharded: a node's threads live on that node's shard for their
-      // whole lifetime (shard = node is the partition the lookahead bound
-      // is proved against).
-      argosim::SimThread* st =
-          eng_.sharded()
-              ? eng_.spawn_on(static_cast<std::uint32_t>(n), std::move(name),
-                              std::move(fiber))
-              : eng_.spawn(std::move(name), std::move(fiber));
+      // A node's threads live on that node's shard for their whole
+      // lifetime (shard = node is the partition the lookahead bound is
+      // proved against).
+      argosim::SimThread* st = eng_.spawn_on(static_cast<std::uint32_t>(n),
+                                             std::move(name), std::move(fiber));
       membership_->note_worker(n, st);
     }
   }
@@ -441,13 +412,11 @@ void Cluster::global_rendezvous(int node) {
     // arrived; a leader that crash-stops mid-round is counted departed by
     // the recovery pass, releasing any stranded round retroactively.
     membership_->barrier().arrive_and_wait(node);
-  } else if (leader_gate_) {
+  } else {
     leader_gate_->arrive_and_wait();
     // Fault-free the gate's release time already includes the
     // dissemination cost; with faults fall through to the per-round loop.
     if (!net_.faults_enabled()) return;
-  } else {
-    leader_barrier_->arrive_and_wait();
   }
   if (!net_.faults_enabled()) {
     // Fault-free: one lump-sum delay (identical to charging each round

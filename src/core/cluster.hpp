@@ -73,8 +73,8 @@ struct ClusterStats {
   std::vector<argoobs::CounterSample> counters;
   std::vector<argoobs::HistSample> hists;
 
-  /// Why the cluster fell back to the legacy engine when sharding was
-  /// requested (empty when sharding engaged or was never asked for).
+  /// Why the cluster runs as one engine shard instead of one per node
+  /// (empty for the per-node partition).
   std::string engine_fallback_reason;
 
   /// Value of one named counter (0 if absent — names are stable, so an
@@ -85,9 +85,9 @@ struct ClusterStats {
 
   /// True for host-side diagnostics outside the identity contract: the
   /// sim.* scheduler counters and carina.page_buffers_allocated. They are
-  /// deterministic for one engine configuration but differ between the
-  /// legacy and sharded engines and between fast and slow paths; identity
-  /// checks compare every other counter.
+  /// deterministic for one engine configuration but differ between shard
+  /// partitions and between fast and slow paths; identity checks compare
+  /// every other counter.
   static bool host_side(const std::string& name);
 };
 
@@ -398,10 +398,9 @@ class Cluster {
   /// barrier (after its SI fence, before releasing the node's threads),
   /// with the node index. Costs no virtual time. Used by the
   /// ProtocolValidator to check coherence invariants at quiescent points.
-  /// A hook inspects every node's state from one node's fiber, so it is a
-  /// legacy-engine feature: installing one before the first run keeps the
-  /// cluster on the legacy engine; installing one after the sharded engine
-  /// has started throws.
+  /// A hook inspects every node's state from one node's fiber, so
+  /// installing one before the first run puts the whole cluster on one
+  /// engine shard; installing one after a per-node run throws.
   void set_barrier_hook(std::function<void(int)> hook) {
     eng_.require_serial("barrier hooks");
     barrier_hook_ = std::move(hook);
@@ -410,14 +409,15 @@ class Cluster {
  private:
   friend class Thread;
   void global_rendezvous(int node);  // leader part of the hierarchical barrier
-  void maybe_enable_sharding();      // decided once, at the first run
+  void partition_engine();           // decided once, at the first run
   void register_metrics();
 
   int active_nodes_ = 1;
   int active_tpn_ = 1;
-  bool sharding_decided_ = false;
-  /// Why sharding was refused (static string from maybe_enable_sharding;
-  /// null when sharded or never requested). Surfaced through stats().
+  bool partitioned_ = false;
+  /// Why the engine runs as one shard (static string from
+  /// partition_engine; null for one shard per node). Surfaced through
+  /// stats().
   const char* engine_fallback_reason_ = nullptr;
   ClusterConfig cfg_;
   argosim::Engine eng_;
@@ -428,8 +428,7 @@ class Cluster {
   std::vector<NodeCache*> peer_view_;
   std::unique_ptr<argocore::MembershipService> membership_;
   std::vector<std::unique_ptr<argosim::SimBarrier>> node_barriers_;
-  std::unique_ptr<argosim::SimBarrier> leader_barrier_;
-  std::unique_ptr<argosim::SimGate> leader_gate_;  // sharded replacement
+  std::unique_ptr<argosim::SimGate> leader_gate_;
   Time barrier_net_cost_ = 0;
   int barrier_rounds_ = 0;
   std::function<void(int)> barrier_hook_;

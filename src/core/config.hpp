@@ -92,15 +92,11 @@ struct ClusterConfig {
   /// the same regardless of these flags.
   AdaptConfig adapt;
 
-  /// Sharded-engine worker count for this cluster (sim/par.hpp):
-  ///   0  inherit the process-wide ARGO_THREADS / ARGO_SEQ_ENGINE toggles
-  ///      (both unset: the legacy single-queue engine, the seed behaviour)
-  ///   1  sharded engine, one worker — the sequential reference
-  ///   N  sharded engine, N host workers
-  /// ARGO_SEQ_ENGINE=1 overrides any positive value down to one worker.
-  /// Features that need same-time cross-shard wakeups (membership,
-  /// barrier hooks, op-count crash triggers) fall back to the legacy
-  /// engine with a stderr notice.
+  /// Host workers advancing this cluster's engine shards (sim/par.hpp):
+  /// 0 inherits ARGO_THREADS (one worker when unset). Every worker count
+  /// is bit-identical to one. The cluster gets one shard per node, or one
+  /// shard holding every node when a feature needs same-instant cross-node
+  /// access (membership, a barrier hook); ClusterStats says which.
   int engine_threads = 0;
 
   /// Throw std::invalid_argument with a descriptive message when the

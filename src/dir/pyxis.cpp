@@ -87,8 +87,8 @@ void PyxisDirectory::host_scrub_node(int victim) {
 }
 
 std::function<void(std::uint64_t)> PyxisDirectory::delivered(int dst) {
-  // Runs at the OR's commit, in dst's context (inline on the legacy engine,
-  // on dst's shard when sharded): the displaced owner's TLB generation and
+  // Runs at the OR's commit, in dst's context (the effect on dst's shard):
+  // the displaced owner's TLB generation and
   // notification counter belong to dst. The bump revokes dst's soft-TLB
   // translations now that the deferred invalidation has landed.
   return [this, dst](std::uint64_t) {

@@ -26,14 +26,17 @@ Time around(argosim::Rng& rng, Time mean) {
 
 }  // namespace
 
-FaultInjector::FaultInjector(FaultConfig cfg, int nodes)
-    : cfg_(cfg), rng_(mix_seed(cfg.seed, 0)) {
+FaultInjector::FaultInjector(FaultConfig cfg, int nodes) : cfg_(cfg) {
   assert(nodes > 0);
   windows_.reserve(static_cast<std::size_t>(nodes));
+  src_rng_.reserve(static_cast<std::size_t>(nodes));
   for (int n = 0; n < nodes; ++n) {
+    const auto i = static_cast<std::uint64_t>(n);
     NodeWindows w;
-    w.rng = argosim::Rng(mix_seed(cfg.seed, static_cast<std::uint64_t>(n) + 1));
+    w.rng = argosim::Rng(mix_seed(cfg.seed, i + 1));
     windows_.push_back(std::move(w));
+    // Salted well away from the per-node window streams (salt n+1).
+    src_rng_.push_back(argosim::Rng(mix_seed(cfg.seed, 0x5ead0000ull + i)));
   }
   if (!cfg_.crashes.empty()) {
     crash_.resize(static_cast<std::size_t>(nodes));
@@ -47,29 +50,9 @@ FaultInjector::FaultInjector(FaultConfig cfg, int nodes)
   }
 }
 
-void FaultInjector::advance(NodeWindows& w, Time now) {
-  if (!w.scheduled) {
-    w.start = around(w.rng, cfg_.brownout_mean_interval);
-    w.end = w.start + around(w.rng, cfg_.brownout_mean_duration);
-    w.scheduled = true;
-  }
-  while (now >= w.end) {
-    ++w.entered;
-    w.start = w.end + around(w.rng, cfg_.brownout_mean_interval);
-    w.end = w.start + around(w.rng, cfg_.brownout_mean_duration);
-  }
-}
-
 bool FaultInjector::in_brownout(int node, Time now) {
   if (cfg_.brownout_mean_interval == 0 || cfg_.brownout_mean_duration == 0)
     return false;
-  if (sharded_) return in_brownout_sharded(node, now);
-  NodeWindows& w = windows_[static_cast<std::size_t>(node)];
-  advance(w, now);
-  return now >= w.start;
-}
-
-bool FaultInjector::in_brownout_sharded(int node, Time now) {
   // Fibers on different shards query a node's windows with clocks that are
   // not mutually monotonic, and a node's windows are queried both by its
   // own fibers (src side) and by remote initiators (dst side). Materialize
@@ -79,15 +62,10 @@ bool FaultInjector::in_brownout_sharded(int node, Time now) {
   NodeWindows& w = windows_[static_cast<std::size_t>(node)];
   if (now > w.max_t) w.max_t = now;
   while (w.mat.empty() || w.mat.back().second <= w.max_t) {
-    if (!w.scheduled) {
-      w.start = around(w.rng, cfg_.brownout_mean_interval);
-      w.end = w.start + around(w.rng, cfg_.brownout_mean_duration);
-      w.scheduled = true;
-    } else {
-      w.start = w.end + around(w.rng, cfg_.brownout_mean_interval);
-      w.end = w.start + around(w.rng, cfg_.brownout_mean_duration);
-    }
-    w.mat.emplace_back(w.start, w.end);
+    const Time start = (w.mat.empty() ? 0 : w.mat.back().second) +
+                       around(w.rng, cfg_.brownout_mean_interval);
+    w.mat.emplace_back(start,
+                       start + around(w.rng, cfg_.brownout_mean_duration));
   }
   const auto end_after = [](Time t, const std::pair<Time, Time>& p) {
     return t < p.second;
@@ -129,18 +107,6 @@ Time FaultInjector::backoff_jitter(Time span, int src) {
   if (span <= 0) return 0;
   return static_cast<Time>(
       op_rng(src).next_below(static_cast<std::uint64_t>(span) + 1));
-}
-
-void FaultInjector::enable_sharded_streams() {
-  if (sharded_) return;
-  sharded_ = true;
-  src_rng_.reserve(windows_.size());
-  for (std::size_t n = 0; n < windows_.size(); ++n) {
-    // Salted well away from the per-node window streams (salt n+1) and the
-    // shared op stream (salt 0).
-    src_rng_.push_back(
-        argosim::Rng(mix_seed(cfg_.seed, 0x5ead0000ull + n)));
-  }
 }
 
 }  // namespace argonet

@@ -99,26 +99,17 @@ class FaultInjector {
   /// features whose probability/config is zero.
   AttemptPlan plan_attempt(int src, int dst, Time now);
 
-  /// Independent per-message draws (send-side). `src` selects the per-node
-  /// stream under sharded mode; ignored (shared stream) otherwise.
+  /// Independent per-message draws (send-side), from `src`'s own stream.
+  /// Every per-op draw comes from the issuing node's stream, so each
+  /// node's fibers draw only from theirs (single writer per shard).
   bool drop_message(int src = 0);
   bool duplicate_message(int src = 0);
 
   /// Uniform draw in [0, span] for retry backoff jitter (0 if span == 0).
   Time backoff_jitter(Time span, int src = 0);
 
-  /// Switch per-op draws to per-source-node streams and brownout windows
-  /// to a mutex-guarded materialized schedule, for the sharded engine:
-  /// each node's fibers then draw only from that node's stream (single
-  /// writer per shard), and brownout queries need not be monotonic per
-  /// node across shards. Changes the fault pattern versus the legacy
-  /// shared-stream mode (but not the per-node window schedules, which
-  /// always use per-node streams). Call before the simulation starts.
-  void enable_sharded_streams();
-  bool sharded_streams() const { return sharded_; }
-
-  /// True if `node` is inside a brownout window at time `now`. Queries
-  /// must be monotonic in `now` per node (virtual time only advances).
+  /// True if `node` is inside a brownout window at time `now`: a pure
+  /// function of (node, now), so queries from any shard in any order agree.
   bool in_brownout(int node, Time now);
 
   /// Number of brownout windows node has fully entered so far (tests).
@@ -152,13 +143,10 @@ class FaultInjector {
 
  private:
   struct NodeWindows {
-    argosim::Rng rng;         // per-node stream: schedule is op-order free
-    Time start = 0, end = 0;  // current/next window [start, end)
+    argosim::Rng rng;  // per-node stream: schedule is op-order free
     std::uint64_t entered = 0;
-    bool scheduled = false;
-    // Sharded mode: materialized windows (sorted by end) and the furthest
-    // query time seen, guarded by mu_. The same rng generates the same
-    // schedule; only the bookkeeping differs.
+    // Materialized windows [start, end), sorted by end, and the furthest
+    // query time seen; guarded by mu_.
     std::vector<std::pair<Time, Time>> mat;
     Time max_t = 0;
   };
@@ -175,22 +163,16 @@ class FaultInjector {
     return i < crash_.size() ? crash_[i] : kNone;
   }
 
-  void advance(NodeWindows& w, Time now);
-  bool in_brownout_sharded(int node, Time now);
-
-  /// Per-op draw stream: the shared stream in legacy mode, `src`'s own
-  /// stream in sharded mode.
+  /// Per-op draw stream of issuing node `src`.
   argosim::Rng& op_rng(int src) {
-    return sharded_ ? src_rng_[static_cast<std::size_t>(src)] : rng_;
+    return src_rng_[static_cast<std::size_t>(src)];
   }
 
   FaultConfig cfg_;
-  argosim::Rng rng_;  // shared stream for per-op draws (legacy engine)
   std::vector<NodeWindows> windows_;
   std::vector<CrashState> crash_;  // per node; empty when no schedule
-  bool sharded_ = false;
-  std::vector<argosim::Rng> src_rng_;  // per-src-node op streams (sharded)
-  std::mutex mu_;  // guards windows_ materialization in sharded mode
+  std::vector<argosim::Rng> src_rng_;  // per-src-node op streams
+  std::mutex mu_;  // guards windows_ materialization
 };
 
 }  // namespace argonet

@@ -41,7 +41,6 @@ void Tracer::configure(int nodes, const TraceConfig& cfg) {
   // straight-line stores — no grow branch, no division.
   capacity_ = 1;
   while (capacity_ < cfg.ring_capacity) capacity_ *= 2;
-  seq_ = 0;
   rings_.clear();
   if (enabled_) {
     rings_.resize(static_cast<std::size_t>(nodes));
@@ -55,12 +54,9 @@ void Tracer::emit_slow(int node, Ev kind, std::uint64_t page,
   TraceEvent& e =
       ring.buf[static_cast<std::size_t>(ring.count) & (capacity_ - 1)];
 
-  // Sharded: every emit site runs on the emitting node's shard, so the
-  // ring is single-writer and a ring-local seq suffices. The shared
-  // counter would be both a data race and a nondeterminism source (its
-  // order depends on worker interleaving); snapshot() reconstructs the
-  // global order from (t, node, ring order) instead.
-  e.seq = sharded_ ? ring.count : seq_++;
+  // Ring-local seq: a shared counter would be both a data race and a
+  // nondeterminism source (its order depends on worker interleaving).
+  e.seq = ring.count;
   ++ring.count;
   const argosim::Engine* eng = argosim::Engine::current();
   e.t = eng ? eng->now() : 0;
@@ -100,19 +96,16 @@ std::vector<TraceEvent> Tracer::snapshot() const {
     total += static_cast<std::size_t>(r.count < capacity_ ? r.count
                                                           : capacity_);
   out.reserve(total);
-  // K-way merge by seq: each per-node ring is already seq-sorted.
+  // K-way merge: each per-node ring is already in emission order.
   std::vector<std::vector<TraceEvent>> per;
   per.reserve(rings_.size());
   for (std::size_t n = 0; n < rings_.size(); ++n)
     per.push_back(node_events(static_cast<int>(n)));
   std::vector<std::size_t> idx(per.size(), 0);
-  // Merge key: in legacy mode the global seq is the emission order; in
-  // sharded mode no global order was ever observed, so rebuild one from
-  // (t, node, ring order) — the engine's own tie-break at equal
-  // timestamps — and renumber so seqs stay gap-free and deterministic for
-  // any worker count.
-  const auto before = [this](const TraceEvent& a, const TraceEvent& b) {
-    if (!sharded_) return a.seq < b.seq;
+  // No global order was ever observed, so rebuild one from (t, node, ring
+  // order) — the engine's own tie-break at equal timestamps — and renumber
+  // so seqs stay gap-free and deterministic for any worker count.
+  const auto before = [](const TraceEvent& a, const TraceEvent& b) {
     if (a.t != b.t) return a.t < b.t;
     if (a.node != b.node) return a.node < b.node;
     return a.seq < b.seq;  // ring-local order
@@ -126,14 +119,12 @@ std::vector<TraceEvent> Tracer::snapshot() const {
     }
     out.push_back(per[best][idx[best]++]);
   }
-  if (sharded_)
-    for (std::size_t i = 0; i < out.size(); ++i)
-      out[i].seq = static_cast<std::uint64_t>(i);
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i].seq = static_cast<std::uint64_t>(i);
   return out;
 }
 
 std::uint64_t Tracer::emitted() const {
-  if (!sharded_) return seq_;
   std::uint64_t n = 0;
   for (const Ring& r : rings_) n += r.count;
   return n;

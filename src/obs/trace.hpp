@@ -5,9 +5,10 @@
 // touches the scheduler, so a traced run's virtual timings are bit-
 // identical to an untraced one. When tracing is disabled (the default)
 // every emit site reduces to one predicted branch; no ring memory is
-// allocated. Because the simulator is cooperative (exactly one fiber runs
-// at a time), a plain ring needs no synchronization — emission order *is*
-// the global order, captured in the monotonically increasing `seq`.
+// allocated. A node's events are emitted on its own engine shard, which
+// runs one fiber at a time, so a plain per-node ring needs no
+// synchronization; snapshot() merges the rings into one global order,
+// numbered by `seq`.
 //
 // Event semantics (see docs/TRACING.md for the full schema):
 //
@@ -74,7 +75,7 @@ const char* state_name(std::uint8_t state);
 
 /// One fixed-size trace record (40 bytes in the binary format).
 struct TraceEvent {
-  std::uint64_t seq = 0;     ///< global emission order, gap-free per run
+  std::uint64_t seq = 0;     ///< global (t, node, ring) order, gap-free
   argosim::Time t = 0;       ///< virtual time (ns)
   std::uint64_t page = 0;    ///< page / dir page / op id / lock address
   std::uint64_t arg = 0;     ///< kind-specific operand (see above)
@@ -94,22 +95,16 @@ struct TraceConfig {
   std::size_t ring_capacity = 1u << 18;
 };
 
-/// Per-node event rings plus the global emission sequence.
+/// Per-node event rings. Every emit site runs on the emitting node's
+/// shard, so each ring is single-writer and events carry a ring-local seq;
+/// snapshot() rebuilds the global order from (t, node, ring order) — a pure
+/// function of the per-shard histories, identical for any worker count.
 class Tracer {
  public:
   Tracer() = default;
 
   /// Size the per-node rings. Allocates only when cfg.enabled.
   void configure(int nodes, const TraceConfig& cfg);
-
-  /// Switch to sharded-engine emission. Every emit site runs on the
-  /// emitting node's shard, so each ring stays single-writer; the only
-  /// shared state would be the global `seq_` counter. In sharded mode
-  /// events carry a ring-local seq instead, and snapshot() rebuilds the
-  /// global order from (t, node, ring order) — a pure function of the
-  /// per-shard histories, identical for any worker count.
-  void enable_sharded() { sharded_ = true; }
-  bool sharded() const { return sharded_; }
 
   bool enabled() const { return enabled_; }
 
@@ -129,7 +124,7 @@ class Tracer {
   std::uint64_t emitted() const;                   ///< total ever emitted
   std::uint64_t dropped() const;                   ///< overwritten by wraps
 
-  /// Drop all retained events (the sequence keeps counting).
+  /// Drop all retained events; emitted() restarts from zero.
   void clear();
 
  private:
@@ -143,9 +138,7 @@ class Tracer {
   };
 
   bool enabled_ = false;
-  bool sharded_ = false;
   std::size_t capacity_ = 0;
-  std::uint64_t seq_ = 0;  // global order; unused (stays 0) when sharded
   std::vector<Ring> rings_;
 };
 

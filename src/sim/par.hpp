@@ -1,15 +1,13 @@
-// ARGO_THREADS / ARGO_SEQ_ENGINE: process-wide engine-mode toggles,
-// mirroring ARGO_SLOW_PATHS (sim/slowpath.hpp).
+// ARGO_THREADS: the process-wide host worker count, mirroring
+// ARGO_SLOW_PATHS (sim/slowpath.hpp).
 //
-// The sharded engine (sim/engine.hpp) partitions the simulation into
-// per-node event shards advanced under conservative lookahead windows.
-// ARGO_THREADS=N selects the sharded engine with N host workers;
-// ARGO_SEQ_ENGINE=1 selects the sharded engine with exactly one worker —
-// the sequential reference the parallel runs must be bit-identical to.
-// With neither set, the legacy single-queue engine runs (the seed
-// behaviour every existing test pins).
+// The engine (sim/engine.hpp) advances its event shards under conservative
+// lookahead windows; argo::Cluster gives every node its own shard. N host
+// workers run the shards of one window concurrently and are bit-identical
+// to one worker. ARGO_THREADS=N asks for N workers; unset, every cluster
+// runs on one (ClusterConfig::engine_threads overrides it per cluster).
 //
-// Tests flip these programmatically between runs; never toggle while a
+// Tests flip it programmatically between runs; never toggle while a
 // simulation is executing.
 #pragma once
 
@@ -24,23 +22,10 @@ inline int g_engine_threads = [] {
   int v = std::atoi(e);
   return v > 0 ? v : 0;
 }();
-inline bool g_seq_engine = [] {
-  const char* e = std::getenv("ARGO_SEQ_ENGINE");
-  return e != nullptr && e[0] != '\0' && !(e[0] == '0' && e[1] == '\0');
-}();
 }  // namespace detail
 
 /// Worker count requested via ARGO_THREADS (0 = not requested).
 inline int engine_threads() { return detail::g_engine_threads; }
 inline void set_engine_threads(int n) { detail::g_engine_threads = n < 0 ? 0 : n; }
-
-/// True when ARGO_SEQ_ENGINE selects the single-worker sharded reference.
-inline bool seq_engine() { return detail::g_seq_engine; }
-inline void set_seq_engine(bool v) { detail::g_seq_engine = v; }
-
-/// True when either toggle asks for the sharded engine at all.
-inline bool sharded_engine_requested() {
-  return detail::g_seq_engine || detail::g_engine_threads > 0;
-}
 
 }  // namespace argosim

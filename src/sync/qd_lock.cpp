@@ -6,7 +6,7 @@ namespace argosync {
 
 void QdLock::execute(int core, const std::function<void(int)>& cs, bool wait) {
   // The TATAS word, queue and helper flag are one host-shared object; a
-  // sharded run would race fibers from different shards over them.
+  // run over several engine shards would race their fibers over them.
   if (argosim::Engine* e = argosim::Engine::current())
     e->require_serial("QD-lock delegation (host-shared queue)");
   for (;;) {

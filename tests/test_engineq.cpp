@@ -271,11 +271,10 @@ ClusterConfig identity_cfg(int workers, int pipeline) {
 }
 
 // Rerun `run` with the slow (seed) paths as the oracle, then fast, at
-// every engine configuration: legacy (0), the sequential sharded
-// reference (1), and parallel workers 2 and 8.
+// one worker (the sequential reference) and parallel workers 2 and 8.
 template <class RunFn>
 void fast_slow_identity(const std::string& label, RunFn run) {
-  for (const int workers : {0, 1, 2, 8}) {
+  for (const int workers : {1, 2, 8}) {
     SlowGuard guard;
     argosim::set_slow_paths(true);
     const AppFp slow = run(workers);

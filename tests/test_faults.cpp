@@ -447,6 +447,36 @@ TEST(PostedFaults, ExhaustedRetryBudgetSurfacesAtWait) {
   EXPECT_EQ(net.stats(0).retries, 2u);
 }
 
+// A posted atomic whose target crash-stops hard-fails. wait_all reports the
+// failure, and the handle stays claimable: its wait() must throw the same
+// NodeFailedError rather than return 0, which would read as the word's
+// previous value.
+TEST(PostedFaults, FailureStaysClaimableAfterWaitAll) {
+  NetConfig nc = faulty_net();
+  nc.pipeline = 4;
+  nc.retry.max_attempts = 3;
+  nc.retry.backoff_jitter = 0.0;
+  FaultConfig fc;
+  fc.enabled = true;
+  fc.seed = 1;
+  fc.rdma_fail_prob = 1.0;
+  fc.crashes.push_back(argonet::CrashEvent{.node = 1, .at = 1});
+  Engine eng;
+  Interconnect net(2, nc);
+  net.enable_faults(fc);
+  std::uint64_t remote = 42;
+  eng.spawn("t", [&] {
+    const argonet::PostedHandle h = net.post_fetch_add(0, 1, &remote, 5);
+    EXPECT_THROW(net.wait_all(0), argonet::NodeFailedError);
+    EXPECT_THROW(net.wait(h), argonet::NodeFailedError);
+    net.wait_all(0);  // reported once: no rethrow
+    EXPECT_EQ(net.wait(h), 0u);  // claimed: the handle is spent
+  });
+  eng.run();
+  EXPECT_EQ(remote, 42u);  // a hard-failed atomic never commits
+  EXPECT_EQ(net.take_aborted_posted(0), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Chaos runs of the fig13 mini-apps: numerically correct, fault counters
 // alive, and bit-identical per seed

@@ -366,9 +366,10 @@ TEST(PostedVerbs, DepthOneIsExactlyTheBlockingVerb) {
   EXPECT_EQ(net.stats(0).posted_ops, 0u);  // depth 1 posts nothing
 }
 
-// Every remote verb, blocking and as a depth-1 post, on the legacy engine
-// and the 1-worker sharded engine, fault-free and under one chaos seed:
-// the two forms must charge, count and move exactly the same bytes.
+// Every remote verb, blocking and as a depth-1 post, on a one-shard engine
+// and on a two-shard engine at one and two workers, fault-free and under
+// one chaos seed: the two forms must charge, count and move exactly the
+// same bytes, and so must every engine shape.
 
 struct VerbMem {
   std::array<std::uint64_t, 8> remote{};  // node 1's memory
@@ -488,10 +489,13 @@ std::vector<std::uint64_t> stat_fields(const NodeNetStats& s) {
           s.posted_ops,      s.posted_inflight_hwm};
 }
 
-VerbOutcome run_verb_case(const VerbCase& vc, bool post, bool sharded,
+// `workers` 0: the default one-shard engine; else two shards (one per
+// node) advanced by that many workers.
+VerbOutcome run_verb_case(const VerbCase& vc, bool post, int workers,
                           bool chaos) {
   Engine eng;
-  if (sharded) eng.enable_sharding(2, 1000, 1);
+  if (workers > 0)
+    eng.enable_sharding(2, 1000, static_cast<std::uint32_t>(workers));
   Interconnect net(2, test_cfg());
   if (chaos) {
     FaultConfig f;
@@ -503,7 +507,6 @@ VerbOutcome run_verb_case(const VerbCase& vc, bool post, bool sharded,
     f.brownout_mean_interval = 20000;
     f.brownout_mean_duration = 6000;
     net.enable_faults(f);
-    if (sharded) net.faults()->enable_sharded_streams();
   }
   VerbOutcome out;
   for (std::size_t k = 0; k < out.mem.remote.size(); ++k)
@@ -518,10 +521,7 @@ VerbOutcome run_verb_case(const VerbCase& vc, bool post, bool sharded,
     }
     out.done = argosim::now();
   };
-  if (sharded)
-    eng.spawn_on(0, "issuer", body);
-  else
-    eng.spawn("issuer", body);
+  eng.spawn_on(0, "issuer", body);
   eng.run();
   out.stats = stat_fields(net.stats(0));
   return out;
@@ -540,25 +540,24 @@ void expect_same_outcome(const VerbOutcome& a, const VerbOutcome& b,
 
 TEST(PostedVerbs, EveryVerbAtDepthOneEqualsItsBlockingForm) {
   for (const VerbCase& vc : kVerbCases) {
-    for (const bool sharded : {false, true}) {
-      for (const bool chaos : {false, true}) {
-        const std::string what = std::string(vc.name) +
-                                 (sharded ? " sharded" : " legacy") +
+    for (const bool chaos : {false, true}) {
+      const VerbOutcome one_shard = run_verb_case(vc, false, 0, chaos);
+      for (const int workers : {0, 1, 2}) {
+        const std::string what = std::string(vc.name) + " workers=" +
+                                 std::to_string(workers) +
                                  (chaos ? " chaos" : " fault-free");
-        const VerbOutcome blocking = run_verb_case(vc, false, sharded, chaos);
-        expect_same_outcome(blocking, run_verb_case(vc, true, sharded, chaos),
+        const VerbOutcome blocking = run_verb_case(vc, false, workers, chaos);
+        expect_same_outcome(blocking, run_verb_case(vc, true, workers, chaos),
                             what);
+        // Fault draws come from per-node streams, so every engine shape
+        // sees the same pattern, chaos included.
+        expect_same_outcome(one_shard, blocking, what + " vs one shard");
         EXPECT_GT(blocking.done, 0u) << what;
         if (chaos) {
           EXPECT_GT(blocking.stats[9], 0u) << what << ": no faults injected";
         }
       }
     }
-    // Fault-free, the engines agree too (chaos draws from per-node streams
-    // on the sharded engine, so only the fault-free pattern is shared).
-    expect_same_outcome(run_verb_case(vc, false, false, false),
-                        run_verb_case(vc, false, true, false),
-                        std::string(vc.name) + " legacy vs sharded");
   }
 }
 

@@ -19,6 +19,7 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/engine.hpp"
 #include "sim/slowpath.hpp"
 
 namespace {
@@ -130,19 +131,32 @@ TEST(Tracer, DisabledEmitsNothing) {
   EXPECT_TRUE(tr.snapshot().empty());
 }
 
-TEST(Tracer, SnapshotMergesBySeq) {
+// snapshot() orders events by (virtual time, node, ring order) whatever
+// order the per-node rings were filled in, and renumbers seq gap-free.
+TEST(Tracer, SnapshotMergesByTimeNodeRingOrder) {
   Tracer tr;
   tr.configure(3, enabled_trace());
-  tr.emit(2, Ev::LineFill, 10, 0, 1);
-  tr.emit(0, Ev::Writeback, 11, 1, 2);
-  tr.emit(2, Ev::Eviction, 12, 2, 0);
-  tr.emit(1, Ev::LockHandover, 13, kUnknownState, 5);
+  argosim::Engine eng;
+  eng.spawn("late", [&] {
+    argosim::delay(20);
+    tr.emit(1, Ev::LockHandover, 13, kUnknownState, 5);
+  });
+  eng.spawn("early", [&] {
+    tr.emit(2, Ev::LineFill, 10, 0, 1);
+    argosim::delay(10);
+    tr.emit(2, Ev::Eviction, 12, 2, 0);
+    tr.emit(0, Ev::Writeback, 11, 1, 2);
+  });
+  eng.run();
   const auto evs = tr.snapshot();
   ASSERT_EQ(evs.size(), 4u);
   for (std::size_t i = 0; i < evs.size(); ++i) EXPECT_EQ(evs[i].seq, i);
-  EXPECT_EQ(evs[0].node, 2);
-  EXPECT_EQ(evs[1].node, 0);
-  EXPECT_EQ(evs[3].node, 1);
+  EXPECT_EQ(evs[0].node, 2);  // t=0
+  EXPECT_EQ(evs[1].node, 0);  // t=10: node 0 before node 2
+  EXPECT_EQ(evs[2].node, 2);
+  EXPECT_EQ(static_cast<Ev>(evs[2].kind), Ev::Eviction);
+  EXPECT_EQ(evs[3].node, 1);  // t=20
+  EXPECT_EQ(evs[3].t, 20u);
   EXPECT_EQ(static_cast<Ev>(evs[3].kind), Ev::LockHandover);
   EXPECT_EQ(evs[3].state, kUnknownState);
   EXPECT_EQ(evs[3].arg, 5u);
