@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -109,6 +110,30 @@ TEST(Engine, ExceptionInFiberPropagatesFromRun) {
     throw std::logic_error("boom");
   });
   EXPECT_THROW(eng.run(), std::logic_error);
+}
+
+// An effect that fails inside a fiber's same-fiber fast-forward stops its
+// shard at once: the effect due after it never runs, and run() reports the
+// first error, not a later one.
+TEST(Engine, EffectErrorInFastForwardStopsTheShard) {
+  Engine eng;
+  bool second_ran = false;
+  eng.spawn("poster", [&] {
+    Engine* e = Engine::current();
+    e->post_effect(0, 10, 1, 0, 0, [] { throw std::runtime_error("first"); });
+    e->post_effect(0, 20, 1, 0, 1, [&] {
+      second_ran = true;
+      throw std::runtime_error("second");
+    });
+    delay(100);  // fast-forwards through the effect due at 10
+  });
+  try {
+    eng.run();
+    FAIL() << "run() should rethrow the effect's error";
+  } catch (const std::runtime_error& err) {
+    EXPECT_STREQ(err.what(), "first");
+  }
+  EXPECT_FALSE(second_ran);
 }
 
 TEST(Engine, DeadlockIsDetected) {
