@@ -5,20 +5,21 @@
 //   fiber_switch  ping-pong context switches between simulated threads —
 //                 the fcontext vs ucontext cost, divided out per switch
 //                 using the engine's own sim.context_switches counter
-//   runq_hold     the classic calendar-queue "hold" model: a steady-state
-//                 queue where every op pops the minimum and re-pushes it a
-//                 random horizon ahead; swept across horizon spreads to
-//                 cover dense (same-day) and sparse (day-scan) regimes
+//   runq_hold     the classic "hold" model on the run queue's binary
+//                 heap: a steady-state queue where every op pops the
+//                 minimum and re-pushes it a random horizon ahead; swept
+//                 across horizon spreads from dense ties to sparse keys
 //   posted_rtt    post_read + wait round trips through the interconnect's
 //                 posted send queue — the pooled-record / SmallFn path
 //
-// Every row stamps the active backends ("fcontext"/"ucontext" and
-// "calendar"/"heap"), so a fast run and an ARGO_SLOW_PATHS=1 run of this
-// binary differ only in those stamps and the wall-clock columns — which is
-// exactly the comparison scripts/check.sh and CI make.
+// Every row stamps the build's context-switch backend ("fcontext" or
+// "ucontext"); CI asserts which one each build leg compiled in.
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <queue>
+#include <vector>
 
 #include "argo/net.hpp"
 #include "argo/sim.hpp"
@@ -27,7 +28,6 @@
 namespace {
 
 using argosim::Engine;
-using argosim::EventQueue;
 using argosim::Time;
 using benchutil::BenchOpts;
 using benchutil::JsonReport;
@@ -41,12 +41,11 @@ double wall_ns_since(std::chrono::steady_clock::time_point t0) {
 }
 
 /// Row prefix shared by the three probes: the figure id, the probe name,
-/// and the two backend stamps that distinguish fast from slow runs.
+/// and the context-switch backend stamp.
 JsonReport::Row& mb_row(JsonReport& json, const char* probe,
-                        const BenchOpts& opts, int nodes, bool calendar) {
+                        const BenchOpts& opts, int nodes) {
   return benchutil::bench_row(json, "microbench", "bench", probe, opts, nodes)
-      .str("context_backend", Engine::context_backend())
-      .str("runq_backend", calendar ? "calendar" : "heap");
+      .str("context_backend", Engine::context_backend());
 }
 
 // --- fiber_switch -----------------------------------------------------------
@@ -54,8 +53,7 @@ JsonReport::Row& mb_row(JsonReport& json, const char* probe,
 /// F fibers, each yielding `iters` times via delay(1). Every delay parks
 /// the caller and resumes another runnable fiber, so the engine's switch
 /// counter divides the wall time into a cost per context switch.
-void bench_fiber_switch(JsonReport& json, const BenchOpts& opts,
-                        bool calendar) {
+void bench_fiber_switch(JsonReport& json, const BenchOpts& opts) {
   const int fibers = 4;
   const int iters = opts.quick ? 5000 : 50000;
   Engine eng;
@@ -73,7 +71,7 @@ void bench_fiber_switch(JsonReport& json, const BenchOpts& opts,
          Table::fmt("%llu", static_cast<unsigned long long>(switches)),
          Table::fmt("%.2f", wall / 1e6), Table::fmt("%.1f", per)});
   t.print();
-  mb_row(json, "fiber_switch", opts, 0, calendar)
+  mb_row(json, "fiber_switch", opts, 0)
       .num("fibers", fibers)
       .num("iters", iters)
       .num("switches", switches)
@@ -93,17 +91,16 @@ struct HoldEntry {
 };
 
 /// Steady-state hold: `qsize` entries live, each op pops the minimum and
-/// re-pushes it a random horizon ahead. Narrow spreads keep every push in
-/// the current calendar day (sorted-rung insert); wide spreads scatter
-/// pushes across buckets and exercise the day-scan. The heap reference
-/// (ARGO_SLOW_PATHS=1) sees the same op sequence.
-void bench_runq_hold(JsonReport& json, const BenchOpts& opts, bool calendar) {
+/// re-pushes it a random horizon ahead, on the binary min-heap the engine's
+/// shard run queues use. Narrow spreads produce many equal times (ties
+/// broken by sequence); wide spreads leave keys sparse.
+void bench_runq_hold(JsonReport& json, const BenchOpts& opts) {
   const std::size_t qsize = 4096;
   const int iters = opts.quick ? 20000 : 200000;
   const std::uint64_t spreads[] = {256, 64 * 1024, 16 * 1024 * 1024};
-  Table t({"spread_ns", "qsize", "ops", "wall_ms", "ns/op", "resizes"});
+  Table t({"spread_ns", "qsize", "ops", "wall_ms", "ns/op"});
   for (std::uint64_t spread : spreads) {
-    EventQueue<HoldEntry> q;
+    std::priority_queue<HoldEntry, std::vector<HoldEntry>, std::greater<>> q;
     argosim::Rng rng(0x9e3779b97f4a7c15ull ^ spread);
     std::uint64_t seq = 0;
     for (std::size_t i = 0; i < qsize; ++i)
@@ -123,15 +120,13 @@ void bench_runq_hold(JsonReport& json, const BenchOpts& opts, bool calendar) {
     const double per = wall / static_cast<double>(iters);
     t.row({Table::fmt("%llu", static_cast<unsigned long long>(spread)),
            Table::fmt("%zu", qsize), Table::fmt("%d", iters),
-           Table::fmt("%.2f", wall / 1e6), Table::fmt("%.1f", per),
-           Table::fmt("%llu", static_cast<unsigned long long>(q.resizes()))});
-    mb_row(json, "runq_hold", opts, 0, calendar)
+           Table::fmt("%.2f", wall / 1e6), Table::fmt("%.1f", per)});
+    mb_row(json, "runq_hold", opts, 0)
         .num("spread_ns", spread)
         .num("qsize", static_cast<std::uint64_t>(qsize))
         .num("ops", iters)
         .num("wall_ms", wall / 1e6)
-        .num("ns_per_op", per)
-        .num("resizes", q.resizes());
+        .num("ns_per_op", per);
   }
   t.print();
 }
@@ -142,7 +137,7 @@ void bench_runq_hold(JsonReport& json, const BenchOpts& opts, bool calendar) {
 /// depth 1 the post *is* the blocking verb; at depth > 1 each trip runs
 /// the full posted path: record acquisition (pool), effect closures
 /// (SmallFn), the send-queue retire effect, and the completion wake.
-void bench_posted_rtt(JsonReport& json, const BenchOpts& opts, bool calendar) {
+void bench_posted_rtt(JsonReport& json, const BenchOpts& opts) {
   const int iters = opts.quick ? 2000 : 20000;
   argonet::NetConfig cfg;
   cfg.pipeline = opts.pipeline;
@@ -167,7 +162,7 @@ void bench_posted_rtt(JsonReport& json, const BenchOpts& opts, bool calendar) {
          Table::fmt("%llu",
                     static_cast<unsigned long long>(net.stats(0).posted_ops))});
   t.print();
-  mb_row(json, "posted_rtt", opts, 2, calendar)
+  mb_row(json, "posted_rtt", opts, 2)
       .num("round_trips", iters)
       .num("wall_ms", wall / 1e6)
       .num("ns_per_rtt", per)
@@ -179,20 +174,17 @@ void bench_posted_rtt(JsonReport& json, const BenchOpts& opts, bool calendar) {
 int main(int argc, char** argv) {
   using namespace benchutil;
   const BenchOpts opts = BenchOpts::parse(argc, argv);
-  const bool calendar = !argosim::slow_paths();
   header("Engine microbench",
          "scheduler hot paths in wall-clock time (fiber switch, run-queue "
          "hold, posted round-trip)");
-  note(Table::fmt("context backend: %s, run queue: %s",
-                  Engine::context_backend(), calendar ? "calendar" : "heap")
-           .c_str());
+  note(Table::fmt("context backend: %s", Engine::context_backend()).c_str());
   if (opts.pipeline > 1)
     note(Table::fmt("pipeline depth %d (posted verbs)", opts.pipeline).c_str());
 
   JsonReport json;
-  bench_fiber_switch(json, opts, calendar);
-  bench_runq_hold(json, opts, calendar);
-  bench_posted_rtt(json, opts, calendar);
+  bench_fiber_switch(json, opts);
+  bench_runq_hold(json, opts);
+  bench_posted_rtt(json, opts);
   json.write(opts.json_path);
   return 0;
 }

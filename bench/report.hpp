@@ -159,7 +159,9 @@ struct BenchOpts {
 /// Version of the JSON row shape shared by every BENCH_*.json file. Bump
 /// when a field is renamed or its meaning changes so downstream consumers
 /// (scripts/bench_compare.py, notebooks) can refuse mismatched inputs.
-/// Schema 3 added the "threads"/"engine" stamp for the parallel engine.
+/// Schema 3 added the "threads"/"engine" stamp for the parallel engine
+/// ("engine" has since gone: there is one engine, and "threads" records
+/// the worker count; no reader keyed on it, so the schema stayed).
 /// Schema 4 stamps "nodes" (the cluster node count a row was measured on,
 /// 0 for rows that run no cluster) so 32/64/128-node sweeps can share one
 /// file and be filtered apart (bench_compare.py --nodes).
@@ -175,12 +177,6 @@ inline int bench_threads() {
   const int n = argosim::engine_threads();
   return n > 0 ? n : 1;
 }
-
-/// "par" when more than one host worker advances the simulation, "seq"
-/// otherwise. Virtual-time results are identical either way (the
-/// determinism suite pins that); the stamp records how wall time was
-/// spent.
-inline const char* bench_engine() { return bench_threads() > 1 ? "par" : "seq"; }
 
 /// Commit hash rows are stamped with. The bench binaries cannot assume a
 /// .git directory (CI runs them from an install tree), so the driver passes
@@ -242,8 +238,7 @@ class JsonReport {
         .num("schema", kBenchSchemaVersion)
         .str("commit", bench_commit())
         .str("date", bench_date())
-        .num("threads", bench_threads())
-        .str("engine", bench_engine());
+        .num("threads", bench_threads());
   }
 
   /// Write the accumulated rows to `path`. No-op when path is empty.

@@ -12,6 +12,7 @@ Usage:
                                            [--par-threads 8]
   scripts/bench_compare.py --adapt-gate FILE [--min-adapt-geomean 1.0]
                                              [--max-adapt-regress 0.02]
+  scripts/bench_compare.py --golden GOLDEN FRESH_DIR_OR_FILE [--update]
 
 Per bench the script reports ratio = baseline_wall / fresh_wall (> 1 means
 the fresh build is faster). Gates:
@@ -43,6 +44,16 @@ the fresh build is faster). Gates:
                     --min-adapt-geomean (adaptation must not lose overall)
                     or any single bench regresses more than
                     --max-adapt-regress (default 2%).
+  --golden GOLDEN FRESH
+                    simulated-result gate: FRESH (a directory of
+                    <binary>-p<depth>.json files written by
+                    scripts/golden_suite.sh, or a file in GOLDEN's format)
+                    must match the committed GOLDEN (bench/golden_quick.json)
+                    exactly once the host and provenance fields
+                    (HOST_FIELDS) are dropped. Any difference exits
+                    non-zero with a moved-row table. --update rewrites
+                    GOLDEN from FRESH instead, for a change that moves a
+                    simulated value on purpose.
 
 Rows carry the provenance stamp written by bench/report.hpp and
 scripts/bench_host.sh ({"schema", "commit", "date", ...}); schema 2
@@ -59,9 +70,20 @@ Stdlib only — runs in the CI container.
 import argparse
 import json
 import math
+import os
 import sys
 
 SCHEMAS = (2, 3, 4, 5)
+
+# Row fields that describe the host or the run, not the simulation: the
+# golden gate drops them before comparing. Everything else a bench writes
+# (virtual times, rates, counters, checksums) must match exactly.
+HOST_FIELDS = ("commit", "date", "threads", "engine", "wall_ms", "ns_per_op",
+               "ns_per_rtt", "ns_per_switch", "context_backend",
+               "runq_backend", "resizes")
+# Row parameters shown beside the string fields when naming a moved row.
+ROW_PARAMS = ("pipeline", "nodes", "adapt", "x", "wb", "threads",
+              "unit_bytes", "year", "spread_ns", "heartbeat_ns")
 
 
 def check_schema(path, row, warned, seen):
@@ -269,6 +291,97 @@ def rss_gate(base, fresh, max_regress):
           f"{1.0 + max_regress:.2f}x")
 
 
+def simulated_fields(pairs):
+    """json object hook: drop the host fields. A row leads with its
+    provenance stamp, so only a key's first occurrence is dropped; a bench
+    parameter repeating a stamp key (fig11's "threads") stays."""
+    out, dropped = {}, set()
+    for k, v in pairs:
+        if k in HOST_FIELDS and k not in dropped:
+            dropped.add(k)
+            continue
+        out[k] = v
+    return out
+
+
+def load_golden_runs(path):
+    """{run: [row, ...]} from a golden-format file or a directory of
+    <run>.json bench outputs (run = "<binary>-p<depth>")."""
+    if not os.path.isdir(path):
+        with open(path) as f:
+            return json.load(f)  # already stripped
+    runs = {}
+    for name in sorted(os.listdir(path)):
+        if name.endswith(".json"):
+            with open(os.path.join(path, name)) as f:
+                runs[name[:-5]] = json.load(
+                    f, object_pairs_hook=simulated_fields)
+    if not runs:
+        sys.exit(f"{path}: no <binary>-p<depth>.json files; run "
+                 f"scripts/golden_suite.sh")
+    return runs
+
+
+def row_identity(index, row):
+    parts = [f"#{index}"]
+    parts += [f"{k}={v}" for k, v in row.items() if isinstance(v, str)]
+    parts += [f"{k}={row[k]}" for k in ROW_PARAMS if k in row]
+    return " ".join(parts)
+
+
+def golden_gate(golden_path, fresh_path, update):
+    """Exact comparison of every simulated field of every row; prints one
+    line per moved field and fails on any difference."""
+    fresh = load_golden_runs(fresh_path)
+    if update:
+        with open(golden_path, "w") as f:
+            f.write("{\n")
+            for i, run in enumerate(sorted(fresh)):
+                rows = ",\n".join(json.dumps(r, separators=(",", ":"))
+                                   for r in fresh[run])
+                f.write(f"{json.dumps(run)}: [\n{rows}\n]"
+                        f"{',' if i + 1 < len(fresh) else ''}\n")
+            f.write("}\n")
+        print(f"wrote {sum(map(len, fresh.values()))} rows of {len(fresh)} "
+              f"runs to {golden_path}")
+        return
+    golden = load_golden_runs(golden_path)
+    moved = []  # (run, identity, field, golden value, fresh value)
+    for run in sorted(set(golden) | set(fresh)):
+        g, f = golden.get(run), fresh.get(run)
+        if g is None or f is None:
+            moved.append((run, "-", "(run)", "present" if g else "missing",
+                          "present" if f else "missing"))
+            continue
+        for i in range(max(len(g), len(f))):
+            gr = g[i] if i < len(g) else {}
+            fr = f[i] if i < len(f) else {}
+            ident = row_identity(i, gr or fr)
+            if not gr or not fr:
+                moved.append((run, ident, "(row)",
+                              "present" if gr else "missing",
+                              "present" if fr else "missing"))
+                continue
+            for k in list(gr) + [k for k in fr if k not in gr]:
+                if gr.get(k) != fr.get(k):
+                    moved.append((run, ident, k, gr.get(k), fr.get(k)))
+    rows = sum(map(len, golden.values()))
+    if not moved:
+        print(f"OK: {rows} rows of {len(golden)} runs match {golden_path}")
+        return
+    print(f"{'bench':<28} {'row':<44} {'field':<20} {'golden':>14} "
+          f"{'fresh':>14} {'change':>9}")
+    for run, ident, field, gv, fv in moved:
+        change = ""
+        if isinstance(gv, (int, float)) and isinstance(fv, (int, float)) \
+                and not isinstance(gv, bool) and gv != 0:
+            change = f"{(fv - gv) / abs(gv):+.4%}"
+        print(f"{run:<28} {ident:<44} {field:<20} {str(gv):>14} "
+              f"{str(fv):>14} {change:>9}")
+    sys.exit(f"FAIL: {len(moved)} simulated field(s) moved against "
+             f"{golden_path} ({rows} golden rows)")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("baseline", nargs="?")
@@ -293,6 +406,10 @@ def main():
                     help="required parallel geomean speedup (default 2.0)")
     ap.add_argument("--adapt-gate", metavar="FILE", default=None,
                     help="gate the adaptive-tuning sweep in FILE")
+    ap.add_argument("--golden", metavar="GOLDEN", default=None,
+                    help="compare FRESH's simulated fields with GOLDEN")
+    ap.add_argument("--update", action="store_true",
+                    help="with --golden: rewrite GOLDEN from FRESH")
     ap.add_argument("--min-adapt-geomean", type=float, default=1.0,
                     help="required fixed/adaptive virtual-time geomean "
                          "(default 1.0: adaptation must not lose)")
@@ -301,6 +418,11 @@ def main():
                          "cause (default 0.02 = 2%%)")
     args = ap.parse_args()
 
+    if args.golden is not None:
+        if args.baseline is None or args.fresh is not None:
+            ap.error("--golden takes exactly one FRESH directory or file")
+        golden_gate(args.golden, args.baseline, args.update)
+        return
     ran_gate = False
     if args.par_gate is not None:
         par_gate(args.par_gate, args.par_threads, args.min_par_speedup)

@@ -12,7 +12,7 @@
 #             writes BENCH_recovery.json
 #   --threads <n>  run every bench on the parallel engine with n host
 #             workers (ARGO_THREADS=n; virtual-time results are identical,
-#             the rows' "threads"/"engine" stamp records the mode)
+#             the rows' "threads" stamp records the worker count)
 #
 # Depth 1 is the paper's serialized-NIC behaviour (one blocking MPI/verbs
 # op at a time); higher depths overlap wire latency across in-flight ops.

@@ -40,6 +40,14 @@ if grep -rnE 'sharded(_engine)?\(\)|seq[_]engine|ARGO_SEQ[_]ENGINE' \
   echo "FAIL: engine-mode switch found; there is one engine" >&2
   exit 1
 fi
+# Each host fast path is the only implementation: no runtime toggle back
+# to a reference twin, and no second run-queue structure.
+if grep -rnE 'slow[_]paths|ARGO_SLOW[_]PATHS|CalQ[u]eue' \
+     src bench examples tests scripts; then
+  echo "FAIL: host fast-path toggle or twin found; each path has one" \
+       "implementation" >&2
+  exit 1
+fi
 # Pipeline depth is an interconnect property: at depth 1 every post is the
 # blocking verb, so protocol code posts unconditionally and never reads it.
 if grep -rnE 'config\(\)\.pipeline|pipelined\(\)' src bench examples \
@@ -47,48 +55,36 @@ if grep -rnE 'config\(\)\.pipeline|pipelined\(\)' src bench examples \
   echo "FAIL: pipeline-depth read outside src/net/" >&2
   exit 1
 fi
-echo "  OK: no engine-mode switch; pipeline-depth reads confined to src/net/"
+echo "  OK: no engine-mode switch or fast-path toggle; pipeline-depth reads" \
+     "confined to src/net/"
 
 echo "=== default build ==="
 cmake -B build -S .
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "=== scheduler bit-identity: calendar vs heap, fcontext vs ucontext ==="
-# The scheduler fast paths (calendar run queue, fcontext switches, pooled
-# effect/record objects) must be invisible to the simulation. First pin
-# which backends each mode actually selects, then rerun two bench legs
-# with ARGO_SLOW_PATHS=1 — the seed's heap + ucontext + per-op allocation
-# — and require byte-identical JSON rows modulo the provenance stamp.
-build/bench/microbench_engine --quick \
-  | grep -q "run queue: calendar" \
-  || { echo "FAIL: fast mode did not select the calendar queue"; exit 1; }
-ARGO_SLOW_PATHS=1 build/bench/microbench_engine --quick \
-  | grep -q "context backend: ucontext, run queue: heap" \
-  || { echo "FAIL: ARGO_SLOW_PATHS=1 did not select ucontext + heap"; exit 1; }
-for leg in "fig09_writebuffer --quick" "fig13a_lu --quick --pipeline 16"; do
-  echo "--- $leg (fast vs ARGO_SLOW_PATHS=1)"
-  ARGO_SLOW_PATHS=0 build/bench/$leg --json build/identity_fast.json > /dev/null
-  ARGO_SLOW_PATHS=1 build/bench/$leg --json build/identity_slow.json > /dev/null
-  python3 - <<'EOF'
-import json
-def rows(path):
-    out = []
-    for r in json.load(open(path)):
-        for k in ("commit", "date"):  # provenance may differ, nothing else
-            r.pop(k, None)
-        out.append(r)
-    return out
-fast, slow = rows("build/identity_fast.json"), rows("build/identity_slow.json")
-assert fast == slow, "fast vs ARGO_SLOW_PATHS=1 JSON rows diverged"
-print(f"  OK: {len(fast)} JSON rows bit-identical fast vs slow")
-EOF
+echo "=== golden simulated results (1 and 4 workers) ==="
+# Every --quick row of every bench at pipeline depths 1 and 16 must match
+# bench/golden_quick.json in all simulated fields (virtual times, rates,
+# counters, checksums): host fast paths and worker counts may change
+# wall time only. A change that moves a value on purpose regenerates the
+# file and tabulates the move in EXPERIMENTS.md.
+for workers in 1 4; do
+  echo "--- ARGO_THREADS=$workers"
+  ARGO_THREADS=$workers scripts/golden_suite.sh --build build \
+    --out "build/golden-t$workers"
+  python3 scripts/bench_compare.py --golden bench/golden_quick.json \
+    "build/golden-t$workers"
 done
 
 echo "=== sanitizer build (ASan + UBSan) ==="
 cmake -B build-sanitize -S . -DARGO_SANITIZE=ON
 cmake --build build-sanitize -j "$JOBS"
 ctest --test-dir build-sanitize --output-on-failure -j "$JOBS"
+echo "--- golden simulated results under ASan + UBSan"
+scripts/golden_suite.sh --build build-sanitize --out build-sanitize/golden
+python3 scripts/bench_compare.py --golden bench/golden_quick.json \
+  build-sanitize/golden
 
 echo "=== sanitizer build (TSan, parallel engine) ==="
 # ThreadSanitizer checks the parallel engine's worker pool (fiber switches
@@ -148,12 +144,10 @@ awk '
   }
 ' build/BENCH_smoke.json
 
-echo "=== perf smoke: host fast paths ==="
-# fig13 quick suite + fig09 with the host fast paths on vs ARGO_SLOW_PATHS=1.
-# The two modes are bit-identical in simulated behaviour (the determinism
-# tests pin that); the gate fails unless the fast paths actually pay for
-# themselves in wall clock (fast <= 0.95 * slow).
-scripts/bench_host.sh --gate --out build/BENCH_host.json
+echo "=== perf smoke: host wall clock and peak RSS ==="
+# fig13 quick suite + fig09 wall time and peak RSS per bench, plus the
+# parallel, scale and adaptive sweeps the gates below read.
+scripts/bench_host.sh --out build/BENCH_host.json
 
 echo "=== perf smoke: peak RSS vs the committed BENCH_host.json ==="
 # Peak RSS repeats to within 0.05% run to run, so unlike wall time it is

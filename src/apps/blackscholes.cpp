@@ -9,7 +9,6 @@
 #include "apps/memo.hpp"
 #include "apps/span_util.hpp"
 #include "sim/random.hpp"
-#include "sim/slowpath.hpp"
 
 namespace argoapps {
 
@@ -63,21 +62,18 @@ namespace {
 // transcendental evaluation per option (see apps/memo.hpp). Keys are the
 // concatenated input slices, verified exactly; the hash only routes to
 // candidates. Bounded by total bytes — past the cap new blocks are priced
-// without caching. Disabled by ARGO_SLOW_PATHS.
+// without caching.
 struct PriceBlock {
   std::vector<unsigned char> key;  // s | k | r | v | e doubles + put bytes
   std::vector<double> prices;
 };
 
+}  // namespace
+
 void bs_price_block(const double* s, const double* k, const double* r,
                     const double* v, const double* e,
                     const std::uint8_t* put, std::size_t cnt, double* out) {
   if (cnt == 0) return;
-  if (argosim::slow_paths()) {
-    for (std::size_t j = 0; j < cnt; ++j)
-      out[j] = bs_price(s[j], k[j], r[j], v[j], e[j], put[j] != 0);
-    return;
-  }
   // Shared across the parallel engine's host workers: blocks are never
   // evicted (the byte cap stops inserts), so hits are served under the
   // lock and the transcendental pricing runs outside it. The key scratch
@@ -123,8 +119,6 @@ void bs_price_block(const double* s, const double* k, const double* r,
     memo_bytes += key_bytes + kd;
   }
 }
-
-}  // namespace
 
 BsInput bs_make_input(const BsParams& p) {
   argosim::Rng rng(p.seed);

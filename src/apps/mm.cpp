@@ -4,16 +4,14 @@
 #include <deque>
 #include <mutex>
 
+#include "apps/memo.hpp"
 #include "apps/span_util.hpp"
 #include "sim/random.hpp"
-#include "sim/slowpath.hpp"
 
 namespace argoapps {
 
 using argo::gptr;
 using argo::Thread;
-
-namespace {
 
 /// C[row] = A[row] · B for rows [lo, hi) — ikj order so the inner loop
 /// streams B rows (the real computation all backends share).
@@ -31,6 +29,8 @@ void mm_rows(const double* a, const double* b, double* c, std::size_t n,
   }
 }
 
+namespace {
+
 // Row-level product memo: every backend multiplies the same deterministic
 // A rows by the same B, once per iteration per configuration, so each row
 // product recurs bit-identically across the sweep (see apps/memo.hpp). B
@@ -41,7 +41,7 @@ void mm_rows(const double* a, const double* b, double* c, std::size_t n,
 // its A row and result row, verified with a full memcmp before replay.
 // Random row data rejects mismatches on the first word, so the
 // newest-first scan is effectively O(entries) cheap word compares.
-// Bounded by total bytes; disabled by ARGO_SLOW_PATHS.
+// Bounded by total bytes.
 struct MmRow {
   std::size_t b_id;
   std::vector<double> a, c;
@@ -57,13 +57,10 @@ std::deque<MmRow> mm_cache;
 std::size_t mm_memo_bytes = 0;
 std::mutex mm_memo_mu;
 constexpr std::size_t kMmMaxBytes = 96u << 20;
-constexpr std::size_t kMmNoMemo = static_cast<std::size_t>(-1);
 
-/// Resolve `b` (n x n) to its interned id — one full memcmp against the
-/// few known B operands. Returns kMmNoMemo (compute without caching) under
-/// ARGO_SLOW_PATHS or when the byte budget is exhausted.
+}  // namespace
+
 std::size_t mm_intern_b(const double* b, std::size_t n) {
-  if (argosim::slow_paths()) return kMmNoMemo;
   const std::size_t bn = n * n;
   std::lock_guard<std::mutex> g(mm_memo_mu);
   for (std::size_t i = mm_bmats.size(); i-- > 0;) {
@@ -79,7 +76,7 @@ std::size_t mm_intern_b(const double* b, std::size_t n) {
 
 void mm_rows_memo(const double* a, std::size_t b_id, const double* b,
                   double* c, std::size_t n, std::size_t rows) {
-  if (b_id == kMmNoMemo) {  // slow paths, or memo over budget
+  if (b_id == kMmNoMemo) {  // memo over budget
     mm_rows(a, b, c, n, 0, rows);
     return;
   }
@@ -102,8 +99,6 @@ void mm_rows_memo(const double* a, std::size_t b_id, const double* b,
     mm_memo_bytes += 2 * an * sizeof(double);
   }
 }
-
-}  // namespace
 
 void mm_make_input(const MmParams& p, std::vector<double>& a,
                    std::vector<double>& b) {

@@ -5,16 +5,14 @@
 #include <deque>
 #include <mutex>
 
+#include "apps/memo.hpp"
 #include "apps/span_util.hpp"
 #include "sim/random.hpp"
-#include "sim/slowpath.hpp"
 
 namespace argoapps {
 
 using argo::gptr;
 using argo::Thread;
-
-namespace {
 
 constexpr double kSoftening = 1e-3;
 
@@ -28,7 +26,7 @@ void accumulate_force(const double* x, const double* y, const double* z,
   // compiler can keep the pair in one vector register — packed subtract /
   // multiply / sqrt / divide — without being licensed to reassociate
   // anything. The result is deterministic: it depends only on n, not on
-  // the optimization level or the ARGO_SLOW_PATHS mode.
+  // the optimization level.
   double ax0 = 0, ay0 = 0, az0 = 0;
   double ax1 = 0, ay1 = 0, az1 = 0;
   std::size_t j = 0;
@@ -62,6 +60,8 @@ void accumulate_force(const double* x, const double* y, const double* z,
   fy = ay0 + ay1;
   fz = az0 + az1;
 }
+
+namespace {
 
 /// Lazily-filled per-body force table for one position state (the
 /// concatenated x|y|z|m arrays). Every backend and every configuration of
@@ -116,30 +116,38 @@ ForceTable* force_table(const double* x, const double* y, const double* z,
   return &t;
 }
 
+}  // namespace
+
+void nbody_forces(const double* x, const double* y, const double* z,
+                  const double* m, std::size_t n, std::size_t lo,
+                  std::size_t hi, double* fx, double* fy, double* fz) {
+  ForceTable& tab = *force_table(x, y, z, m, n);
+  for (std::size_t i = lo; i < hi; ++i) {
+    if (!tab.have[i]) {
+      accumulate_force(x, y, z, m, n, i, tab.fx[i], tab.fy[i], tab.fz[i]);
+      tab.have[i] = 1;
+    }
+    fx[i - lo] = tab.fx[i];
+    fy[i - lo] = tab.fy[i];
+    fz[i - lo] = tab.fz[i];
+  }
+}
+
+namespace {
+
 void integrate_slice(const NbodyParams& p, const double* x, const double* y,
                      const double* z, const double* m, std::size_t n,
                      std::size_t lo, std::size_t hi, double* nx, double* ny,
                      double* nz, double* vx, double* vy, double* vz) {
-  ForceTable* tab =
-      argosim::slow_paths() ? nullptr : force_table(x, y, z, m, n);
+  thread_local std::vector<double> f;  // per host worker
+  const std::size_t w = hi - lo;
+  f.resize(3 * w);
+  nbody_forces(x, y, z, m, n, lo, hi, f.data(), f.data() + w,
+               f.data() + 2 * w);
   for (std::size_t i = lo; i < hi; ++i) {
-    double fx, fy, fz;
-    if (tab && tab->have[i]) {
-      fx = tab->fx[i];
-      fy = tab->fy[i];
-      fz = tab->fz[i];
-    } else {
-      accumulate_force(x, y, z, m, n, i, fx, fy, fz);
-      if (tab) {
-        tab->fx[i] = fx;
-        tab->fy[i] = fy;
-        tab->fz[i] = fz;
-        tab->have[i] = 1;
-      }
-    }
-    vx[i - lo] += p.dt * fx;
-    vy[i - lo] += p.dt * fy;
-    vz[i - lo] += p.dt * fz;
+    vx[i - lo] += p.dt * f[i - lo];
+    vy[i - lo] += p.dt * f[w + i - lo];
+    vz[i - lo] += p.dt * f[2 * w + i - lo];
     nx[i - lo] = x[i] + p.dt * vx[i - lo];
     ny[i - lo] = y[i] + p.dt * vy[i - lo];
     nz[i - lo] = z[i] + p.dt * vz[i - lo];

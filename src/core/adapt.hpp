@@ -47,8 +47,9 @@
 namespace argocore {
 
 // ---------------------------------------------------------------------------
-// Reference-mode toggle, same idiom as argosim::slow_paths(): ARGO_NO_ADAPT
-// set (and not "0") disables every adaptive policy regardless of config.
+// Reference-mode toggle, same idiom as ARGO_THREADS (sim/par.hpp):
+// ARGO_NO_ADAPT set (and not "0") disables every adaptive policy
+// regardless of config.
 
 namespace detail {
 inline bool g_no_adapt = [] {

@@ -57,8 +57,8 @@ class NodeCache {
   /// faulting the line in on a miss. The pointer is valid only until the
   /// next protocol operation — callers copy out immediately. When `tlb` is
   /// non-null the resulting translation is cached there for MMU-analogue
-  /// reuse (src/core/tlb.hpp); passing null (the ARGO_SLOW_PATHS seed
-  /// behavior) changes nothing observable. When `st` is non-null and the
+  /// reuse (src/core/tlb.hpp); passing null changes nothing observable.
+  /// When `st` is non-null and the
   /// stride-prefetch policy is active, demand misses feed the thread's
   /// stride table and confirmed strides widen the fill (core/adapt.hpp);
   /// with the policy off the table is never touched.

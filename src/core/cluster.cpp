@@ -139,16 +139,14 @@ void Cluster::register_metrics() {
 
   // Host-side scheduler diagnostics (sim.*): deterministic for a fixed
   // shard partition, but NOT part of the identity contract — one shard and
-  // one per node context-switch different amounts, and the slow-path
-  // oracle takes none of the fast paths these count. Identity suites skip
-  // them (ClusterStats::host_side).
+  // one per node context-switch different amounts, and they count host
+  // work, not simulated work. Identity suites and the golden gate skip them
+  // (ClusterStats::host_side).
   metrics_.add_counter("sim.context_switches",
                        [this] { return eng_.context_switches(); });
   metrics_.add_counter("sim.runq_pushes", [this] { return eng_.runq_pushes(); });
   metrics_.add_counter("sim.runq_pops", [this] { return eng_.runq_pops(); });
   metrics_.add_counter("sim.runq_purged", [this] { return eng_.runq_purged(); });
-  metrics_.add_counter("sim.calendar_resizes",
-                       [this] { return eng_.calendar_resizes(); });
   metrics_.add_counter("sim.fast_forwards",
                        [this] { return eng_.delay_fast_forwards(); });
   metrics_.add_counter("sim.stacks_reused",
@@ -157,7 +155,7 @@ void Cluster::register_metrics() {
                        [this] { return eng_.stacks_mapped(); });
   // Page buffers (line buffers, twins, checkpoints) ever allocated: the
   // pools never free, so this is their high-water mark. Host-side like the
-  // sim.* counters (ARGO_SLOW_PATHS allocates on every acquire).
+  // sim.* counters.
   metrics_.add_counter("carina.page_buffers_allocated", [this] {
     std::uint64_t total = 0;
     for (const auto& c : caches_) total += c->buffer_pool().allocations();
@@ -472,17 +470,15 @@ void Thread::barrier() {
 }
 
 void Thread::load_bytes(GAddr a, std::byte* dst, std::size_t n) {
-  argocore::SoftTlb* tlb = tlb_ptr();
   while (n > 0) {
     const std::size_t in_page = kPageSize - argomem::page_offset(a);
     const std::size_t chunk = n < in_page ? n : in_page;
-    const std::byte* src = tlb ? tlb->lookup_read(argomem::page_of(a),
-                                                  cache_->tlb_generation())
-                               : nullptr;
+    const std::byte* src =
+        tlb_.lookup_read(argomem::page_of(a), cache_->tlb_generation());
     if (src)
       src += argomem::page_offset(a);
     else
-      src = cache_->read_ptr(a, chunk, tlb, &stride_);
+      src = cache_->read_ptr(a, chunk, &tlb_, &stride_);
     std::memcpy(dst, src, chunk);
     a += chunk;
     dst += chunk;
@@ -491,17 +487,15 @@ void Thread::load_bytes(GAddr a, std::byte* dst, std::size_t n) {
 }
 
 void Thread::store_bytes(GAddr a, const std::byte* src, std::size_t n) {
-  argocore::SoftTlb* tlb = tlb_ptr();
   while (n > 0) {
     const std::size_t in_page = kPageSize - argomem::page_offset(a);
     const std::size_t chunk = n < in_page ? n : in_page;
-    std::byte* dst = tlb ? tlb->lookup_write(argomem::page_of(a),
-                                             cache_->tlb_generation())
-                         : nullptr;
+    std::byte* dst =
+        tlb_.lookup_write(argomem::page_of(a), cache_->tlb_generation());
     if (dst)
       dst += argomem::page_offset(a);
     else
-      dst = cache_->write_ptr(a, chunk, tlb, &stride_);
+      dst = cache_->write_ptr(a, chunk, &tlb_, &stride_);
     std::memcpy(dst, src, chunk);
     a += chunk;
     src += chunk;

@@ -31,7 +31,6 @@
 #include "core/config.hpp"
 #include "core/stats.hpp"
 #include "core/tlb.hpp"
-#include "sim/slowpath.hpp"
 #include "dir/pyxis.hpp"
 #include "mem/gaddr.hpp"
 #include "mem/global_memory.hpp"
@@ -86,8 +85,8 @@ struct ClusterStats {
   /// True for host-side diagnostics outside the identity contract: the
   /// sim.* scheduler counters and carina.page_buffers_allocated. They are
   /// deterministic for one engine configuration but differ between shard
-  /// partitions and between fast and slow paths; identity checks compare
-  /// every other counter.
+  /// partitions, and they count host work, not simulated work; identity
+  /// checks compare every other counter.
   static bool host_side(const std::string& name);
 };
 
@@ -116,17 +115,14 @@ class Thread {
     if (off + sizeof(T) <= kPageSize) {
       // MMU analogue: a soft-TLB hit is a bounds check + pointer add — the
       // cost model of a protection-mapped page the hardware translates.
-      // Misses (and ARGO_SLOW_PATHS=1, where tlb_ptr() is null) take the
-      // full protocol walk, which refills the TLB. See src/core/tlb.hpp.
-      argocore::SoftTlb* tlb = tlb_ptr();
-      if (tlb) {
-        if (const std::byte* base = tlb->lookup_read(
-                argomem::page_of(a), cache_->tlb_generation())) {
-          std::memcpy(&v, base + off, sizeof(T));
-          return v;
-        }
+      // Misses take the full protocol walk, which refills the TLB. See
+      // src/core/tlb.hpp.
+      if (const std::byte* base = tlb_.lookup_read(
+              argomem::page_of(a), cache_->tlb_generation())) {
+        std::memcpy(&v, base + off, sizeof(T));
+        return v;
       }
-      std::memcpy(&v, cache_->read_ptr(a, sizeof(T), tlb, &stride_),
+      std::memcpy(&v, cache_->read_ptr(a, sizeof(T), &tlb_, &stride_),
                   sizeof(T));
     } else {
       load_bytes(a, reinterpret_cast<std::byte*>(&v), sizeof(T));
@@ -140,15 +136,12 @@ class Thread {
     const GAddr a = p.raw();
     const std::size_t off = argomem::page_offset(a);
     if (off + sizeof(T) <= kPageSize) {
-      argocore::SoftTlb* tlb = tlb_ptr();
-      if (tlb) {
-        if (std::byte* base = tlb->lookup_write(argomem::page_of(a),
-                                                cache_->tlb_generation())) {
-          std::memcpy(base + off, &v, sizeof(T));
-          return;
-        }
+      if (std::byte* base = tlb_.lookup_write(argomem::page_of(a),
+                                              cache_->tlb_generation())) {
+        std::memcpy(base + off, &v, sizeof(T));
+        return;
       }
-      std::memcpy(cache_->write_ptr(a, sizeof(T), tlb, &stride_), &v,
+      std::memcpy(cache_->write_ptr(a, sizeof(T), &tlb_, &stride_), &v,
                   sizeof(T));
     } else {
       store_bytes(a, reinterpret_cast<const std::byte*>(&v), sizeof(T));
@@ -198,13 +191,10 @@ class Thread {
     const std::size_t count =
         std::min(max_count, (kPageSize - off) / sizeof(T));
     if (count == 0) return {};
-    argocore::SoftTlb* tlb = tlb_ptr();
-    if (tlb) {
-      if (const std::byte* base = tlb->lookup_read(
-              argomem::page_of(a), cache_->tlb_generation()))
-        return {reinterpret_cast<const T*>(base + off), count};
-    }
-    const std::byte* ptr = cache_->read_ptr(a, count * sizeof(T), tlb,
+    if (const std::byte* base = tlb_.lookup_read(argomem::page_of(a),
+                                                 cache_->tlb_generation()))
+      return {reinterpret_cast<const T*>(base + off), count};
+    const std::byte* ptr = cache_->read_ptr(a, count * sizeof(T), &tlb_,
                                             &stride_);
     return {reinterpret_cast<const T*>(ptr), count};
   }
@@ -222,13 +212,10 @@ class Thread {
     const std::size_t count =
         std::min(max_count, (kPageSize - off) / sizeof(T));
     if (count == 0) return {};
-    argocore::SoftTlb* tlb = tlb_ptr();
-    if (tlb) {
-      if (std::byte* base = tlb->lookup_write(argomem::page_of(a),
-                                              cache_->tlb_generation()))
-        return {reinterpret_cast<T*>(base + off), count};
-    }
-    std::byte* ptr = cache_->write_ptr(a, count * sizeof(T), tlb, &stride_);
+    if (std::byte* base = tlb_.lookup_write(argomem::page_of(a),
+                                            cache_->tlb_generation()))
+      return {reinterpret_cast<T*>(base + off), count};
+    std::byte* ptr = cache_->write_ptr(a, count * sizeof(T), &tlb_, &stride_);
     return {reinterpret_cast<T*>(ptr), count};
   }
 
@@ -277,13 +264,6 @@ class Thread {
   Thread& operator=(const Thread&) = delete;
   ~Thread() { cache_->note_tlb_hits(tlb_.host_hits); }
 
-  /// The single fast-path gate: null under ARGO_SLOW_PATHS=1, which makes
-  /// every access byte-identical to the seed implementation (no lookups,
-  /// no fills — read_ptr/write_ptr see a null TLB).
-  argocore::SoftTlb* tlb_ptr() {
-    return argosim::slow_paths() ? nullptr : &tlb_;
-  }
-
   void load_bytes(GAddr a, std::byte* dst, std::size_t n);
   void store_bytes(GAddr a, const std::byte* src, std::size_t n);
 
@@ -295,9 +275,8 @@ class Thread {
   argocore::SoftTlb tlb_;
   // Per-thread stride table over this thread's page-miss history
   // (core/adapt.hpp). Always passed down; NodeCache only consults it when
-  // the stride-prefetch policy is active. NOT gated on ARGO_SLOW_PATHS:
-  // prefetching changes virtual time, so fast and slow host paths must
-  // make identical prefetch decisions.
+  // the stride-prefetch policy is active. Unlike the TLB it is simulated
+  // state: prefetching changes virtual time.
   argocore::StrideTable stride_;
 };
 

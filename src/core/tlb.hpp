@@ -15,8 +15,9 @@
 // path would have returned — nothing else. Hits charge no virtual time
 // (slow-path hits charge none either), emit no trace events (hits never
 // did), and leave the protocol state untouched, so the fast path is
-// observationally invisible. ARGO_SLOW_PATHS=1 bypasses the TLB entirely
-// (sim/slowpath.hpp).
+// observationally invisible: the recorded-result suites in
+// tests/test_hostperf.cpp and the golden gate (bench/golden_quick.json)
+// pin traces, statistics and virtual times to the seed's TLB-less walk.
 //
 // Invalidation is generation-based. Every NodeCache keeps one monotonic
 // generation counter; TLB entries are stamped with it at insertion and

@@ -8,14 +8,13 @@
 // for each. BufferPool keeps released buffers on per-size free lists so
 // steady-state protocol traffic recycles the same blocks with no allocator
 // round trips and no redundant zeroing (every consumer fully overwrites the
-// buffer before reading it). Outside ARGO_SLOW_PATHS, allocations() is
-// therefore the high-water mark of buffers in use (per size class,
-// summed).
+// buffer before reading it). allocations() is therefore the high-water
+// mark of buffers in use (per size class, summed).
 //
 // Pooling is a *host*-side optimization only: it charges no virtual time
 // and hands back deterministic buffer contents, so simulated behaviour is
-// bit-identical with pooling on or off. ARGO_SLOW_PATHS (sim/slowpath.hpp)
-// restores the allocate/free-per-use behaviour for A/B comparison.
+// what the seed's allocate/free-per-use produced (the golden gate and the
+// recorded-result tests pin that).
 //
 // Single-threaded by design (the cooperative simulator runs one fiber at a
 // time); acquire/release never yield, so fibers cannot interleave inside
@@ -29,7 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/slowpath.hpp"
 
 namespace argomem {
 
@@ -64,8 +62,7 @@ class PageBuf {
   std::byte* get() const { return buf_.get(); }
   std::size_t size() const { return size_; }
 
-  /// Return the buffer to the pool (or free it under ARGO_SLOW_PATHS /
-  /// after the pool is gone). The handle becomes empty.
+  /// Return the buffer to the pool's free list. The handle becomes empty.
   inline void reset();
 
  private:
@@ -92,18 +89,15 @@ class BufferPool {
 
   /// Hand out a buffer of exactly `size` bytes: recycled from the free
   /// list when available, freshly allocated (zeroed, matching the seed's
-  /// make_unique behaviour) otherwise. Under ARGO_SLOW_PATHS every call
-  /// allocates fresh.
+  /// make_unique behaviour) otherwise.
   PageBuf acquire(std::size_t size) {
     assert(size > 0);
-    if (!argosim::slow_paths()) {
-      auto& free = class_of(size).free;
-      if (!free.empty()) {
-        std::unique_ptr<std::byte[]> buf = std::move(free.back());
-        free.pop_back();
-        ++reuses_;
-        return PageBuf(this, size, std::move(buf));
-      }
+    auto& free = class_of(size).free;
+    if (!free.empty()) {
+      std::unique_ptr<std::byte[]> buf = std::move(free.back());
+      free.pop_back();
+      ++reuses_;
+      return PageBuf(this, size, std::move(buf));
     }
     ++allocations_;
     return PageBuf(this, size, std::make_unique<std::byte[]>(size));
@@ -137,7 +131,6 @@ class BufferPool {
   }
 
   void release(std::size_t size, std::unique_ptr<std::byte[]> buf) {
-    if (argosim::slow_paths()) return;  // buf frees on scope exit
     class_of(size).free.push_back(std::move(buf));
   }
 

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <string>
 
-#include "sim/slowpath.hpp"
 
 namespace argonet {
 
@@ -245,20 +244,18 @@ Interconnect::Payload Interconnect::snapshot(std::span<const GatherRun> in) {
 template <class T>
 std::shared_ptr<T> Interconnect::acquire(
     std::vector<std::shared_ptr<T>>& pool) {
-  if (!argosim::slow_paths()) {
-    // First slot nobody but the pool references: the lowest free slots are
-    // reused over and over, so the few in use stay cache-hot.
-    for (auto& slot : pool) {
-      if (slot.use_count() == 1) {
-        slot->reset();
-        rec_pool_hits_.fetch_add(1, std::memory_order_relaxed);
-        return slot;
-      }
+  // First slot nobody but the pool references: the lowest free slots are
+  // reused over and over, so the few in use stay cache-hot.
+  for (auto& slot : pool) {
+    if (slot.use_count() == 1) {
+      slot->reset();
+      rec_pool_hits_.fetch_add(1, std::memory_order_relaxed);
+      return slot;
     }
   }
   rec_pool_misses_.fetch_add(1, std::memory_order_relaxed);
   auto fresh = std::make_shared<T>();
-  if (!argosim::slow_paths() && pool.size() < kPoolCap) pool.push_back(fresh);
+  if (pool.size() < kPoolCap) pool.push_back(fresh);
   return fresh;
 }
 

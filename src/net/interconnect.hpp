@@ -339,8 +339,7 @@ class Interconnect {
   void reset_stats();
 
   /// Posted ops' completion-record pool reuses vs fresh allocations across
-  /// all nodes (host-side diagnostics; zero under ARGO_SLOW_PATHS
-  /// hits, every acquisition a miss).
+  /// all nodes (host-side diagnostics).
   std::uint64_t record_pool_hits() const {
     return rec_pool_hits_.load(std::memory_order_relaxed);
   }
@@ -412,8 +411,7 @@ class Interconnect {
     // Posted ops' completion-record freelist (single-writer: every op on
     // this box runs on its node's shard). A slot whose use_count() has
     // fallen back to 1 is referenced by nobody but the pool and can be
-    // reset and handed out again; disabled under ARGO_SLOW_PATHS so the
-    // oracle keeps the seed's allocation pattern.
+    // reset and handed out again.
     std::vector<std::shared_ptr<argosim::SimRecord>> rec_pool;
   };
 
@@ -494,7 +492,7 @@ class Interconnect {
 
   /// Pooled completion record for a node's next posted op: reuses a free
   /// slot when one exists, else allocates (and grows the pool up to its
-  /// cap). Fresh allocations under ARGO_SLOW_PATHS.
+  /// cap).
   template <class T>
   std::shared_ptr<T> acquire(std::vector<std::shared_ptr<T>>& pool);
 

@@ -4,8 +4,6 @@
 #include <ucontext.h>
 #include <unistd.h>
 
-#include "sim/slowpath.hpp"
-
 #include <algorithm>
 #include <cassert>
 #include <exception>
@@ -50,9 +48,7 @@
 // The hand-rolled assembly switch (sim/fcontext.S) is the fast path on
 // supported architectures. Sanitizer builds keep ucontext: ASan and TSan
 // track fiber stacks through the annotations bracketing swapcontext, and
-// neither understands a stack pointer that moves without them. At runtime
-// ARGO_SLOW_PATHS=1 also pins new fibers to ucontext (the seed reference),
-// which is how the bit-identity suite gets a syscall-path oracle.
+// neither understands a stack pointer that moves without them.
 #if defined(ARGO_FCONTEXT_SUPPORTED) && !defined(ARGO_ASAN_FIBERS) && \
     !defined(ARGO_TSAN_FIBERS)
 #define ARGO_USE_FCONTEXT 1
@@ -65,22 +61,19 @@ namespace {
 thread_local Engine* g_engine = nullptr;
 thread_local SimThread* g_thread = nullptr;
 
+constexpr std::uint32_t kNoShard = 0xffffffffu;
+thread_local std::uint32_t g_shard_idx = kNoShard;
+
 // The context the scheduler loop runs in. Each host worker owns its own
 // scheduler context, so a thread_local slot is sufficient — and static
 // shard-to-worker pinning guarantees a fiber only ever swaps with the one
 // scheduler context it started against.
-thread_local ucontext_t g_sched_ctx;
-
-constexpr std::uint32_t kNoShard = 0xffffffffu;
-thread_local std::uint32_t g_shard_idx = kNoShard;
-
 #if defined(ARGO_USE_FCONTEXT)
-// The suspended scheduler context while an fcontext fiber runs. Handles
-// are one-shot (every jump re-captures the jumper), so both sides refresh
-// this slot on each switch. One slot per host worker suffices for the same
-// reason as g_sched_ctx: exactly one fiber runs per worker, and shard
-// pinning keeps a fiber on the worker it started on.
+// fcontext handles are one-shot (every jump re-captures the jumper), so
+// both sides refresh this slot on each switch.
 thread_local fctx_t g_sched_fctx = nullptr;
+#else
+thread_local ucontext_t g_sched_ctx;
 #endif
 
 inline void cpu_pause() {
@@ -93,6 +86,7 @@ inline void cpu_pause() {
 #endif
 }
 
+#if !defined(ARGO_USE_FCONTEXT)
 // makecontext() only passes ints; smuggle the SimThread* through two halves.
 void pack_ptr(SimThread* t, unsigned& hi, unsigned& lo) {
   auto p = reinterpret_cast<std::uintptr_t>(t);
@@ -104,6 +98,7 @@ SimThread* unpack_ptr(unsigned hi, unsigned lo) {
   auto p = (static_cast<std::uintptr_t>(hi) << 32) | lo;
   return reinterpret_cast<SimThread*>(p);
 }
+#endif
 
 #if defined(ARGO_ASAN_FIBERS)
 // Bounds of the scheduler's (OS thread's) stack, learned from ASan the
@@ -164,15 +159,13 @@ void FiberStack::unmap() {
 }
 
 struct SimThread::Impl {
+#if defined(ARGO_USE_FCONTEXT)
+  void* fctx = nullptr;  // the fiber's suspended context
+#else
   ucontext_t ctx{};
+#endif
   FiberStack stack;
   bool started = false;
-  // fcontext backend (engine fast path): the fiber's suspended context.
-  // The backend is fixed at first start — a fiber begun on one switch
-  // mechanism must keep using it for life, so flipping ARGO_SLOW_PATHS
-  // mid-run only affects fibers started afterwards.
-  void* fctx = nullptr;
-  bool use_fctx = false;
   std::exception_ptr error;
 #if defined(ARGO_TSAN_FIBERS)
   void* tsan_fiber = nullptr;
@@ -287,8 +280,7 @@ SimThread* Engine::spawn_on(std::uint32_t unit, std::string name,
   // one per spawn. Only default-size stacks are pooled (odd sizes are rare
   // enough not to matter). ASan builds always allocate fresh: its shadow
   // poisoning from a dead fiber's frames may outlive the fiber.
-  if (!slow_paths() && stack_size == default_stack_size &&
-      !s.stack_pool.empty()) {
+  if (stack_size == default_stack_size && !s.stack_pool.empty()) {
     stack = std::move(s.stack_pool.back());
     s.stack_pool.pop_back();
     ++stacks_reused_;
@@ -312,8 +304,7 @@ SimThread* Engine::spawn_on(std::uint32_t unit, std::string name,
   return raw;
 }
 
-void Engine::push_entry(EventQueue<QueueEntry>& q, std::size_t& dead,
-                        QueueEntry e) {
+void Engine::push_entry(RunQueue& q, std::size_t& dead, QueueEntry e) {
   // A fiber has at most one live entry: pushing a new one stales any
   // previous entry (its token no longer matches).
   if (e.thread->queued_) ++dead;
@@ -322,11 +313,17 @@ void Engine::push_entry(EventQueue<QueueEntry>& q, std::size_t& dead,
   if (dead > q.size() / 2 && q.size() > 64) compact(q, dead);
 }
 
-void Engine::compact(EventQueue<QueueEntry>& q, std::size_t& dead) {
-  const std::size_t removed = q.compact([](const QueueEntry& e) {
-    return e.thread->finished_ || e.token != e.thread->wake_token_;
-  });
-  runq_purged_.fetch_add(removed, std::memory_order_relaxed);
+void Engine::compact(RunQueue& q, std::size_t& dead) {
+  auto& c = q.entries();
+  const std::size_t before = c.size();
+  c.erase(std::remove_if(c.begin(), c.end(),
+                         [](const QueueEntry& e) {
+                           return e.thread->finished_ ||
+                                  e.token != e.thread->wake_token_;
+                         }),
+          c.end());
+  std::make_heap(c.begin(), c.end(), std::greater<>{});
+  runq_purged_.fetch_add(before - c.size(), std::memory_order_relaxed);
   dead = 0;
 }
 
@@ -346,6 +343,26 @@ void Engine::make_runnable(SimThread* t, Time when) {
              QueueEntry{when, s.next_seq++, t, ++t->wake_token_});
 }
 
+#if defined(ARGO_USE_FCONTEXT)
+// The first jump into a made context lands here with the suspending
+// scheduler as `from`. Exits by jumping to the scheduler for good — never
+// returns.
+void Engine::fiber_main_fctx(void* from, void* data) {
+  g_sched_fctx = from;
+  SimThread* t = static_cast<SimThread*>(data);
+  try {
+    if (t->stop_requested_) throw SimStopped{};
+    t->body_();
+  } catch (const SimStopped&) {
+    // clean shutdown of a parked fiber
+  } catch (...) {
+    t->impl_->error = std::current_exception();
+  }
+  t->finished_ = true;
+  t->body_ = nullptr;
+  argo_fctx_jump(g_sched_fctx, nullptr);
+}
+#else
 void Engine::fiber_main(unsigned hi, unsigned lo) {
   SimThread* t = unpack_ptr(hi, lo);
 #if defined(ARGO_ASAN_FIBERS)
@@ -373,34 +390,11 @@ void Engine::fiber_main(unsigned hi, unsigned lo) {
 #endif
   swapcontext(&t->impl_->ctx, &g_sched_ctx);
 }
-
-// fcontext flavor of fiber_main: the first jump into a made context lands
-// here with the suspending scheduler as `from`. Exits by jumping to the
-// scheduler for good — never returns.
-void Engine::fiber_main_fctx(void* from, void* data) {
-#if defined(ARGO_USE_FCONTEXT)
-  g_sched_fctx = from;
-  SimThread* t = static_cast<SimThread*>(data);
-  try {
-    if (t->stop_requested_) throw SimStopped{};
-    t->body_();
-  } catch (const SimStopped&) {
-    // clean shutdown of a parked fiber
-  } catch (...) {
-    t->impl_->error = std::current_exception();
-  }
-  t->finished_ = true;
-  t->body_ = nullptr;
-  argo_fctx_jump(g_sched_fctx, nullptr);
-#else
-  (void)from;
-  (void)data;
 #endif
-}
 
 const char* Engine::context_backend() {
 #if defined(ARGO_USE_FCONTEXT)
-  return slow_paths() ? "ucontext" : "fcontext";
+  return "fcontext";
 #else
   return "ucontext";
 #endif
@@ -416,24 +410,19 @@ void Engine::switch_to(SimThread* t) {
   if (!t->impl_->started) {
     t->impl_->started = true;
 #if defined(ARGO_USE_FCONTEXT)
-    if (!slow_paths()) {
-      t->impl_->use_fctx = true;
-      t->impl_->fctx =
-          argo_fctx_make(t->impl_->stack.base(), t->impl_->stack.size(),
-                         &Engine::fiber_main_fctx);
-    }
+    t->impl_->fctx =
+        argo_fctx_make(t->impl_->stack.base(), t->impl_->stack.size(),
+                       &Engine::fiber_main_fctx);
+#else
+    getcontext(&t->impl_->ctx);
+    t->impl_->ctx.uc_stack.ss_sp = t->impl_->stack.base();
+    t->impl_->ctx.uc_stack.ss_size = t->impl_->stack.size();
+    t->impl_->ctx.uc_link = &g_sched_ctx;
+    unsigned hi, lo;
+    pack_ptr(t, hi, lo);
+    makecontext(&t->impl_->ctx,
+                reinterpret_cast<void (*)()>(&Engine::fiber_main), 2, hi, lo);
 #endif
-    if (!t->impl_->use_fctx) {
-      getcontext(&t->impl_->ctx);
-      t->impl_->ctx.uc_stack.ss_sp = t->impl_->stack.base();
-      t->impl_->ctx.uc_stack.ss_size = t->impl_->stack.size();
-      t->impl_->ctx.uc_link = &g_sched_ctx;
-      unsigned hi, lo;
-      pack_ptr(t, hi, lo);
-      makecontext(&t->impl_->ctx,
-                  reinterpret_cast<void (*)()>(&Engine::fiber_main), 2, hi,
-                  lo);
-    }
   }
 #if defined(ARGO_ASAN_FIBERS)
   void* fake_stack = nullptr;
@@ -447,14 +436,12 @@ void Engine::switch_to(SimThread* t) {
   __tsan_switch_to_fiber(t->impl_->tsan_fiber, 0);
 #endif
 #if defined(ARGO_USE_FCONTEXT)
-  if (t->impl_->use_fctx) {
-    // The jump returns once the fiber suspends (yield or exit); its handle
-    // was re-captured by that suspending jump.
-    FctxTransfer tr = argo_fctx_jump(t->impl_->fctx, t);
-    t->impl_->fctx = tr.fctx;
-  } else
+  // The jump returns once the fiber suspends (yield or exit); its handle
+  // was re-captured by that suspending jump.
+  t->impl_->fctx = argo_fctx_jump(t->impl_->fctx, t).fctx;
+#else
+  swapcontext(&g_sched_ctx, &t->impl_->ctx);
 #endif
-    swapcontext(&g_sched_ctx, &t->impl_->ctx);
 #if defined(ARGO_ASAN_FIBERS)
   __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
 #endif
@@ -474,7 +461,7 @@ void Engine::reap_finished_one(SimThread* t) {
   // The fiber has swapped back to the scheduler for good — its stack is
   // dead and can serve the next spawn on this shard. Only this shard's
   // worker touches its pool during a window.
-  if (!slow_paths() && t->impl_->stack.size() == default_stack_size)
+  if (t->impl_->stack.size() == default_stack_size)
     s.stack_pool.push_back(std::move(t->impl_->stack));
 #endif
   if (!t->daemon_) {
@@ -503,14 +490,12 @@ void Engine::switch_to_scheduler() {
   __tsan_switch_to_fiber(g_tsan_sched_fiber, 0);
 #endif
 #if defined(ARGO_USE_FCONTEXT)
-  if (self->impl_->use_fctx) {
-    // On resumption the scheduler has just suspended into us again;
-    // refresh its handle for the next yield.
-    FctxTransfer tr = argo_fctx_jump(g_sched_fctx, nullptr);
-    g_sched_fctx = tr.fctx;
-  } else
+  // On resumption the scheduler has just suspended into us again; refresh
+  // its handle for the next yield.
+  g_sched_fctx = argo_fctx_jump(g_sched_fctx, nullptr).fctx;
+#else
+  swapcontext(&self->impl_->ctx, &g_sched_ctx);
 #endif
-    swapcontext(&self->impl_->ctx, &g_sched_ctx);
 #if defined(ARGO_ASAN_FIBERS)
   __sanitizer_finish_switch_fiber(fake_stack, &g_sched_stack_bottom,
                                   &g_sched_stack_size);
@@ -528,9 +513,7 @@ void Engine::delay(Time ns) {
   // reorder anything.
   const std::uint64_t seq = s.next_seq++;
   // A stopping fiber must reach switch_to_scheduler to unwind (SimStopped).
-  if (!slow_paths() && !self->stop_requested_ &&
-      fast_forward(s, when, seq))
-    return;
+  if (!self->stop_requested_ && fast_forward(s, when, seq)) return;
   ++s.pushes;
   push_entry(s.runq, s.dead, QueueEntry{when, seq, self, ++self->wake_token_});
   switch_to_scheduler();

@@ -47,7 +47,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/calqueue.hpp"
 #include "sim/smallfn.hpp"
 #include "sim/time.hpp"
 
@@ -250,14 +249,12 @@ class Engine {
   /// Other runnable fibers execute in the meantime. When no other fiber is
   /// due strictly before the new wake time, the clock is advanced in place
   /// (same-fiber fast-forward) instead of round-tripping through the
-  /// scheduler — observationally identical, but skips two swapcontext
-  /// calls (each carrying a sigprocmask syscall). Disabled by
-  /// ARGO_SLOW_PATHS (sim/slowpath.hpp), and bounded by the current
-  /// lookahead window.
+  /// scheduler — observationally identical, but skips two context
+  /// switches. Bounded by the current lookahead window.
   void delay(Time ns);
 
   /// Host-path diagnostics: delays absorbed by the same-fiber fast-forward
-  /// and fiber stacks recycled from the pool (both 0 under ARGO_SLOW_PATHS).
+  /// and fiber stacks recycled from the pool.
   std::uint64_t delay_fast_forwards() const {
     return sum(&Shard::fast_forwards);
   }
@@ -276,17 +273,9 @@ class Engine {
   /// stale pops excluded.
   std::uint64_t runq_pushes() const { return sum(&Shard::pushes); }
   std::uint64_t runq_pops() const { return sum(&Shard::pops); }
-  /// Calendar-queue bucket-array rebuilds, summed over every run queue
-  /// (0 on the heap reference path).
-  std::uint64_t calendar_resizes() const {
-    std::uint64_t n = 0;
-    for (const auto& s : shards_) n += s->runq.resizes();
-    return n;
-  }
-  /// Fiber-switch backend the engine would use for the next fiber started:
-  /// "fcontext" (hand-rolled assembly switch, sim/fcontext.S) on supported
-  /// architectures under the fast paths, "ucontext" under sanitizers,
-  /// ARGO_SLOW_PATHS, or unsupported architectures.
+  /// Fiber-switch backend, fixed at build time: "fcontext" (hand-rolled
+  /// assembly switch, sim/fcontext.S) on supported architectures,
+  /// "ucontext" under sanitizers or on other architectures.
   static const char* context_backend();
 
   /// Reschedule the calling fiber at the current time, after every other
@@ -346,6 +335,14 @@ class Engine {
     }
   };
 
+  // A shard's run queue: a binary min-heap on (when, seq) that exposes its
+  // container, so compaction can drop stale entries in place.
+  struct RunQueue
+      : std::priority_queue<QueueEntry, std::vector<QueueEntry>,
+                            std::greater<>> {
+    std::vector<QueueEntry>& entries() { return c; }
+  };
+
   // An effect's place in its shard's queue: the (when, klass, a, b) key
   // plus the slot its body waits in. The heap moves only these keys.
   struct EffectKey {
@@ -386,11 +383,10 @@ class Engine {
     std::uint64_t fast_forwards = 0;
     std::uint64_t pushes = 0;
     std::uint64_t pops = 0;
-    EventQueue<QueueEntry> runq;
+    RunQueue runq;
     // A shard holds few effects at a time (about one per verb in flight
-    // toward it), so a binary heap of keys beats the calendar: one
-    // contiguous array of small entries. Each body stays in its slot from
-    // post until it runs.
+    // toward it): a binary heap of small keys, one contiguous array. Each
+    // body stays in its slot from post until it runs.
     std::priority_queue<EffectKey, std::vector<EffectKey>, std::greater<>>
         effq;
     std::vector<EffectFn> bodies;
@@ -402,7 +398,7 @@ class Engine {
     std::vector<std::pair<std::uint32_t, Effect>> outbox;
     // Default-size stacks of this shard's finished fibers, handed to the
     // next spawn on the shard. Off under ASan (fake-stack bookkeeping
-    // assumes fresh stacks) and ARGO_SLOW_PATHS.
+    // assumes fresh stacks).
     std::vector<FiberStack> stack_pool;
     alignas(64) char pad_[64] = {};
   };
@@ -410,8 +406,8 @@ class Engine {
   static void fiber_main(unsigned hi, unsigned lo);
   static void fiber_main_fctx(void* from, void* data);
   void make_runnable(SimThread* t, Time when);
-  void push_entry(EventQueue<QueueEntry>& q, std::size_t& dead, QueueEntry e);
-  void compact(EventQueue<QueueEntry>& q, std::size_t& dead);
+  void push_entry(RunQueue& q, std::size_t& dead, QueueEntry e);
+  void compact(RunQueue& q, std::size_t& dead);
   void switch_to(SimThread* t);
   void switch_to_scheduler();  // called from inside a fiber
   void reap_finished_one(SimThread* t);

@@ -14,9 +14,8 @@
 // suspended by the jump — contexts are relinked on every switch, which is
 // what lets one scheduler slot serve every fiber on a host thread.
 //
-// The engine only uses these under the host fast paths: sanitizer builds
-// (ARGO_SANITIZE / ARGO_TSAN) and ARGO_SLOW_PATHS=1 keep the ucontext
-// reference implementation, whose switches ASan/TSan know how to annotate
+// The backend is chosen at build time: sanitizer builds (ARGO_SANITIZE /
+// ARGO_TSAN) keep ucontext, whose switches ASan/TSan know how to annotate
 // (see engine.cpp). Unsupported architectures compile the engine without
 // this header's symbols and always take ucontext.
 #pragma once

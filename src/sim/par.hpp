@@ -1,5 +1,4 @@
-// ARGO_THREADS: the process-wide host worker count, mirroring
-// ARGO_SLOW_PATHS (sim/slowpath.hpp).
+// ARGO_THREADS: the process-wide host worker count.
 //
 // The engine (sim/engine.hpp) advances its event shards under conservative
 // lookahead windows; argo::Cluster gives every node its own shard. N host

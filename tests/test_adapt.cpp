@@ -23,7 +23,6 @@
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "sim/par.hpp"
-#include "sim/slowpath.hpp"
 
 namespace {
 

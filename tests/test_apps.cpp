@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "apps/blackscholes.hpp"
 #include "apps/cg.hpp"
 #include "apps/ep.hpp"
 #include "apps/lu.hpp"
+#include "apps/memo.hpp"
 #include "apps/mm.hpp"
 #include "apps/nbody.hpp"
 #include "apps/pqueue.hpp"
@@ -413,6 +416,122 @@ TEST(PqBench, DsmHarnessRunsBothLocks) {
     const auto r = pq_bench_dsm(cl, kind, p);
     EXPECT_GT(r.ops, 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Host memos (apps/memo.hpp): a repeated call replays exactly the doubles
+// the un-memoized kernel computes, and an input differing in one element
+// misses the memo and gets the recomputed value.
+// ---------------------------------------------------------------------------
+
+std::vector<double> random_doubles(std::size_t n, std::uint64_t seed,
+                                   double lo, double hi) {
+  argosim::Rng rng(seed);
+  std::vector<double> v(n);
+  for (auto& x : v) x = rng.next_double(lo, hi);
+  return v;
+}
+
+TEST(Memo, MmRowProductsMatchTheKernel) {
+  constexpr std::size_t n = 24, rows = 3;
+  const auto a = random_doubles(rows * n, 101, -1, 1);
+  const auto b = random_doubles(n * n, 102, -1, 1);
+  auto kernel = [&](const std::vector<double>& av,
+                    const std::vector<double>& bv) {
+    std::vector<double> c(rows * n);
+    mm_rows(av.data(), bv.data(), c.data(), n, 0, rows);
+    return c;
+  };
+  auto memo = [&](const std::vector<double>& av,
+                  const std::vector<double>& bv) {
+    const std::size_t b_id = mm_intern_b(bv.data(), n);
+    EXPECT_NE(b_id, kMmNoMemo);
+    std::vector<double> c(rows * n, -1.0);
+    mm_rows_memo(av.data(), b_id, bv.data(), c.data(), n, rows);
+    return c;
+  };
+  const auto want = kernel(a, b);
+  EXPECT_EQ(memo(a, b), want);  // first call fills the memo
+  EXPECT_EQ(memo(a, b), want);  // the repeat replays it
+
+  auto a2 = a;
+  a2[n + 5] += 0.5;
+  const auto want_a2 = kernel(a2, b);
+  ASSERT_NE(want_a2, want);
+  EXPECT_EQ(memo(a2, b), want_a2);
+
+  auto b2 = b;
+  b2[7 * n + 3] += 0.5;
+  const auto want_b2 = kernel(a, b2);
+  ASSERT_NE(want_b2, want);
+  EXPECT_EQ(memo(a, b2), want_b2);
+}
+
+TEST(Memo, NbodyForceTableMatchesTheKernel) {
+  constexpr std::size_t n = 33;
+  const auto y = random_doubles(n, 202, -1, 1);
+  const auto z = random_doubles(n, 203, -1, 1);
+  const auto m = random_doubles(n, 204, 0.5, 1.5);
+  // Forces of bodies [lo, hi) as fx | fy | fz.
+  auto kernel = [&](const std::vector<double>& x, std::size_t lo,
+                    std::size_t hi) {
+    const std::size_t w = hi - lo;
+    std::vector<double> f(3 * w);
+    for (std::size_t i = lo; i < hi; ++i)
+      accumulate_force(x.data(), y.data(), z.data(), m.data(), n, i,
+                       f[i - lo], f[w + i - lo], f[2 * w + i - lo]);
+    return f;
+  };
+  auto memo = [&](const std::vector<double>& x, std::size_t lo,
+                  std::size_t hi) {
+    const std::size_t w = hi - lo;
+    std::vector<double> f(3 * w, -1.0);
+    nbody_forces(x.data(), y.data(), z.data(), m.data(), n, lo, hi,
+                 f.data(), f.data() + w, f.data() + 2 * w);
+    return f;
+  };
+  const auto x = random_doubles(n, 201, -1, 1);
+  EXPECT_EQ(memo(x, 0, n / 2), kernel(x, 0, n / 2));  // fills half
+  EXPECT_EQ(memo(x, 0, n), kernel(x, 0, n));  // replays half, fills the rest
+  EXPECT_EQ(memo(x, 0, n), kernel(x, 0, n));  // replays all
+
+  auto x2 = x;
+  x2[5] += 0.25;
+  const auto want = kernel(x2, 0, n);
+  ASSERT_NE(want, kernel(x, 0, n));
+  EXPECT_EQ(memo(x2, 0, n), want);
+}
+
+TEST(Memo, BlackscholesPriceBlocksMatchTheKernel) {
+  constexpr std::size_t cnt = 16;
+  const auto s = random_doubles(cnt, 301, 80, 120);
+  const auto k = random_doubles(cnt, 302, 80, 120);
+  const auto r = random_doubles(cnt, 303, 0.01, 0.05);
+  const auto e = random_doubles(cnt, 305, 0.25, 2.0);
+  std::vector<std::uint8_t> put(cnt);
+  for (std::size_t j = 0; j < cnt; ++j) put[j] = j % 3 == 0;
+  auto kernel = [&](const std::vector<double>& v) {
+    std::vector<double> out(cnt);
+    for (std::size_t j = 0; j < cnt; ++j)
+      out[j] = bs_price(s[j], k[j], r[j], v[j], e[j], put[j] != 0);
+    return out;
+  };
+  auto memo = [&](const std::vector<double>& v) {
+    std::vector<double> out(cnt, -1.0);
+    bs_price_block(s.data(), k.data(), r.data(), v.data(), e.data(),
+                   put.data(), cnt, out.data());
+    return out;
+  };
+  const auto v = random_doubles(cnt, 304, 0.1, 0.5);
+  const auto want = kernel(v);
+  EXPECT_EQ(memo(v), want);  // first call fills the memo
+  EXPECT_EQ(memo(v), want);  // the repeat replays it
+
+  auto v2 = v;
+  v2[9] += 0.1;
+  const auto want_v2 = kernel(v2);
+  ASSERT_NE(want_v2, want);
+  EXPECT_EQ(memo(v2), want_v2);
 }
 
 }  // namespace

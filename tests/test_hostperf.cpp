@@ -1,8 +1,10 @@
 // Host-path performance machinery: word-wise diff scanning, page-buffer
 // pooling, and the scheduler fast paths. Everything here checks the same
 // contract from a different angle: the fast implementations must be
-// *observationally identical* to the slow (seed) ones — same diff runs,
-// same buffer contents, same virtual times — differing only in host work.
+// *observationally identical* to the seed behaviour — same diff runs as
+// the reference scanner, same buffer contents, the virtual times the
+// scheduler's (time, sequence) order defines, the traces and statistics
+// the seed implementations recorded — differing only in host work.
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 #include <unistd.h>
@@ -17,10 +19,10 @@
 #include "core/cluster.hpp"
 #include "core/diff.hpp"
 #include "core/tlb.hpp"
+#include "fingerprint.hpp"
 #include "mem/pool.hpp"
 #include "obs/export.hpp"
 #include "sim/engine.hpp"
-#include "sim/slowpath.hpp"
 
 namespace {
 
@@ -28,13 +30,6 @@ using argocore::DiffRun;
 using argocore::diff_runs;
 using argocore::diff_runs_reference;
 using argocore::kDiffMergeGap;
-
-// Restores the process-wide slow-path toggle on scope exit so a failing
-// test cannot leak ARGO_SLOW_PATHS semantics into later tests.
-struct SlowGuard {
-  bool prev = argosim::slow_paths();
-  ~SlowGuard() { argosim::set_slow_paths(prev); }
-};
 
 // ---------------------------------------------------------------------------
 // Word-wise diff scanner vs the reference byte scanner
@@ -221,31 +216,10 @@ TEST(DiffRuns, RandomizedAdversarialPages) {
   }
 }
 
-TEST(DiffRuns, SlowPathsSelectsReferenceInsideCarina) {
-  // The toggle itself: under ARGO_SLOW_PATHS the pool hands out fresh
-  // zeroed buffers (allocator behaviour of the seed).
-  SlowGuard guard;
-  argosim::set_slow_paths(true);
-  argomem::BufferPool pool;
-  auto a = pool.acquire(64);
-  auto b = pool.acquire(64);
-  for (std::size_t i = 0; i < 64; ++i) {
-    EXPECT_EQ(a.get()[i], std::byte{0});
-    EXPECT_EQ(b.get()[i], std::byte{0});
-  }
-  a.reset();
-  EXPECT_EQ(pool.pooled_buffers(), 0u);  // slow paths never pool
-  auto c = pool.acquire(64);
-  EXPECT_EQ(pool.reuses(), 0u);
-  EXPECT_EQ(pool.allocations(), 3u);
-}
-
 // ---------------------------------------------------------------------------
 // BufferPool / PageBuf
 
 TEST(BufferPool, RecyclesBlocksPerSizeClass) {
-  SlowGuard guard;
-  argosim::set_slow_paths(false);
   argomem::BufferPool pool;
   auto small = pool.acquire(4096);
   auto big = pool.acquire(8192);
@@ -268,8 +242,6 @@ TEST(BufferPool, RecyclesBlocksPerSizeClass) {
 }
 
 TEST(BufferPool, FreshAllocationsAreZeroed) {
-  SlowGuard guard;
-  argosim::set_slow_paths(false);
   argomem::BufferPool pool;
   auto buf = pool.acquire(4096);
   for (std::size_t i = 0; i < 4096; ++i)
@@ -277,8 +249,6 @@ TEST(BufferPool, FreshAllocationsAreZeroed) {
 }
 
 TEST(BufferPool, MoveTransfersOwnershipWithoutMovingBytes) {
-  SlowGuard guard;
-  argosim::set_slow_paths(false);
   argomem::BufferPool pool;
   auto a = pool.acquire(64);
   a.get()[0] = std::byte{42};
@@ -296,8 +266,6 @@ TEST(BufferPool, CarinaReusesBuffersInSteadyState) {
   // line buffers instead of allocating fresh ones every round (each
   // barrier's SD drains the twins and its SI drops the lines, so every
   // round re-acquires both).
-  SlowGuard guard;
-  argosim::set_slow_paths(false);
   argo::ClusterConfig c;
   c.nodes = 2;
   c.threads_per_node = 1;
@@ -324,8 +292,6 @@ TEST(BufferPool, CarinaReusesBuffersInSteadyState) {
 // Scheduler fast paths
 
 TEST(EngineFastForward, LoneFiberNeverRoundTripsThroughTheScheduler) {
-  SlowGuard guard;
-  argosim::set_slow_paths(false);
   argosim::Engine eng;
   eng.spawn("solo", [] {
     for (int i = 0; i < 100; ++i) argosim::delay(10);
@@ -338,72 +304,68 @@ TEST(EngineFastForward, LoneFiberNeverRoundTripsThroughTheScheduler) {
 }
 
 TEST(EngineFastForward, VirtualTimesMatchSlowPathsExactly) {
-  // The same two-fiber interleaving, fast vs slow: every observed
-  // (virtual time, fiber, step) triple must be identical.
+  // Two fibers delaying by 7 and 11: every observed (virtual time, fiber)
+  // pair must follow the scheduler's order whether or not a delay
+  // fast-forwards. The model: fibers wake in (wake time, time the delay
+  // was issued, spawn order) order — the run queue's (time, sequence) key.
   using Obs = std::vector<std::pair<argosim::Time, int>>;
-  auto run_once = [](bool slow) {
-    SlowGuard guard;
-    argosim::set_slow_paths(slow);
-    argosim::Engine eng;
-    Obs obs;
-    eng.spawn("a", [&] {
-      for (int i = 0; i < 50; ++i) {
-        argosim::delay(7);
-        obs.emplace_back(argosim::now(), 0);
-      }
-    });
-    eng.spawn("b", [&] {
-      for (int i = 0; i < 50; ++i) {
-        argosim::delay(11);
-        obs.emplace_back(argosim::now(), 1);
-      }
-    });
-    eng.run();
-    obs.emplace_back(eng.now(), -1);
-    return obs;
+  argosim::Engine eng;
+  Obs obs;
+  eng.spawn("a", [&] {
+    for (int i = 0; i < 50; ++i) {
+      argosim::delay(7);
+      obs.emplace_back(argosim::now(), 0);
+    }
+  });
+  eng.spawn("b", [&] {
+    for (int i = 0; i < 50; ++i) {
+      argosim::delay(11);
+      obs.emplace_back(argosim::now(), 1);
+    }
+  });
+  eng.run();
+  obs.emplace_back(eng.now(), -1);
+
+  struct Fiber {
+    argosim::Time period, wake, issued;
+    int left;
   };
-  EXPECT_EQ(run_once(false), run_once(true));
+  Fiber f[2] = {{7, 7, 0, 50}, {11, 11, 0, 50}};
+  Obs model;
+  while (f[0].left > 0 || f[1].left > 0) {
+    int next = f[0].left > 0 ? 0 : 1;
+    if (next == 0 && f[1].left > 0 &&
+        std::pair(f[1].wake, f[1].issued) < std::pair(f[0].wake, f[0].issued))
+      next = 1;
+    model.emplace_back(f[next].wake, next);
+    f[next].issued = f[next].wake;
+    f[next].wake += f[next].period;
+    --f[next].left;
+  }
+  model.emplace_back(550, -1);  // b's last wake ends the run
+  EXPECT_EQ(obs, model);
+  EXPECT_GT(eng.delay_fast_forwards(), 0u);
 }
 
 TEST(EngineFastForward, YieldFairnessSurvivesTies) {
-  // Fibers that yield at the same instant must round-robin identically
+  // Fibers that yield at the same instant must round-robin in spawn order
   // with the fast path on (ties must go through the scheduler).
-  auto run_once = [](bool slow) {
-    SlowGuard guard;
-    argosim::set_slow_paths(slow);
-    argosim::Engine eng;
-    std::vector<int> order;
-    for (int f = 0; f < 3; ++f) {
-      eng.spawn("t" + std::to_string(f), [&order, f] {
-        for (int i = 0; i < 5; ++i) {
-          order.push_back(f);
-          argosim::yield();
-        }
-      });
-    }
-    eng.run();
-    return order;
-  };
-  const auto fast = run_once(false);
-  EXPECT_EQ(fast, run_once(true));
-}
-
-TEST(EngineFastForward, DisabledUnderSlowPaths) {
-  SlowGuard guard;
-  argosim::set_slow_paths(true);
   argosim::Engine eng;
-  eng.spawn("solo", [] {
-    for (int i = 0; i < 10; ++i) argosim::delay(1);
-  });
+  std::vector<int> order;
+  for (int f = 0; f < 3; ++f) {
+    eng.spawn("t" + std::to_string(f), [&order, f] {
+      for (int i = 0; i < 5; ++i) {
+        order.push_back(f);
+        argosim::yield();
+      }
+    });
+  }
   eng.run();
-  EXPECT_EQ(eng.now(), 10u);
-  EXPECT_EQ(eng.delay_fast_forwards(), 0u);
-  EXPECT_EQ(eng.stacks_reused(), 0u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0,
+                                     1, 2}));
 }
 
 TEST(EngineFastForward, StackPoolRecyclesSequentialSpawns) {
-  SlowGuard guard;
-  argosim::set_slow_paths(false);
   argosim::Engine eng;
   // Spawn fibers from inside the simulation so earlier ones finish (and
   // donate their stacks) before later ones start.
@@ -475,7 +437,7 @@ TEST(FiberStacksDeathTest, OverflowFaultsOnTheGuardPage) {
 // ---------------------------------------------------------------------------
 // Soft-TLB (core/tlb.hpp): the MMU-analogue hit path. Unit tests for the
 // translation array itself, directed tests for every generation-bump site,
-// and a randomized fast-vs-slow property suite.
+// and a randomized property suite against recorded seed results.
 
 TEST(SoftTlb, HitNeedsPageAndGenerationMatch) {
   argocore::SoftTlb tlb;
@@ -549,8 +511,6 @@ argo::ClusterConfig tlb_cfg(argo::Mode mode = argo::Mode::PS3) {
 constexpr std::size_t kRemotePg = 40, kRemotePg2 = 42;
 
 TEST(SoftTlbGen, LineFillBumpsGeneration) {
-  SlowGuard guard;
-  argosim::set_slow_paths(false);
   argo::Cluster cl(tlb_cfg());
   auto arr = cl.alloc<std::uint64_t>(64 * kWordsPerPage);
   cl.reset_classification();
@@ -566,8 +526,6 @@ TEST(SoftTlbGen, LineFillBumpsGeneration) {
 }
 
 TEST(SoftTlbGen, ConflictEvictionBumpsGeneration) {
-  SlowGuard guard;
-  argosim::set_slow_paths(false);
   auto c = tlb_cfg();
   c.cache.cache_lines = 1;  // every group maps to the same slot
   argo::Cluster cl(c);
@@ -584,8 +542,6 @@ TEST(SoftTlbGen, ConflictEvictionBumpsGeneration) {
 }
 
 TEST(SoftTlbGen, WriteBufferOverflowWritebackBumpsGeneration) {
-  SlowGuard guard;
-  argosim::set_slow_paths(false);
   auto c = tlb_cfg();
   c.cache.write_buffer_pages = 1;  // second dirty page forces a drain
   argo::Cluster cl(c);
@@ -604,8 +560,6 @@ TEST(SoftTlbGen, WriteBufferOverflowWritebackBumpsGeneration) {
 }
 
 TEST(SoftTlbGen, SdFenceDrainBumpsGeneration) {
-  SlowGuard guard;
-  argosim::set_slow_paths(false);
   argo::Cluster cl(tlb_cfg());
   auto arr = cl.alloc<std::uint64_t>(64 * kWordsPerPage);
   cl.reset_classification();
@@ -622,8 +576,6 @@ TEST(SoftTlbGen, SdFenceDrainBumpsGeneration) {
 }
 
 TEST(SoftTlbGen, SiFenceInvalidationBumpsGeneration) {
-  SlowGuard guard;
-  argosim::set_slow_paths(false);
   argo::Cluster cl(tlb_cfg());
   auto arr = cl.alloc<std::uint64_t>(64 * kWordsPerPage);
   cl.reset_classification();
@@ -646,8 +598,6 @@ TEST(SoftTlbGen, SiFenceInvalidationBumpsGeneration) {
 }
 
 TEST(SoftTlbGen, NaiveCheckpointBumpsGeneration) {
-  SlowGuard guard;
-  argosim::set_slow_paths(false);
   argo::Cluster cl(tlb_cfg(argo::Mode::PSNaive));
   auto arr = cl.alloc<std::uint64_t>(64 * kWordsPerPage);
   cl.reset_classification();
@@ -663,8 +613,6 @@ TEST(SoftTlbGen, NaiveCheckpointBumpsGeneration) {
 }
 
 TEST(SoftTlbGen, NaiveHealBumpsGeneration) {
-  SlowGuard guard;
-  argosim::set_slow_paths(false);
   argo::Cluster cl(tlb_cfg(argo::Mode::PSNaive));
   auto arr = cl.alloc<std::uint64_t>(64 * kWordsPerPage);
   cl.reset_classification();
@@ -686,7 +634,7 @@ TEST(SoftTlbGen, NaiveHealBumpsGeneration) {
   EXPECT_GT(heals, 0u);
 }
 
-// --- Randomized fast-vs-slow property suite --------------------------------
+// --- Randomized property suite against recorded seed results --------------
 
 // The curated comparable footprint of one node's CoherenceStats (every
 // counter plus histogram sample counts).
@@ -711,20 +659,12 @@ struct RunObs {
   std::vector<std::vector<std::uint64_t>> stats;
   std::uint64_t mem_hash = 0;
   std::uint64_t tlb_hits = 0;
-
-  bool operator==(const RunObs& o) const {
-    return trace == o.trace && elapsed == o.elapsed && stats == o.stats &&
-           mem_hash == o.mem_hash;  // tlb_hits intentionally excluded
-  }
 };
 
 // A DRF torture workload: alternating owner-write / read-anywhere phases
 // separated by barriers, on a cache small enough to force conflict
 // evictions and a write buffer small enough to force overflow drains.
-RunObs run_random_workload(unsigned seed, bool chaos, argo::Mode mode,
-                           bool slow) {
-  SlowGuard guard;
-  argosim::set_slow_paths(slow);
+RunObs run_random_workload(unsigned seed, bool chaos, argo::Mode mode) {
   argo::ClusterConfig c;
   c.nodes = 2;
   c.threads_per_node = 2;
@@ -774,39 +714,47 @@ RunObs run_random_workload(unsigned seed, bool chaos, argo::Mode mode,
     obs.stats.push_back(stat_fields(cl.node_cache(n).stats()));
     obs.tlb_hits += cl.node_cache(n).tlb_host_hits();
   }
-  // FNV-1a over the whole home memory image.
-  const std::byte* bytes = cl.gmem().home_ptr(0);
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::size_t i = 0; i < cl.gmem().size(); ++i) {
-    h ^= static_cast<std::uint8_t>(bytes[i]);
-    h *= 1099511628211ull;
-  }
-  obs.mem_hash = h;
+  obs.mem_hash = argotest::fnv1a(cl.gmem().home_ptr(0), cl.gmem().size());
   return obs;
 }
 
 TEST(SoftTlbProperty, FastAndSlowRunsAreObservationallyIdentical) {
+  // Every case must reproduce the trace bytes, virtual time, statistics
+  // and home-memory image that the seed access path (every access through
+  // the full protocol walk, no TLB) recorded — while actually hitting the
+  // TLB.
   struct Case {
     unsigned seed;
     bool chaos;
     argo::Mode mode;
+    std::uint64_t trace_hash;
+    argosim::Time elapsed;
+    std::uint64_t stats_hash;
+    std::uint64_t mem_hash;
   };
-  const Case cases[] = {{11, false, argo::Mode::PS3},
-                        {22, false, argo::Mode::PSNaive},
-                        {33, true, argo::Mode::PS3}};
+  const Case cases[] = {
+      {11, false, argo::Mode::PS3, 6605600504360741264ull, 2802500,
+       5851523636892835573ull, 15809008420869403481ull},
+      {22, false, argo::Mode::PSNaive, 6307022494029687802ull, 3564038,
+       11260902253898139594ull, 1108876300358479837ull},
+      {33, true, argo::Mode::PS3, 5720383367780776062ull, 2890458,
+       6234733779000035948ull, 16127835379076788570ull},
+  };
   for (const Case& cs : cases) {
-    const RunObs fast = run_random_workload(cs.seed, cs.chaos, cs.mode,
-                                            /*slow=*/false);
-    const RunObs slow = run_random_workload(cs.seed, cs.chaos, cs.mode,
-                                            /*slow=*/true);
-    ASSERT_GT(fast.trace.size(), 32u) << "seed " << cs.seed;
-    EXPECT_EQ(fast.trace, slow.trace) << "seed " << cs.seed;
-    EXPECT_EQ(fast.elapsed, slow.elapsed) << "seed " << cs.seed;
-    EXPECT_EQ(fast.stats, slow.stats) << "seed " << cs.seed;
-    EXPECT_EQ(fast.mem_hash, slow.mem_hash) << "seed " << cs.seed;
-    // The fast run must actually engage the TLB; the slow run must not.
-    EXPECT_GT(fast.tlb_hits, 0u) << "seed " << cs.seed;
-    EXPECT_EQ(slow.tlb_hits, 0u) << "seed " << cs.seed;
+    const RunObs obs = run_random_workload(cs.seed, cs.chaos, cs.mode);
+    std::uint64_t stats_hash = argotest::kFnvBasis;
+    for (const auto& node : obs.stats)
+      stats_hash = argotest::fnv1a(node.data(),
+                                   node.size() * sizeof(std::uint64_t),
+                                   stats_hash);
+    ASSERT_GT(obs.trace.size(), 32u) << "seed " << cs.seed;
+    EXPECT_EQ(argotest::fnv1a(obs.trace.data(), obs.trace.size()),
+              cs.trace_hash)
+        << "seed " << cs.seed;
+    EXPECT_EQ(obs.elapsed, cs.elapsed) << "seed " << cs.seed;
+    EXPECT_EQ(stats_hash, cs.stats_hash) << "seed " << cs.seed;
+    EXPECT_EQ(obs.mem_hash, cs.mem_hash) << "seed " << cs.seed;
+    EXPECT_GT(obs.tlb_hits, 0u) << "seed " << cs.seed;
   }
 }
 
@@ -881,8 +829,6 @@ RunObs run_span_or_bulk(bool use_spans) {
 }
 
 TEST(SoftTlbSpans, SpanAndBulkAccessesAreProtocolIdentical) {
-  SlowGuard guard;
-  argosim::set_slow_paths(false);
   const RunObs spans = run_span_or_bulk(true);
   const RunObs bulk = run_span_or_bulk(false);
   ASSERT_GT(spans.trace.size(), 32u);

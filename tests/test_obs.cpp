@@ -16,11 +16,11 @@
 
 #include "apps/lu.hpp"
 #include "core/cluster.hpp"
+#include "fingerprint.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
-#include "sim/slowpath.hpp"
 
 namespace {
 
@@ -421,29 +421,24 @@ TEST(ClusterTrace, LuTraceDeterministicUnderChaos) {
 }
 
 // The host fast paths (buffer pooling, scheduler fast-forward, stack
-// recycling) must be invisible in simulated behaviour. ARGO_SLOW_PATHS
-// forces the seed's allocate/swapcontext paths;
-// the whole binary trace — every event, state and virtual timestamp —
-// must come out byte-identical either way, at pipeline depths 1 and 16
-// and under chaos fault injection.
+// recycling, the soft TLB) must be invisible in simulated behaviour: the
+// whole binary trace — every event, state and virtual timestamp — must
+// hash to what the seed implementations recorded, at pipeline depths 1
+// and 16 and under chaos fault injection.
 TEST(ClusterTrace, LuTraceIdenticalWithSlowPathsForced) {
-  struct SlowGuard {
-    bool prev = argosim::slow_paths();
-    ~SlowGuard() { argosim::set_slow_paths(prev); }
-  } guard;
-  for (const int pipeline : {1, 16}) {
-    argosim::set_slow_paths(false);
-    const auto fast = traced_lu(pipeline, /*chaos=*/false);
-    argosim::set_slow_paths(true);
-    const auto slow = traced_lu(pipeline, /*chaos=*/false);
-    ASSERT_GT(fast.size(), 32u) << "pipeline " << pipeline;
-    EXPECT_EQ(fast, slow) << "pipeline " << pipeline;
+  const struct {
+    int pipeline;
+    bool chaos;
+    std::uint64_t hash;
+  } cases[] = {{1, false, 5003107426906656081ull},
+               {16, false, 3454517777879924583ull},
+               {4, true, 3091237920367965028ull}};
+  for (const auto& c : cases) {
+    const auto trace = traced_lu(c.pipeline, c.chaos);
+    ASSERT_GT(trace.size(), 32u) << "pipeline " << c.pipeline;
+    EXPECT_EQ(argotest::fnv1a(trace.data(), trace.size()), c.hash)
+        << "pipeline " << c.pipeline << " chaos " << c.chaos;
   }
-  argosim::set_slow_paths(false);
-  const auto fast = traced_lu(/*pipeline=*/4, /*chaos=*/true);
-  argosim::set_slow_paths(true);
-  const auto slow = traced_lu(/*pipeline=*/4, /*chaos=*/true);
-  EXPECT_EQ(fast, slow);
 }
 
 // One miss path at every depth: a miss that flips a private page to shared

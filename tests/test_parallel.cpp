@@ -79,8 +79,7 @@ void append_counters(Fingerprint& f, const Cluster& cl) {
   // Host-side diagnostics (sim.* scheduler counters — context switches,
   // queue ops, pool hits — and page-buffer allocations): deterministic per
   // engine configuration but intentionally different between shard
-  // partitions and between fast and slow paths — outside the identity
-  // contract.
+  // partitions — outside the identity contract.
   for (const auto& c : const_cast<Cluster&>(cl).stats().counters)
     if (!argo::ClusterStats::host_side(c.name))
       f.counters.push_back(c.name + "=" + std::to_string(c.value));
