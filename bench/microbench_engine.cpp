@@ -2,9 +2,11 @@
 // in *wall-clock* time (everything else in bench/ reports virtual time).
 // Three probes, one per tentpole axis of the host-performance work:
 //
-//   fiber_switch  ping-pong context switches between simulated threads —
-//                 the fcontext vs ucontext cost, divided out per switch
-//                 using the engine's own sim.context_switches counter
+//   fiber_switch  fiber resumptions between simulated threads: each is
+//                 one direct fiber-to-fiber jump (the parking fiber picks
+//                 and resumes the next one itself), divided out per
+//                 switch using the engine's own sim.context_switches
+//                 counter, which counts one per resumption
 //   runq_hold     the classic "hold" model on the run queue's binary
 //                 heap: a steady-state queue where every op pops the
 //                 minimum and re-pushes it a random horizon ahead; swept
@@ -51,8 +53,8 @@ JsonReport::Row& mb_row(JsonReport& json, const char* probe,
 // --- fiber_switch -----------------------------------------------------------
 
 /// F fibers, each yielding `iters` times via delay(1). Every delay parks
-/// the caller and resumes another runnable fiber, so the engine's switch
-/// counter divides the wall time into a cost per context switch.
+/// the caller, which jumps straight into the next runnable fiber, so the
+/// engine's switch counter divides the wall time into a cost per switch.
 void bench_fiber_switch(JsonReport& json, const BenchOpts& opts) {
   const int fibers = 4;
   const int iters = opts.quick ? 5000 : 50000;

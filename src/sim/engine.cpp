@@ -69,11 +69,16 @@ thread_local std::uint32_t g_shard_idx = kNoShard;
 // shard-to-worker pinning guarantees a fiber only ever swaps with the one
 // scheduler context it started against.
 #if defined(ARGO_USE_FCONTEXT)
-// fcontext handles are one-shot (every jump re-captures the jumper), so
-// both sides refresh this slot on each switch.
+// fcontext handles are one-shot (every jump re-captures the jumper): the
+// resumed side stores the jumper's fresh handle here when the scheduler
+// jumped, or in the jumping fiber's Impl otherwise.
 thread_local fctx_t g_sched_fctx = nullptr;
 #else
 thread_local ucontext_t g_sched_ctx;
+// swapcontext carries no data word, so the jumper (null = the scheduler)
+// travels through this slot: written just before a switch, read just
+// after resumption, on the same host thread.
+thread_local SimThread* g_jumper = nullptr;
 #endif
 
 inline void cpu_pause() {
@@ -86,33 +91,43 @@ inline void cpu_pause() {
 #endif
 }
 
-#if !defined(ARGO_USE_FCONTEXT)
-// makecontext() only passes ints; smuggle the SimThread* through two halves.
-void pack_ptr(SimThread* t, unsigned& hi, unsigned& lo) {
-  auto p = reinterpret_cast<std::uintptr_t>(t);
-  hi = static_cast<unsigned>(p >> 32);
-  lo = static_cast<unsigned>(p & 0xffffffffu);
-}
-
-SimThread* unpack_ptr(unsigned hi, unsigned lo) {
-  auto p = (static_cast<std::uintptr_t>(hi) << 32) | lo;
-  return reinterpret_cast<SimThread*>(p);
-}
-#endif
-
 #if defined(ARGO_ASAN_FIBERS)
-// Bounds of the scheduler's (OS thread's) stack, learned from ASan the
-// first time a fiber runs; needed to annotate fiber -> scheduler switches.
+// Bounds of the scheduler's (OS thread's) stack, learned from ASan
+// whenever the scheduler resumes a fiber; needed to annotate fiber ->
+// scheduler switches.
 thread_local const void* g_sched_stack_bottom = nullptr;
 thread_local std::size_t g_sched_stack_size = 0;
 #endif
 
 #if defined(ARGO_TSAN_FIBERS)
 // TSan context of the scheduler loop's own execution (one per host
-// worker, captured on each scheduler -> fiber switch); fibers switch TSan
-// back to it before swapping out. Shard-to-worker pinning guarantees a
-// fiber always returns to the same worker's scheduler.
+// worker, captured on each scheduler -> fiber switch); a fiber switches
+// TSan back to it before jumping to the scheduler. Shard-to-worker pinning
+// guarantees a fiber always returns to the same worker's scheduler.
 thread_local void* g_tsan_sched_fiber = nullptr;
+#endif
+
+#if !defined(ARGO_USE_FCONTEXT)
+// The resumed side of a swapcontext: returns the jumper (null = the
+// scheduler) and finishes the ASan switch into `self` (null = the
+// scheduler). ASan reports the stack we came from; it is the scheduler's
+// only when the scheduler jumped.
+SimThread* finish_switch(SimThread* self, void* fake_stack) {
+  SimThread* jumper = g_jumper;
+#if defined(ARGO_ASAN_FIBERS)
+  const void* bottom = nullptr;
+  std::size_t size = 0;
+  __sanitizer_finish_switch_fiber(fake_stack, &bottom, &size);
+  if (self != nullptr && jumper == nullptr) {
+    g_sched_stack_bottom = bottom;
+    g_sched_stack_size = size;
+  }
+#else
+  (void)self;
+  (void)fake_stack;
+#endif
+  return jumper;
+}
 #endif
 
 std::size_t page_size() {
@@ -344,12 +359,27 @@ void Engine::make_runnable(SimThread* t, Time when) {
 }
 
 #if defined(ARGO_USE_FCONTEXT)
-// The first jump into a made context lands here with the suspending
-// scheduler as `from`. Exits by jumping to the scheduler for good — never
-// returns.
+// The first jump into a made context lands here.
 void Engine::fiber_main_fctx(void* from, void* data) {
-  g_sched_fctx = from;
-  SimThread* t = static_cast<SimThread*>(data);
+  resumed_by(from, data);
+  fiber_main();
+}
+
+SimThread* Engine::resumed_by(void* from, void* data) {
+  auto* jumper = static_cast<SimThread*>(data);
+  (jumper != nullptr ? jumper->impl_->fctx : g_sched_fctx) = from;
+  return jumper;
+}
+#endif
+
+// A fiber's base frame, on both backends. Whoever resumed the fiber set
+// g_thread to it. It exits by jumping to its worker's scheduler for good,
+// which reaps its stack off-stack.
+void Engine::fiber_main() {
+  SimThread* t = g_thread;
+#if !defined(ARGO_USE_FCONTEXT)
+  finish_switch(t, nullptr);
+#endif
   try {
     if (t->stop_requested_) throw SimStopped{};
     t->body_();
@@ -360,37 +390,8 @@ void Engine::fiber_main_fctx(void* from, void* data) {
   }
   t->finished_ = true;
   t->body_ = nullptr;
-  argo_fctx_jump(g_sched_fctx, nullptr);
+  t->engine_->jump(t, nullptr);
 }
-#else
-void Engine::fiber_main(unsigned hi, unsigned lo) {
-  SimThread* t = unpack_ptr(hi, lo);
-#if defined(ARGO_ASAN_FIBERS)
-  __sanitizer_finish_switch_fiber(nullptr, &g_sched_stack_bottom,
-                                  &g_sched_stack_size);
-#endif
-  try {
-    if (t->stop_requested_) throw SimStopped{};
-    t->body_();
-  } catch (const SimStopped&) {
-    // clean shutdown of a parked fiber
-  } catch (...) {
-    t->impl_->error = std::current_exception();
-  }
-  t->finished_ = true;
-  t->body_ = nullptr;
-  // Hand control back to the scheduler loop for good.
-#if defined(ARGO_ASAN_FIBERS)
-  // nullptr fake-stack slot: this fiber is exiting, release its fake stack.
-  __sanitizer_start_switch_fiber(nullptr, g_sched_stack_bottom,
-                                 g_sched_stack_size);
-#endif
-#if defined(ARGO_TSAN_FIBERS)
-  __tsan_switch_to_fiber(g_tsan_sched_fiber, 0);
-#endif
-  swapcontext(&t->impl_->ctx, &g_sched_ctx);
-}
-#endif
 
 const char* Engine::context_backend() {
 #if defined(ARGO_USE_FCONTEXT)
@@ -400,56 +401,66 @@ const char* Engine::context_backend() {
 #endif
 }
 
+SimThread* Engine::jump(SimThread* self, SimThread* next) {
+  if (next != nullptr) {
+    g_thread = next;
+    ++shards_[next->shard_]->switches;
+    SimThread::Impl& n = *next->impl_;
+    if (!n.started) {
+      n.started = true;
+#if defined(ARGO_USE_FCONTEXT)
+      n.fctx = argo_fctx_make(n.stack.base(), n.stack.size(),
+                              &Engine::fiber_main_fctx);
+#else
+      getcontext(&n.ctx);
+      n.ctx.uc_stack.ss_sp = n.stack.base();
+      n.ctx.uc_stack.ss_size = n.stack.size();
+      n.ctx.uc_link = &g_sched_ctx;
+      makecontext(&n.ctx, &Engine::fiber_main, 0);
+#endif
+    }
+  }
+  [[maybe_unused]] void* fake_stack = nullptr;
+#if defined(ARGO_ASAN_FIBERS)
+  // A finished fiber never resumes: the null fake-stack slot releases its
+  // fake stack.
+  __sanitizer_start_switch_fiber(
+      self != nullptr && self->finished_ ? nullptr : &fake_stack,
+      next != nullptr ? next->impl_->stack.base() : g_sched_stack_bottom,
+      next != nullptr ? next->impl_->stack.size() : g_sched_stack_size);
+#endif
+#if defined(ARGO_TSAN_FIBERS)
+  if (self == nullptr) g_tsan_sched_fiber = __tsan_get_current_fiber();
+  void* to = g_tsan_sched_fiber;
+  if (next != nullptr) {
+    if (next->impl_->tsan_fiber == nullptr)
+      next->impl_->tsan_fiber = __tsan_create_fiber(0);
+    to = next->impl_->tsan_fiber;
+  }
+  __tsan_switch_to_fiber(to, 0);
+#endif
+#if defined(ARGO_USE_FCONTEXT)
+  const FctxTransfer r =
+      argo_fctx_jump(next != nullptr ? next->impl_->fctx : g_sched_fctx, self);
+  return resumed_by(r.fctx, r.data);
+#else
+  g_jumper = self;
+  swapcontext(self != nullptr ? &self->impl_->ctx : &g_sched_ctx,
+              next != nullptr ? &next->impl_->ctx : &g_sched_ctx);
+  return finish_switch(self, fake_stack);
+#endif
+}
+
 void Engine::switch_to(SimThread* t) {
   Engine* prev_engine = g_engine;
   SimThread* prev_thread = g_thread;
   g_engine = this;
-  g_thread = t;
-  ++shards_[t->shard_]->switches;
-
-  if (!t->impl_->started) {
-    t->impl_->started = true;
-#if defined(ARGO_USE_FCONTEXT)
-    t->impl_->fctx =
-        argo_fctx_make(t->impl_->stack.base(), t->impl_->stack.size(),
-                       &Engine::fiber_main_fctx);
-#else
-    getcontext(&t->impl_->ctx);
-    t->impl_->ctx.uc_stack.ss_sp = t->impl_->stack.base();
-    t->impl_->ctx.uc_stack.ss_size = t->impl_->stack.size();
-    t->impl_->ctx.uc_link = &g_sched_ctx;
-    unsigned hi, lo;
-    pack_ptr(t, hi, lo);
-    makecontext(&t->impl_->ctx,
-                reinterpret_cast<void (*)()>(&Engine::fiber_main), 2, hi, lo);
-#endif
-  }
-#if defined(ARGO_ASAN_FIBERS)
-  void* fake_stack = nullptr;
-  __sanitizer_start_switch_fiber(&fake_stack, t->impl_->stack.base(),
-                                 t->impl_->stack.size());
-#endif
-#if defined(ARGO_TSAN_FIBERS)
-  if (t->impl_->tsan_fiber == nullptr)
-    t->impl_->tsan_fiber = __tsan_create_fiber(0);
-  g_tsan_sched_fiber = __tsan_get_current_fiber();
-  __tsan_switch_to_fiber(t->impl_->tsan_fiber, 0);
-#endif
-#if defined(ARGO_USE_FCONTEXT)
-  // The jump returns once the fiber suspends (yield or exit); its handle
-  // was re-captured by that suspending jump.
-  t->impl_->fctx = argo_fctx_jump(t->impl_->fctx, t).fctx;
-#else
-  swapcontext(&g_sched_ctx, &t->impl_->ctx);
-#endif
-#if defined(ARGO_ASAN_FIBERS)
-  __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
-#endif
-
+  // Control comes back from whichever fiber of the shard ends the handoff
+  // chain `t` starts, not necessarily from `t`.
+  SimThread* back = jump(nullptr, t);
   g_engine = prev_engine;
   g_thread = prev_thread;
-
-  if (t->finished_) reap_finished_one(t);
+  if (back->finished_) reap_finished_one(back);
 }
 
 void Engine::reap_finished_one(SimThread* t) {
@@ -458,9 +469,9 @@ void Engine::reap_finished_one(SimThread* t) {
   // still queued: that entry is stale now.
   if (t->queued_) ++s.dead;
 #if !defined(ARGO_ASAN_FIBERS)
-  // The fiber has swapped back to the scheduler for good — its stack is
-  // dead and can serve the next spawn on this shard. Only this shard's
-  // worker touches its pool during a window.
+  // The fiber has jumped to the scheduler for good — its stack is dead
+  // and can serve the next spawn on this shard. Only this shard's worker
+  // touches its pool during a window.
   if (t->impl_->stack.size() == default_stack_size)
     s.stack_pool.push_back(std::move(t->impl_->stack));
 #endif
@@ -478,28 +489,23 @@ void Engine::reap_finished_one(SimThread* t) {
   }
 }
 
-void Engine::switch_to_scheduler() {
+// Direct handoff: the parking fiber makes the shard's next-event decision
+// itself, on its own stack, with no current thread while effects run, and
+// leaves the scheduler exactly the state its own decisions would have.
+void Engine::park() {
   SimThread* self = g_thread;
   assert(self && "must be called from inside a simulated thread");
-#if defined(ARGO_ASAN_FIBERS)
-  void* fake_stack = nullptr;
-  __sanitizer_start_switch_fiber(&fake_stack, g_sched_stack_bottom,
-                                 g_sched_stack_size);
-#endif
-#if defined(ARGO_TSAN_FIBERS)
-  __tsan_switch_to_fiber(g_tsan_sched_fiber, 0);
-#endif
-#if defined(ARGO_USE_FCONTEXT)
-  // On resumption the scheduler has just suspended into us again; refresh
-  // its handle for the next yield.
-  g_sched_fctx = argo_fctx_jump(g_sched_fctx, nullptr).fctx;
-#else
-  swapcontext(&self->impl_->ctx, &g_sched_ctx);
-#endif
-#if defined(ARGO_ASAN_FIBERS)
-  __sanitizer_finish_switch_fiber(fake_stack, &g_sched_stack_bottom,
-                                  &g_sched_stack_size);
-#endif
+  Shard& s = *shards_[self->shard_];
+  g_thread = nullptr;
+  bool progressed = false;
+  SimThread* next =
+      next_fiber(s, window_end_.load(std::memory_order_relaxed), progressed);
+  if (next == self) {  // our own wake came first: resume in place
+    g_thread = self;
+    ++s.switches;
+  } else {
+    jump(self, next);
+  }
   if (self->stop_requested_) throw SimStopped{};
 }
 
@@ -512,22 +518,22 @@ void Engine::delay(Time ns) {
   // the scheduler path would take it, so the fast path below cannot
   // reorder anything.
   const std::uint64_t seq = s.next_seq++;
-  // A stopping fiber must reach switch_to_scheduler to unwind (SimStopped).
+  // A stopping fiber must reach park() to unwind (SimStopped).
   if (!self->stop_requested_ && fast_forward(s, when, seq)) return;
   ++s.pushes;
   push_entry(s.runq, s.dead, QueueEntry{when, seq, self, ++self->wake_token_});
-  switch_to_scheduler();
+  park();
 }
 
 // Same-fiber fast-forward. When no other fiber's entry precedes our own
-// (when, seq), the scheduler would run the effects due at or before `when`
-// and then hand control straight back to us. Run those effects here
-// instead (on this fiber's stack, with no current thread, as the scheduler
-// would), then advance the clock in place and keep running, skipping the
-// two context switches. A running fiber has no live run-queue entry, so
-// skipping the push/pop leaves no state behind. Fails when another fiber's
-// entry comes first (possibly one an effect run here just woke) or the
-// window ends before `when`.
+// (when, seq), park() would run the effects due at or before `when` and
+// then pop our own entry and resume us in place. Run those effects here
+// instead (on this fiber's stack, with no current thread, as park() would),
+// then advance the clock in place and keep running, skipping the run-queue
+// push and pop and the resumption park() would count. A running fiber has
+// no live run-queue entry, so skipping the push/pop leaves no state
+// behind. Fails when another fiber's entry comes first (possibly one an
+// effect run here just woke) or the window ends before `when`.
 bool Engine::fast_forward(Shard& s, Time when, std::uint64_t seq) {
   if (when >= window_end_.load(std::memory_order_relaxed)) return false;
   for (;;) {
@@ -584,8 +590,8 @@ void Engine::kill(SimThread* t) {
   t->stop_requested_ = true;
   // Wake it immediately wherever it is parked (WaitQueue, timed wait, or a
   // future run-queue entry — the token bump invalidates stale entries):
-  // switch_to_scheduler() throws SimStopped right after resumption, before
-  // any primitive logic can act on the spurious wakeup.
+  // park() and await() throw SimStopped right after resumption, before any
+  // primitive logic can act on the spurious wakeup.
   t->blocked_ = false;
   make_runnable(t, shards_[t->shard_]->clock);
 }
@@ -641,19 +647,58 @@ void Engine::await(const SimRecord& rec) {
     Shard& s = *shards_[self->shard_];
     s.stalled = self;
     s.stall_rec = &rec;
-    switch_to_scheduler();  // worker revisits once the record completes
+    // The whole shard waits on another shard's effect: no handoff, the
+    // worker revisits the shard once the record completes.
+    jump(self, nullptr);
+    if (self->stop_requested_) throw SimStopped{};
+  }
+}
+
+SimThread* Engine::next_fiber(Shard& s, Time w1, bool& progressed) {
+  while (true) {
+    // An effect may have failed (run here, or inside a fast-forward): stop
+    // the shard at once.
+    if (s.error) return nullptr;
+    // Effects run before fiber wakes at the same instant.
+    const QueueEntry* f = live_head(s);
+    const bool effect_next =
+        !s.effq.empty() && (f == nullptr || s.effq.top().when <= f->when);
+    const Time t = effect_next ? s.effq.top().when
+                              : f != nullptr ? f->when : kUnbounded;
+    if (t >= w1) return nullptr;
+    // An unbounded (one-shard) window ends, as a single run queue would,
+    // the moment no non-daemon fiber is left.
+    if (lookahead_ == kUnbounded && in_run_ &&
+        live_nondaemon_.load(std::memory_order_relaxed) == 0)
+      return nullptr;
+    progressed = true;
+    if (!effect_next) {
+      SimThread* next = f->thread;
+      s.clock = f->when;
+      s.runq.pop();
+      next->queued_ = false;
+      ++s.pops;
+      return next;
+    }
+    run_effect(s);
   }
 }
 
 bool Engine::shard_step(Shard& s, Time w1, bool& progressed) {
   s.touched = true;
   if (s.error) return true;
+  SimThread* f;
   if (s.stalled != nullptr) {
     if (!s.stall_rec->ready() && !s.stalled->stop_requested_) return false;
-    SimThread* f = s.stalled;
-    s.stalled = nullptr;
+    f = std::exchange(s.stalled, nullptr);
     s.stall_rec = nullptr;
     progressed = true;
+  } else {
+    f = next_fiber(s, w1, progressed);
+  }
+  // Each fiber started here hands the shard on to the next one itself
+  // (park()); control comes back when that chain ends.
+  for (; f != nullptr; f = next_fiber(s, w1, progressed)) {
     try {
       switch_to(f);
     } catch (...) {
@@ -662,40 +707,7 @@ bool Engine::shard_step(Shard& s, Time w1, bool& progressed) {
     }
     if (s.stalled != nullptr) return false;
   }
-  while (true) {
-    // An effect run inside a fiber's fast-forward may have failed: stop
-    // the shard at once, as for any other error.
-    if (s.error) return true;
-    // Effects run before fiber wakes at the same instant.
-    const QueueEntry* f = live_head(s);
-    const bool effect_next =
-        !s.effq.empty() && (f == nullptr || s.effq.top().when <= f->when);
-    const Time t = effect_next ? s.effq.top().when
-                              : f != nullptr ? f->when : kUnbounded;
-    if (t >= w1) return true;
-    // An unbounded (one-shard) window ends, as a single run queue would,
-    // the moment no non-daemon fiber is left.
-    if (lookahead_ == kUnbounded && in_run_ &&
-        live_nondaemon_.load(std::memory_order_relaxed) == 0)
-      return true;
-    progressed = true;
-    if (effect_next) {
-      if (!run_effect(s)) return true;
-    } else {
-      QueueEntry e = *f;
-      s.runq.pop();
-      e.thread->queued_ = false;
-      ++s.pops;
-      s.clock = e.when;
-      try {
-        switch_to(e.thread);
-      } catch (...) {
-        if (!s.error) s.error = std::current_exception();
-        return true;
-      }
-      if (s.stalled != nullptr) return false;
-    }
-  }
+  return true;
 }
 
 void Engine::run_window(std::uint32_t w, Time w1) {
@@ -878,7 +890,7 @@ void SimGate::arrive_and_wait() {
     }
   }
   self->blocked_ = true;
-  eng->switch_to_scheduler();
+  eng->park();
 }
 
 }  // namespace argosim

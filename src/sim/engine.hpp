@@ -7,7 +7,11 @@
 // interleaving of fibers at explicit scheduling points (delay/yield/wait).
 // Within a shard the runnable fiber with the smallest (wake time, insertion
 // sequence) pair always runs next, so the same program produces
-// bit-identical virtual timings and statistics on every run.
+// bit-identical virtual timings and statistics on every run. A fiber that
+// parks makes that choice itself and jumps straight into the next fiber;
+// the host worker's scheduler context regains control only when a fiber
+// finishes or stalls in await(), or the shard has nothing left to run in
+// the current window.
 //
 // Shards advance in conservative lookahead windows [Tmin, Tmin + L): every
 // shard may execute its events with when < Tmin + L independently, because
@@ -246,11 +250,12 @@ class Engine {
   static SimThread* current_thread();
 
   /// Advance the calling fiber's clock by `ns` virtual nanoseconds.
-  /// Other runnable fibers execute in the meantime. When no other fiber is
-  /// due strictly before the new wake time, the clock is advanced in place
-  /// (same-fiber fast-forward) instead of round-tripping through the
-  /// scheduler — observationally identical, but skips two context
-  /// switches. Bounded by the current lookahead window.
+  /// Other runnable fibers execute in the meantime: the caller parks and
+  /// jumps straight into its shard's next due fiber (direct handoff, no
+  /// stop in the scheduler). When no other fiber is due strictly before
+  /// the new wake time, the clock is advanced in place instead (same-fiber
+  /// fast-forward): observationally identical, with no run-queue traffic
+  /// and no resumption. Bounded by the current lookahead window.
   void delay(Time ns);
 
   /// Host-path diagnostics: delays absorbed by the same-fiber fast-forward
@@ -266,8 +271,10 @@ class Engine {
   std::uint64_t runq_purged() const {
     return runq_purged_.load(std::memory_order_relaxed);
   }
-  /// Scheduler-to-fiber context switches performed (each implies a matching
-  /// fiber-to-scheduler switch; same-fiber fast-forwards skip both).
+  /// Fiber resumptions performed, one per fiber resumed, whether the
+  /// scheduler or a parking fiber's direct handoff resumed it (same-fiber
+  /// fast-forwards resume nothing). Equals runq_pops() plus the resumptions
+  /// of fibers stalled in await().
   std::uint64_t context_switches() const { return sum(&Shard::switches); }
   /// Run-queue traffic: live entries pushed / popped across every shard,
   /// stale pops excluded.
@@ -403,13 +410,25 @@ class Engine {
     alignas(64) char pad_[64] = {};
   };
 
-  static void fiber_main(unsigned hi, unsigned lo);
+  static void fiber_main();
   static void fiber_main_fctx(void* from, void* data);
+  // fcontext: the resumed side of a jump stores the jumper's fresh handle
+  // `from` (data = the jumper, null = the scheduler) and returns the jumper.
+  static SimThread* resumed_by(void* from, void* data);
   void make_runnable(SimThread* t, Time when);
   void push_entry(RunQueue& q, std::size_t& dead, QueueEntry e);
   void compact(RunQueue& q, std::size_t& dead);
+  // Suspend `self` and resume `next` (null on either side: this worker's
+  // scheduler context), passing `self` as the jump's data word; sets
+  // g_thread to `next` and counts its resumption. Returns, once something
+  // resumes `self`, the context that did.
+  SimThread* jump(SimThread* self, SimThread* next);
+  // Scheduler side: resume `t`, then reap whichever fiber jumped back if
+  // it finished.
   void switch_to(SimThread* t);
-  void switch_to_scheduler();  // called from inside a fiber
+  // Fiber side (delay, WaitQueue, SimGate): the caller's wake, if any, is
+  // already queued; hand the shard to its next fiber (direct handoff).
+  void park();
   void reap_finished_one(SimThread* t);
   std::uint64_t sum(std::uint64_t Shard::* field) const {
     std::uint64_t n = 0;
@@ -422,6 +441,13 @@ class Engine {
   // the window (false = stalled on another shard's effect). Sets
   // `progressed` when anything ran.
   bool shard_step(Shard& s, Time w1, bool& progressed);
+  // The shard's next event below w1, the one scheduling rule shared by
+  // shard_step and park(): runs the effects due first (they precede fiber
+  // wakes at the same instant), then pops the next due fiber's entry, sets
+  // the clock to its wake and returns it. Null when nothing is due below
+  // w1, an effect failed, or the one-shard run has no non-daemon fiber
+  // left. Sets `progressed` when anything ran.
+  SimThread* next_fiber(Shard& s, Time w1, bool& progressed);
   void route_outboxes();
   // The shard's earliest live run-queue entry (stale heads are popped on
   // the way), or null.

@@ -11,8 +11,11 @@
 // A context handle is the stack pointer of the suspended context's saved
 // register frame; there is no separate context object. Jumping into a
 // handle consumes it and yields a fresh handle for the context that was
-// suspended by the jump — contexts are relinked on every switch, which is
-// what lets one scheduler slot serve every fiber on a host thread.
+// suspended by the jump — contexts are relinked on every switch. The
+// engine passes the jumper itself as the data word, so the resumed side
+// knows whose handle it holds and stores it in that fiber's slot, or in
+// the host thread's scheduler slot: any context can resume any other,
+// which is what lets a parking fiber jump straight into the next one.
 //
 // The backend is chosen at build time: sanitizer builds (ARGO_SANITIZE /
 // ARGO_TSAN) keep ucontext, whose switches ASan/TSan know how to annotate

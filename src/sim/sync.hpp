@@ -53,7 +53,7 @@ class WaitQueue {
     assert(eng && self && "WaitQueue::wait outside simulation");
     self->blocked_ = true;
     waiters_.push_back(self);
-    eng->switch_to_scheduler();
+    eng->park();
   }
 
   /// Park the calling fiber until notified or until the virtual deadline.
@@ -65,7 +65,7 @@ class WaitQueue {
     self->blocked_ = true;
     waiters_.push_back(self);
     eng->make_runnable(self, deadline);  // timeout path
-    eng->switch_to_scheduler();
+    eng->park();
     if (self->blocked_) {  // timeout fired before any notify reached us
       self->blocked_ = false;
       // Erase only within the live region [head_, end): slots before head_

@@ -4,6 +4,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -343,6 +344,230 @@ TEST(Engine, DeterministicReplay) {
   EXPECT_EQ(a, b);
   auto c = run_trace(54321);
   EXPECT_NE(a, c);
+}
+
+// --- direct fiber-to-fiber handoff ------------------------------------------
+//
+// A parking fiber (delay, WaitQueue, SimMutex, SimGate) picks its shard's
+// next event itself and jumps straight into the next fiber; the scheduler
+// context sees control again only when the chain ends.
+
+// Counts the calling fiber's resumptions: a delay resumes the fiber unless
+// it fast-forwarded in place.
+void counted_yield(Engine& eng, int& resumes) {
+  const std::uint64_t ff = eng.delay_fast_forwards();
+  yield();
+  if (eng.delay_fast_forwards() == ff) ++resumes;
+}
+
+TEST(EngineHandoff, WaitQueueRingResumesInFifoOrder) {
+  // A token passes round a ring of fibers: each waits on its own queue and
+  // notifies its successor's, so every hop is a parking fiber handing off
+  // to the next one directly.
+  constexpr int kFibers = 4;
+  constexpr int kRounds = 50;
+  Engine eng;
+  std::vector<WaitQueue> q(kFibers);
+  std::vector<int> order;
+  int resumes = 0;
+  for (int i = 0; i < kFibers; ++i)
+    eng.spawn("ring" + std::to_string(i), [&, i] {
+      ++resumes;  // started
+      // Fiber 0 holds the token; it lets the others park first.
+      if (i == 0) counted_yield(eng, resumes);
+      for (int r = 0; r < kRounds; ++r) {
+        if (i != 0 || r != 0) {
+          q[i].wait();
+          ++resumes;
+        }
+        order.push_back(i);
+        q[(i + 1) % kFibers].notify_one();
+      }
+    });
+  eng.run();
+  std::vector<int> fifo;
+  for (int r = 0; r < kRounds; ++r)
+    for (int i = 0; i < kFibers; ++i) fifo.push_back(i);
+  EXPECT_EQ(order, fifo);
+  EXPECT_EQ(resumes, kFibers + kFibers * kRounds);
+  EXPECT_EQ(eng.context_switches(), static_cast<std::uint64_t>(resumes));
+  EXPECT_EQ(eng.runq_pops(), eng.context_switches());
+}
+
+TEST(EngineHandoff, SimMutexHandoffChainIsFifo) {
+  // Fibers contend for one SimMutex: unlock hands ownership to the oldest
+  // waiter, and the unlocker's next lock() parks it and hands the shard on.
+  constexpr int kFibers = 5;
+  constexpr int kRounds = 20;
+  Engine eng;
+  SimMutex m;
+  std::vector<int> order;
+  int resumes = 0;
+  for (int i = 0; i < kFibers; ++i)
+    eng.spawn("m" + std::to_string(i), [&, i] {
+      ++resumes;
+      for (int r = 0; r < kRounds; ++r) {
+        if (!m.try_lock()) {
+          m.lock();  // held: this parks
+          ++resumes;
+        }
+        order.push_back(i);
+        counted_yield(eng, resumes);
+        m.unlock();
+      }
+    });
+  eng.run();
+  std::vector<int> fifo;
+  for (int r = 0; r < kRounds; ++r)
+    for (int i = 0; i < kFibers; ++i) fifo.push_back(i);
+  EXPECT_EQ(order, fifo);
+  EXPECT_EQ(eng.context_switches(), static_cast<std::uint64_t>(resumes));
+  EXPECT_EQ(eng.runq_pops(), eng.context_switches());
+}
+
+// Mirrors EffectErrorInFastForwardStopsTheShard for the parking path: the
+// failing effect runs while a parking fiber picks the shard's next event.
+TEST(EngineHandoff, EffectErrorWhileParkingStopsTheShard) {
+  Engine eng;
+  bool second_ran = false;
+  bool first_on_parker_stack = false;
+  bool a_resumed = false;
+  bool b_resumed = false;
+  SimThread* b = nullptr;
+  eng.spawn("a", [&] {
+    Engine* e = Engine::current();
+    e->post_effect(0, 10, 1, 0, 0, [&] {
+      const char here = 0;
+      const auto* lo = static_cast<const char*>(b->stack().base());
+      first_on_parker_stack = &here >= lo && &here < lo + b->stack().size();
+      throw std::runtime_error("first");
+    });
+    e->post_effect(0, 20, 1, 0, 1, [&] {
+      second_ran = true;
+      throw std::runtime_error("second");
+    });
+    delay(30);  // b is due first: a parks and hands off to b
+    a_resumed = true;
+  });
+  b = eng.spawn("b", [&] {
+    delay(5);    // nothing precedes 5: fast-forwards
+    delay(100);  // a (30) precedes: parks, and b's pick runs the effect
+    b_resumed = true;
+  });
+  try {
+    eng.run();
+    FAIL() << "run() should rethrow the effect's error";
+  } catch (const std::runtime_error& err) {
+    EXPECT_STREQ(err.what(), "first");
+  }
+  EXPECT_TRUE(first_on_parker_stack);
+  EXPECT_FALSE(second_ran);
+  EXPECT_FALSE(a_resumed);
+  EXPECT_FALSE(b_resumed);
+}
+
+TEST(EngineHandoff, KilledFiberResumedByHandoffUnwinds) {
+  Engine eng;
+  WaitQueue q;
+  bool unwound = false;
+  bool ran_on = false;
+  SimThread* victim = eng.spawn("victim", [&] {
+    struct Sentinel {
+      bool* flag;
+      ~Sentinel() { *flag = true; }
+    } s{&unwound};
+    q.wait();  // never notified
+    ran_on = true;
+  });
+  eng.spawn("killer", [&] {
+    delay(10);
+    eng.kill(victim);  // queues the victim's wake at 10
+    delay(5);          // the victim is due first: hand off to it
+    EXPECT_TRUE(unwound);
+  });
+  eng.run();
+  EXPECT_TRUE(victim->finished());
+  EXPECT_TRUE(unwound);
+  EXPECT_FALSE(ran_on);
+  EXPECT_EQ(eng.now(), 15u);
+}
+
+TEST(EngineHandoff, FinishedFiberIsReapedAndItsStackReused) {
+  // The scheduler resumes `long`; `short` then runs only through handoffs
+  // and finishes while `long` is parked, so the fiber that jumps back to
+  // the scheduler is not the one it resumed.
+  Engine eng;
+  SimThread* shortf = nullptr;
+  const void* short_stack = nullptr;
+  const void* child_stack = nullptr;
+  eng.spawn("long", [&] {
+    for (int i = 0; i < 6; ++i) delay(2);
+    EXPECT_TRUE(shortf->finished());
+    SimThread* child = eng.spawn("child", [] { delay(1); });
+    child_stack = child->stack().base();
+    delay(2);
+  });
+  shortf = eng.spawn("short", [] {
+    for (int i = 0; i < 3; ++i) delay(2);
+  });
+  short_stack = shortf->stack().base();
+  eng.run();
+  EXPECT_TRUE(shortf->finished());
+  EXPECT_EQ(eng.now(), 14u);
+  EXPECT_EQ(eng.runq_pops(), eng.context_switches());
+#if !defined(__SANITIZE_ADDRESS__)
+  // ASan builds intentionally allocate every stack fresh.
+  EXPECT_EQ(eng.stacks_reused(), 1u);
+  EXPECT_EQ(child_stack, short_stack);
+#else
+  (void)child_stack;
+  (void)short_stack;
+#endif
+}
+
+// Per-shard log of (virtual time, who, effect seen) on a sharded engine.
+using ShardLog = std::vector<std::vector<std::tuple<Time, int, bool>>>;
+
+ShardLog run_window_edge(std::uint32_t workers) {
+  // Lookahead 100 and four shards: odd shard k+1 posts an effect to even
+  // shard k at 100. On shard k, `a` parks at 10 with `b` due at 120, past
+  // the first window's end: the handoff must return to the scheduler
+  // instead of resuming `b` before the effect has been routed.
+  constexpr std::uint32_t kShards = 4;
+  Engine eng;
+  eng.enable_sharding(kShards, 100, workers);
+  ShardLog log(kShards);
+  std::vector<char> seen(kShards, 0);
+  for (std::uint32_t k = 0; k < kShards; k += 2) {
+    eng.spawn_on(k, "a", [&log, &seen, k] {
+      delay(10);
+      log[k].emplace_back(now(), 0, seen[k] != 0);
+      delay(160);
+      log[k].emplace_back(now(), 0, seen[k] != 0);
+    });
+    eng.spawn_on(k, "b", [&log, &seen, k] {
+      delay(120);
+      log[k].emplace_back(now(), 1, seen[k] != 0);
+    });
+    eng.spawn_on(k + 1, "poster", [&eng, &log, &seen, k] {
+      eng.post_effect(k, now() + eng.lookahead(), 1, k, 0, [&log, &seen, k] {
+        seen[k] = 1;
+        log[k].emplace_back(now(), 2, true);
+      });
+    });
+  }
+  eng.run();
+  return log;
+}
+
+TEST(EngineHandoff, NeverResumesAFiberPastTheWindowEnd) {
+  const ShardLog ref = run_window_edge(1);
+  const std::vector<std::tuple<Time, int, bool>> want = {
+      {10, 0, false}, {100, 2, true}, {120, 1, true}, {170, 0, true}};
+  EXPECT_EQ(ref[0], want);
+  EXPECT_EQ(ref[2], want);
+  EXPECT_EQ(ref, run_window_edge(2));
+  EXPECT_EQ(ref, run_window_edge(4));
 }
 
 TEST(Rng, KnownSequencesAndRanges) {
