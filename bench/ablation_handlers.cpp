@@ -109,7 +109,9 @@ Result run_active_migratory() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  // Only the shared flags are accepted; the ablation has no sweep to shape.
+  (void)benchutil::BenchOpts::parse(argc, argv);
   benchutil::header("Ablation",
                     "passive (Argo) vs active-handler (MSI) coherence");
   Table t({"workload", "Argo (ms)", "active DSM (ms)", "active/Argo",

@@ -102,7 +102,7 @@ BENCHMARK(BM_MpiRmaRead)
 
 int main(int argc, char** argv) {
   using namespace benchutil;
-  BenchOpts opts = BenchOpts::parse(argc, argv);
+  BenchOpts opts = BenchOpts::parse(argc, argv, /*forward_unknown=*/true);
   g_pipeline = opts.pipeline;
   if (!opts.json_path.empty()) {
     // Run the sweep directly (no google-benchmark console machinery).

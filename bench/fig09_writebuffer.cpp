@@ -71,13 +71,7 @@ int main(int argc, char** argv) {
           .num("adapt_wb_shrinks", s.counter("carina.adapt.wb_shrinks"))
           .num("adapt_wb_reverts", s.counter("carina.adapt.wb_reverts"))
           .num("adapt_full_page", s.counter("carina.adapt.full_page_selected"))
-          .num("adapt_probes", s.counter("carina.adapt.density_probes"))
-          .num("adapt_prefetches", s.counter("carina.adapt.prefetch_issued"))
-          .num("adapt_prefetched_pages",
-               s.counter("carina.adapt.prefetched_pages"))
-          .num("adapt_prefetch_useful",
-               s.counter("carina.adapt.prefetch_useful"))
-          .num("adapt_stride_resets", s.counter("carina.adapt.stride_resets"));
+          .num("adapt_probes", s.counter("carina.adapt.density_probes"));
       // Per-node fence histograms for the largest buffer — the regime
       // where the SD drain dominates and pipelining matters most.
       if (wb == sizes.back()) {

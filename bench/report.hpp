@@ -99,20 +99,22 @@ inline void note(const char* text) { std::printf("  %s\n", text); }
 ///                      comma-separated list ("--nodes 32" or
 ///                      "--nodes 32,64,128"); each count must fit the
 ///                      directory encoding (at most argodir::max_nodes())
-///   --adaptive         enable all three adaptive runtime-tuning policies
+///   --adaptive         enable both adaptive runtime-tuning policies
 ///   --adapt-wb         enable only phase-adaptive write-buffer sizing
 ///   --adapt-diff       enable only density-driven diff granularity
-///   --adapt-stride     enable only stride prefetch
-/// Unrecognized arguments are kept (fig07 forwards them to its harness).
+/// An unrecognized argument (or a flag missing its value) is named on
+/// stderr and exits with status 2, so a typo never silently runs the
+/// default configuration. fig07 alone passes `forward_unknown`: it keeps
+/// such arguments in `rest` for google-benchmark, which rejects its own.
 struct BenchOpts {
   std::string json_path;
   int pipeline = 1;
   bool quick = false;
-  int adapt = 0;  // bitmask: 1 = wb sizing, 2 = diff granularity, 4 = stride
+  int adapt = 0;  // bitmask: 1 = wb sizing, 2 = diff granularity
   std::vector<int> nodes;   // empty = the sweep's default node counts
-  std::vector<char*> rest;  // argv[0] + unconsumed arguments
+  std::vector<char*> rest;  // argv[0] + forwarded arguments
 
-  static BenchOpts parse(int argc, char** argv) {
+  static BenchOpts parse(int argc, char** argv, bool forward_unknown = false) {
     BenchOpts o;
     if (argc > 0) o.rest.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
@@ -134,15 +136,17 @@ struct BenchOpts {
       } else if (std::strcmp(argv[i], "--quick") == 0) {
         o.quick = true;
       } else if (std::strcmp(argv[i], "--adaptive") == 0) {
-        o.adapt = 7;
+        o.adapt = 3;
       } else if (std::strcmp(argv[i], "--adapt-wb") == 0) {
         o.adapt |= 1;
       } else if (std::strcmp(argv[i], "--adapt-diff") == 0) {
         o.adapt |= 2;
-      } else if (std::strcmp(argv[i], "--adapt-stride") == 0) {
-        o.adapt |= 4;
-      } else {
+      } else if (forward_unknown) {
         o.rest.push_back(argv[i]);
+      } else {
+        std::fprintf(stderr, "%s: unrecognized argument '%s'\n", argv[0],
+                     argv[i]);
+        std::exit(2);
       }
     }
     return o;
@@ -152,7 +156,6 @@ struct BenchOpts {
   void apply_adapt(ClusterConfig& c) const {
     c.adapt.write_buffer = (adapt & 1) != 0;
     c.adapt.diff_granularity = (adapt & 2) != 0;
-    c.adapt.stride_prefetch = (adapt & 4) != 0;
   }
 };
 
@@ -166,9 +169,10 @@ struct BenchOpts {
 /// 0 for rows that run no cluster) so 32/64/128-node sweeps can share one
 /// file and be filtered apart (bench_compare.py --nodes).
 /// Schema 5 stamps "adapt" (the adaptive-policy bitmask the row ran with:
-/// 1 = write-buffer sizing, 2 = diff granularity, 4 = stride prefetch, 0 =
-/// fixed knobs) so adaptive and fixed rows can live in one file and be
-/// paired apart (bench_compare.py --adapt-gate).
+/// 1 = write-buffer sizing, 2 = diff granularity, 0 = fixed knobs) so
+/// adaptive and fixed rows can live in one file and be paired apart
+/// (bench_compare.py --adapt-gate). Bit 4 (stride prefetch, removed) is
+/// retired and never reused; older rows may still carry it.
 inline constexpr int kBenchSchemaVersion = 5;
 
 /// Effective engine worker count for this process: N when

@@ -32,7 +32,9 @@ std::string si_sd(Mode m, const State& s) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  // Only the shared flags are accepted; the table has no sweep to shape.
+  (void)benchutil::BenchOpts::parse(argc, argv);
   benchutil::header("Table 1",
                     "classification x (SI, SD) matrix, from live policy code");
 

@@ -19,10 +19,10 @@
 # "nodes" so scripts/bench_compare.py --nodes can filter.
 #
 # A fourth sweep ("adapt" mode) runs the fig13 quick suite twice — fixed
-# knobs (adapt bitmask 0) and all adaptive runtime-tuning policies on
-# (--adaptive, bitmask 7) — and records, besides wall time, the summed
-# simulated virtual_ms of the argo-series rows from each bench's own JSON
-# report. Virtual time is deterministic, so scripts/bench_compare.py
+# knobs and all adaptive runtime-tuning policies on (--adaptive) — and
+# records, besides wall time, the summed simulated virtual_ms of the
+# argo-series rows and the adapt bitmask those rows ran with, both from
+# each bench's own JSON report. Virtual time is deterministic, so scripts/bench_compare.py
 # --adapt-gate can require the adaptive build to win the geomean without
 # any host-noise margin.
 #
@@ -124,26 +124,29 @@ for N in $SCALE_NODES; do
   done
 done
 
-# Adaptive-tuning sweep: the fig13 quick suite with fixed knobs (adapt
-# bitmask 0) and with every adaptive policy on (--adaptive, bitmask 7).
-# Each bench writes its own JSON report; the summed virtual_ms of the
-# argo-series rows (the only series adaptation touches) goes on the host
-# row so scripts/bench_compare.py --adapt-gate can judge the deterministic
-# simulated-time win without host noise.
+# Adaptive-tuning sweep: the fig13 quick suite with fixed knobs and with
+# every adaptive policy on (--adaptive). Each bench writes its own JSON
+# report; the summed virtual_ms of the argo-series rows (the only series
+# adaptation touches) goes on the host row so scripts/bench_compare.py
+# --adapt-gate can judge the deterministic simulated-time win without host
+# noise. The host row's "adapt" is the bitmask the bench stamped on those
+# rows, so it always names the policies that actually ran.
 ADAPT_BENCHES="fig13a_lu fig13b_nbody fig13c_blackscholes fig13d_mm fig13e_ep fig13f_cg"
-for A in 0 7; do
-  FLAG=""
-  [ "$A" = 7 ] && FLAG="--adaptive"
+for FLAG in "" "--adaptive"; do
   for bench in $ADAPT_BENCHES; do
     TMP_JSON="$(mktemp)"
     # shellcheck disable=SC2086  # FLAG is intentionally word-split
     read -r wall rss < <(measure "$BUILD/bench/$bench" --quick $FLAG --json "$TMP_JSON")
-    vms="$(python3 - "$TMP_JSON" <<'EOF'
+    stamp="$(python3 - "$TMP_JSON" <<'EOF'
 import json, sys
-rows = json.load(open(sys.argv[1]))
-print(f"{sum(r['virtual_ms'] for r in rows if r['series'].startswith('argo')):.6f}")
+rows = [r for r in json.load(open(sys.argv[1])) if r['series'].startswith('argo')]
+masks = {r['adapt'] for r in rows}
+if len(masks) != 1:
+    sys.exit(f"{sys.argv[1]}: argo rows carry adapt masks {sorted(masks)}")
+print(f"{sum(r['virtual_ms'] for r in rows):.6f} {masks.pop()}")
 EOF
 )"
+    read -r vms A <<< "$stamp"
     rm -f "$TMP_JSON"
     echo "-- $bench [adapt=$A] ${wall}s virtual=${vms}ms"
     ROWS="$ROWS{\"schema\":$SCHEMA,\"commit\":\"$ARGO_GIT_COMMIT\",\"date\":\"$RUN_DATE\",\"bench\":\"$bench\",\"mode\":\"adapt\",\"threads\":1,\"host_cpus\":$HOST_CPUS,\"adapt\":$A,\"virtual_ms\":$vms,\"wall_s\":$wall,\"max_rss_kb\":$rss},\n"

@@ -164,19 +164,17 @@ python3 scripts/bench_compare.py --par-gate build/BENCH_host.json \
 
 echo "=== adaptive ablation smoke ==="
 # Each adaptive runtime-tuning policy toggled individually (DESIGN.md §6)
-# must complete the quick LU leg — the bench the policies move most — and
-# ARGO_NO_ADAPT=1 must neutralize the full mask without error. The
-# bit-identity of the forced-off run is pinned by tests/test_adapt.cpp;
+# must complete the quick LU leg — the bench the policies move most. The
+# bit-identity of the policies-off run is pinned by tests/test_adapt.cpp;
 # this smoke only guards the CLI plumbing end-to-end.
-for flag in --adapt-wb --adapt-diff --adapt-stride --adaptive; do
+for flag in --adapt-wb --adapt-diff --adaptive; do
   echo "--- fig13a_lu --quick $flag"
   build/bench/fig13a_lu --quick "$flag" > /dev/null
 done
-ARGO_NO_ADAPT=1 build/bench/fig13a_lu --quick --adaptive > /dev/null
-echo "  OK: per-policy toggles and ARGO_NO_ADAPT all ran"
+echo "  OK: per-policy toggles all ran"
 
 echo "=== perf smoke: adaptive tuning gate ==="
-# Adaptive-on (bitmask 7) vs fixed knobs on the fig13 quick suite, judged
+# Adaptive-on (--adaptive) vs fixed knobs on the fig13 quick suite, judged
 # on deterministic simulated virtual_ms (rows written by bench_host.sh
 # above): geomean must not lose and no bench may regress more than 2%.
 python3 scripts/bench_compare.py --adapt-gate build/BENCH_host.json

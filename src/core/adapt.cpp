@@ -2,10 +2,42 @@
 
 namespace argocore {
 
+namespace {
+
+// (a) write-buffer sizing: the capacity bounds, the per-admission stall
+// EWMA (virtual ns a store loses to a full buffer, averaged over every
+// admission of the phase) past which the climber probes growth instead of
+// exploring downward, and the ceiling of the exponential backoff (in
+// acting phases) after a move is reverted, bounding oscillation cost
+// around a settled optimum.
+constexpr std::size_t kWbMinPages = 4;
+constexpr std::size_t kWbMaxPages = 8192;
+constexpr std::uint64_t kWbGrowStallNs = 2000;
+constexpr int kWbRevertBackoff = 8;
+
+// (b) diff granularity: wire-byte EWMA threshold in 256ths of a page
+// (224/256 = 87.5% — past that the run headers cost more than the bytes a
+// full-page write would resend), the consecutive dense diffs a page must
+// show before full-page mode engages (pages that alternate dense/clean
+// writebacks must keep diffing: a full-page write of an unchanged page
+// ships 4 KiB for nothing), and the probe cadence that keeps sampling
+// real diffs on full-page pages.
+constexpr unsigned kDenseFrac256 = 224;
+constexpr unsigned kDenseStreak = 3;
+constexpr unsigned kDensityProbeInterval = 8;
+
+std::size_t pow2_at_least(std::size_t v) {
+  std::size_t p = 1;
+  while (p < v) p <<= 1;
+  return p;
+}
+
+}  // namespace
+
 AdaptEngine::AdaptEngine(const AdaptConfig& cfg, std::size_t base_wb_pages,
                          bool protocol_supported)
     : cfg_(cfg), base_wb_(base_wb_pages), supported_(protocol_supported) {
-  wb_capacity_ = std::clamp(base_wb_, cfg_.wb_min_pages, cfg_.wb_max_pages);
+  wb_capacity_ = std::clamp(base_wb_, kWbMinPages, kWbMaxPages);
   if (!cfg_.write_buffer) wb_capacity_ = base_wb_;
   history_.push_back(static_cast<std::uint32_t>(wb_capacity_));
 }
@@ -27,14 +59,6 @@ void AdaptEngine::note_wb_admit(std::size_t live_after, std::uint64_t page) {
   phase_peak_ = std::max(phase_peak_, live_after);
   if (phase_drained_.count(page) > 0) phase_redirtied_.insert(page);
 }
-
-namespace {
-std::size_t pow2_at_least(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-}  // namespace
 
 // Hill-climb on the one quantity that folds every trade-off in: the phase
 // length itself, measured fence-to-fence in virtual time. Mid-phase
@@ -85,7 +109,7 @@ std::size_t AdaptEngine::sample_fence(std::uint64_t now_ns,
   // ages out like a veto.
   if (redirtied > 0) {
     churn_floor_ = std::min(std::max(churn_floor_, pow2_at_least(redirtied)),
-                            cfg_.wb_max_pages);
+                            kWbMaxPages);
     churn_ttl_ = kVetoPhases;
   } else if (churn_ttl_ > 0 && --churn_ttl_ == 0) {
     churn_floor_ = 0;
@@ -181,7 +205,7 @@ std::size_t AdaptEngine::sample_fence(std::uint64_t now_ns,
       }
       dir_ = -moved_dir_;
       hold_ = backoff_;
-      backoff_ = std::min(backoff_ * 2, cfg_.wb_revert_backoff);
+      backoff_ = std::min(backoff_ * 2, kWbRevertBackoff);
       prev_phase_ns_ = 0;  // the baseline is stale once we jump back
       prev2_phase_ns_ = 0;
       ++stats_.wb_reverts;
@@ -212,7 +236,7 @@ std::size_t AdaptEngine::sample_fence(std::uint64_t now_ns,
     prev_phase_ns_ = score;
   }
 
-  const bool pressure = ewma_stall_ >= cfg_.wb_grow_stall_ns;
+  const bool pressure = ewma_stall_ >= kWbGrowStallNs;
   if (pressure && wb_capacity_ != bad_grow_from_) dir_ = +1;
 
   // Shrinking attacks the fence drain; when this fence cost under ~3% of
@@ -236,7 +260,7 @@ std::size_t AdaptEngine::sample_fence(std::uint64_t now_ns,
     // Capacity never moves below what is still queued (SI fences don't
     // drain), the re-dirty churn floor, nor the configured floor.
     const std::size_t floor_pages =
-        std::max({cfg_.wb_min_pages, churn_floor_,
+        std::max({kWbMinPages, churn_floor_,
                   pow2_at_least(std::max<std::size_t>(live, 1))});
     std::size_t next = wb_capacity_;
     bool jumped = false;
@@ -247,7 +271,7 @@ std::size_t AdaptEngine::sample_fence(std::uint64_t now_ns,
     if (can_jump && !jump_blocked_) {
       const std::size_t target =
           std::clamp(pow2_at_least(4 * std::max(peak, live)), floor_pages,
-                     cfg_.wb_max_pages);
+                     kWbMaxPages);
       if (target < wb_capacity_ / 2) {
         next = target;
         jumped = true;
@@ -267,9 +291,9 @@ std::size_t AdaptEngine::sample_fence(std::uint64_t now_ns,
     }
   } else {
     if (pressure && can_climb && wb_capacity_ != bad_grow_from_ &&
-        wb_capacity_ < cfg_.wb_max_pages) {
+        wb_capacity_ < kWbMaxPages) {
       prev_cap_ = old;
-      wb_capacity_ = std::min(wb_capacity_ * 2, cfg_.wb_max_pages);
+      wb_capacity_ = std::min(wb_capacity_ * 2, kWbMaxPages);
       moved_ = true;
       moved_dir_ = +1;
       moved_was_jump_ = false;
@@ -292,7 +316,7 @@ void AdaptEngine::note_diff(std::uint64_t page, std::size_t wire_bytes) {
       std::min<std::size_t>(255, wire_bytes * 256 / argomem::kPageSize));
   Density& d = density_[page];
   d.ewma = static_cast<std::uint8_t>(d.seen ? (3u * d.ewma + frac) / 4u : frac);
-  d.streak = frac >= cfg_.dense_frac256
+  d.streak = frac >= kDenseFrac256
                  ? static_cast<std::uint8_t>(std::min(255u, d.streak + 1u))
                  : std::uint8_t{0};
   d.seen = true;
@@ -309,12 +333,11 @@ bool AdaptEngine::prefer_full_page(std::uint64_t page, bool& flipped) {
   // the EWMA (knocked below threshold by a single sparse probe) flips a
   // sparsified page back after at most one probe interval.
   const bool dense =
-      d.ewma >= cfg_.dense_frac256 && d.streak >= cfg_.dense_streak;
+      d.ewma >= kDenseFrac256 && d.streak >= kDenseStreak;
   flipped = dense != d.last_full;  // classification change, not probe noise
   d.last_full = dense;
   if (!dense) return false;
-  if (cfg_.density_probe_interval > 0 &&
-      ++d.decisions % cfg_.density_probe_interval == 0) {
+  if (++d.decisions % kDensityProbeInterval == 0) {
     // Periodic probe: diff a dense page anyway so the EWMA keeps seeing
     // real wire bytes and can flip back when the page sparsifies.
     ++stats_.density_probes;
@@ -325,7 +348,7 @@ bool AdaptEngine::prefer_full_page(std::uint64_t page, bool& flipped) {
 }
 
 void AdaptEngine::reset_runtime() {
-  wb_capacity_ = std::clamp(base_wb_, cfg_.wb_min_pages, cfg_.wb_max_pages);
+  wb_capacity_ = std::clamp(base_wb_, kWbMinPages, kWbMaxPages);
   if (!cfg_.write_buffer) wb_capacity_ = base_wb_;
   phase_stall_ns_ = 0;
   phase_drains_ = 0;

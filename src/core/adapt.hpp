@@ -1,14 +1,14 @@
 #pragma once
-// Adaptive runtime tuning (ROADMAP item 5): deterministic policy engines
-// that close the observability loop online. Every input is a virtual-time
-// counter or a protocol event already present on the miss/fence/writeback
-// paths — never a host clock and never a cache-hit fast path (the soft-TLB
+// Adaptive runtime tuning: deterministic policy engines that close the
+// observability loop online. Every input is a virtual-time counter or a
+// protocol event already present on the miss/fence/writeback paths —
+// never a host clock and never a cache-hit fast path (the soft-TLB
 // short-circuits hits, so a hit-path hook would break fast-vs-slow
-// bit-identity). Policies only read state owned by their own NodeCache (or
-// their own Thread, for the stride table), so decisions are identical for
-// any host worker count of the parallel engine.
+// bit-identity). Policies only read state owned by their own NodeCache, so
+// decisions are identical for any host worker count of the parallel engine.
 //
-// Three policies, individually gated by ClusterConfig::adapt:
+// Two policies, individually gated by ClusterConfig::adapt (both off by
+// default, which reproduces the fixed-knob behaviour bit-identically):
 //
 //  (a) phase-adaptive write-buffer sizing — a deterministic hill-climber
 //      on measured phase time (fence-to-fence virtual time). Mid-phase
@@ -18,26 +18,22 @@
 //      fast jump to 4x peak occupancy when grossly oversized) and grows
 //      only under measured admission-stall pressure. A move that makes the
 //      next phase slower is reverted and the direction backed off
-//      exponentially. Bounded to [wb_min_pages, wb_max_pages].
+//      exponentially. Bounded to [kWbMinPages, kWbMaxPages] (adapt.cpp).
 //  (b) density-driven diff granularity — a per-page EWMA of diff wire
 //      bytes (runs from diff_runs, 8-byte headers included) selects a
 //      single full-page write over run-coalesced scatter-gather when the
 //      page's diffs are dense. Only consulted when the node is the page's
 //      sole writer (same DRF argument as sw_diff_suppression); a periodic
 //      probe re-runs the diff so the EWMA can observe sparsification.
-//  (c) stride prefetch — a per-thread 2-entry stride table over the page
-//      miss stream widens the demand fill with same-home neighbour pages
-//      when a stride is confirmed, with round-robin replacement that
-//      counts confident-entry evictions as misprediction resets.
 //
-// Reference mode: ARGO_NO_ADAPT=1 (or set_adapt_forced_off(true)) forces
-// every policy inert, reproducing the fixed-knob seed behaviour
-// bit-identically; tests/test_adapt.cpp pins this.
+// Fetch width is not adapted: prefetching is the paper's static multi-page
+// line (CacheConfig::pages_per_line), and the 4-page line the benches use
+// beat every adaptive alternative measured (EXPERIMENTS.md, "Adaptive
+// policies vs the best static setting").
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -47,59 +43,12 @@
 namespace argocore {
 
 // ---------------------------------------------------------------------------
-// Reference-mode toggle, same idiom as ARGO_THREADS (sim/par.hpp):
-// ARGO_NO_ADAPT set (and not "0") disables every adaptive policy
-// regardless of config.
-
-namespace detail {
-inline bool g_no_adapt = [] {
-  const char* e = std::getenv("ARGO_NO_ADAPT");
-  return e != nullptr && e[0] != '\0' && !(e[0] == '0' && e[1] == '\0');
-}();
-}  // namespace detail
-
-inline bool adapt_forced_off() { return detail::g_no_adapt; }
-inline void set_adapt_forced_off(bool v) { detail::g_no_adapt = v; }
-
-// ---------------------------------------------------------------------------
 
 struct AdaptConfig {
   bool write_buffer = false;      // policy (a)
   bool diff_granularity = false;  // policy (b)
-  bool stride_prefetch = false;   // policy (c)
 
-  // (a) write-buffer sizing
-  std::size_t wb_min_pages = 4;
-  std::size_t wb_max_pages = 8192;
-  // Per-admission stall EWMA (virtual ns a store loses to a full buffer,
-  // averaged over every admission of the phase) past which the climber
-  // probes growth instead of exploring downward.
-  std::uint64_t wb_grow_stall_ns = 2000;
-  // Ceiling of the exponential backoff (in acting phases) after a move is
-  // reverted, bounding oscillation cost around a settled optimum.
-  int wb_revert_backoff = 8;
-
-  // (b) diff granularity: wire-byte EWMA threshold in 256ths of a page
-  // (224/256 = 87.5% — past that the run headers cost more than the
-  // bytes a full-page write would resend), the consecutive dense diffs a
-  // page must show before full-page mode engages (pages that alternate
-  // dense/clean writebacks must keep diffing: a full-page write of an
-  // unchanged page ships 4 KiB for nothing), and the probe cadence that
-  // keeps sampling real diffs on full-page pages.
-  unsigned dense_frac256 = 224;
-  unsigned dense_streak = 3;
-  unsigned density_probe_interval = 8;
-
-  // (c) stride prefetch. Confidence 6 means a stream must survive six
-  // same-stride misses before predictions fire: short streams (a few
-  // cache lines per array slice, the common shape at small problem sizes)
-  // end before that, so they never trigger the end-of-slice overfetch
-  // that would make prefetch a net loss. Long streams — the only place
-  // prefetch has real upside — clear the bar within their first few lines.
-  int stride_confidence = 6;  // confirmations before predictions fire
-  int prefetch_degree = 2;    // pages fetched ahead per prediction
-
-  bool any() const { return write_buffer || diff_granularity || stride_prefetch; }
+  bool any() const { return write_buffer || diff_granularity; }
 };
 
 // Decision counters, kept apart from CoherenceStats so the seed's stat
@@ -110,11 +59,6 @@ struct AdaptStats {
   std::uint64_t wb_reverts = 0;  // (a) moves undone by a slower next phase
   std::uint64_t full_page_selected = 0;  // (b) chose full page over diff
   std::uint64_t density_probes = 0;      // (b) dense page re-diffed anyway
-  std::uint64_t prefetch_issued = 0;     // (c) predictions acted on
-  std::uint64_t prefetched_pages = 0;    // (c) pages actually pulled in
-  std::uint64_t prefetch_useful = 0;     // (c) prefetched pages later touched
-  std::uint64_t prefetch_suppressed = 0;  // (c) predictions the governor vetoed
-  std::uint64_t stride_resets = 0;       // (c) confident entry evicted
 
   AdaptStats& operator+=(const AdaptStats& o) {
     wb_grows += o.wb_grows;
@@ -122,92 +66,12 @@ struct AdaptStats {
     wb_reverts += o.wb_reverts;
     full_page_selected += o.full_page_selected;
     density_probes += o.density_probes;
-    prefetch_issued += o.prefetch_issued;
-    prefetched_pages += o.prefetched_pages;
-    prefetch_useful += o.prefetch_useful;
-    prefetch_suppressed += o.prefetch_suppressed;
-    stride_resets += o.stride_resets;
     return *this;
   }
 };
 
 // ---------------------------------------------------------------------------
-// Per-thread 2-entry stride table over the demand page-miss stream.
-// Purely thread-local state updated only on misses, so it is deterministic
-// under the parallel engine and invisible to TLB-hit fast paths.
-
-class StrideTable {
- public:
-  struct Prediction {
-    std::int64_t stride = 0;
-    int degree = 0;  // 0 = no prediction
-  };
-
-  // Record a demand miss on `page`; returns the prefetch to issue (if any).
-  // A confirmed stride predicts `degree` pages ahead; jumps of up to
-  // degree+1 strides count as continuations because prefetched pages
-  // absorb the intermediate misses.
-  Prediction note_miss(std::uint64_t page, const AdaptConfig& cfg,
-                       AdaptStats& stats) {
-    ++tick_;
-    const std::int64_t p = static_cast<std::int64_t>(page);
-    for (Entry& e : e_) {
-      if (e.last == kNone || e.stride == 0) continue;
-      const std::int64_t d = p - static_cast<std::int64_t>(e.last);
-      if (d == 0) return {};  // repeat page: no new information
-      if (d % e.stride == 0) {
-        const std::int64_t k = d / e.stride;
-        if (k >= 1 && k <= cfg.prefetch_degree + 1) {
-          e.last = page;
-          e.conf = std::min(e.conf + 1, 8);
-          e.used = tick_;
-          if (e.conf >= cfg.stride_confidence)
-            return {e.stride, cfg.prefetch_degree};
-          return {};
-        }
-      }
-    }
-    for (Entry& e : e_) {  // adopt a stride on a candidate entry
-      if (e.last == kNone || e.stride != 0) continue;
-      const std::int64_t d = p - static_cast<std::int64_t>(e.last);
-      if (d == 0) return {};
-      e.stride = d;
-      e.conf = 1;
-      e.last = page;
-      e.used = tick_;
-      return {};
-    }
-    Entry* victim = &e_[0];  // allocate over the least-recently-used entry
-    for (Entry& e : e_) {
-      if (e.last == kNone) {
-        victim = &e;
-        break;
-      }
-      if (e.used < victim->used) victim = &e;
-    }
-    if (victim->last != kNone && victim->conf >= cfg.stride_confidence)
-      ++stats.stride_resets;  // misprediction: a live stream got evicted
-    *victim = Entry{page, 0, 0, tick_};
-    return {};
-  }
-
-  void reset() { *this = StrideTable{}; }
-
- private:
-  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
-  struct Entry {
-    std::uint64_t last = kNone;
-    std::int64_t stride = 0;
-    int conf = 0;
-    std::uint64_t used = 0;
-  };
-  Entry e_[2];
-  std::uint64_t tick_ = 0;
-};
-
-// ---------------------------------------------------------------------------
 // Per-NodeCache policy engine: write-buffer capacity + diff density.
-// (Stride state lives in the threads; the cache only executes predictions.)
 
 class AdaptEngine {
  public:
@@ -215,18 +79,9 @@ class AdaptEngine {
               bool protocol_supported);
 
   // Policy activity: config flag AND the protocol supports it (naive P/S
-  // checkpoints instead of diffing) AND the reference mode isn't forced.
-  bool wb_active() const {
-    return cfg_.write_buffer && supported_ && !adapt_forced_off();
-  }
-  bool diff_active() const {
-    return cfg_.diff_granularity && supported_ && !adapt_forced_off();
-  }
-  bool stride_active() const {
-    return cfg_.stride_prefetch && supported_ && !adapt_forced_off();
-  }
-
-  const AdaptConfig& config() const { return cfg_; }
+  // checkpoints instead of diffing).
+  bool wb_active() const { return cfg_.write_buffer && supported_; }
+  bool diff_active() const { return cfg_.diff_granularity && supported_; }
 
   // Current write-buffer page capacity; the seed's fixed knob when the
   // policy is inert.

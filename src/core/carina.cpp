@@ -101,8 +101,8 @@ void NodeCache::unlock_line(Line& l) {
 // Access paths
 // ---------------------------------------------------------------------------
 
-const std::byte* NodeCache::read_ptr(GAddr a, std::size_t len, SoftTlb* tlb,
-                                     StrideTable* st) {
+const std::byte* NodeCache::read_ptr(GAddr a, std::size_t len,
+                                     SoftTlb* tlb) {
   assert(page_offset(a) + len <= kPageSize && "access must not straddle pages");
   (void)len;
   const std::uint64_t page = page_of(a);
@@ -125,10 +125,6 @@ const std::byte* NodeCache::read_ptr(GAddr a, std::size_t len, SoftTlb* tlb,
   if (l.group == group) {
     PageSlot& s = slot_of(l, page);
     if (s.valid && my_reader_bit_set(page)) {
-      if (s.prefetched) {
-        s.prefetched = false;  // first demand touch: the prefetch paid off
-        ++adapt_.stats().prefetch_useful;
-      }
       ++stats_.read_hits;
       if (tlb)
         tlb->insert_read(page, tlb_gen_, page_data(l, page),
@@ -138,7 +134,6 @@ const std::byte* NodeCache::read_ptr(GAddr a, std::size_t len, SoftTlb* tlb,
   }
   ++stats_.read_misses;
   argosim::delay(cfg_.fault_overhead);
-  bool prefetched = false;
   for (;;) {
     try {
       ensure_cached(page, /*for_write=*/false);
@@ -147,16 +142,6 @@ const std::byte* NodeCache::read_ptr(GAddr a, std::size_t len, SoftTlb* tlb,
       // have been parked inside it across the recovery). Own-home pages
       // are never cached — re-dispatch for the home fast path.
       if (gmem_.home_of_page(page) == node_) return read_ptr(a, len, tlb);
-      if (!prefetched && st != nullptr && adapt_.stride_active()) {
-        // Prefetch inside the retry loop, before the pointer leaves: the
-        // fills yield, so the demand page must be re-validated afterwards
-        // (below) — never between a validation and the returned pointer.
-        prefetched = true;
-        maybe_prefetch(page, st);
-        if (!(l.group == group && slot_of(l, page).valid &&
-              my_reader_bit_set(page)))
-          continue;
-      }
       break;
     } catch (const argonet::NodeFailedError& e) {
       // The page's home (or an owner we had to contact) crash-stopped
@@ -176,8 +161,7 @@ const std::byte* NodeCache::read_ptr(GAddr a, std::size_t len, SoftTlb* tlb,
   return page_data(l, page) + page_offset(a);
 }
 
-std::byte* NodeCache::write_ptr(GAddr a, std::size_t len, SoftTlb* tlb,
-                                StrideTable* st) {
+std::byte* NodeCache::write_ptr(GAddr a, std::size_t len, SoftTlb* tlb) {
   assert(page_offset(a) + len <= kPageSize && "access must not straddle pages");
   (void)len;
   const std::uint64_t page = page_of(a);
@@ -206,7 +190,6 @@ std::byte* NodeCache::write_ptr(GAddr a, std::size_t len, SoftTlb* tlb,
   }
   ++stats_.write_misses;
   argosim::delay(cfg_.fault_overhead);
-  bool prefetched = false;
   for (;;) {
     try {
       ensure_cached(page, /*for_write=*/true);
@@ -222,21 +205,11 @@ std::byte* NodeCache::write_ptr(GAddr a, std::size_t len, SoftTlb* tlb,
     // onto this node mid-miss (e.g. while we were parked on the write
     // buffer below): re-dispatch for the home fast path.
     if (gmem_.home_of_page(page) == node_) return write_ptr(a, len, tlb);
-    if (!prefetched && st != nullptr && adapt_.stride_active()) {
-      // Safe before the latch: the lock_line + re-validation below already
-      // handles the line being displaced while the prefetch yielded.
-      prefetched = true;
-      maybe_prefetch(page, st);
-    }
     lock_line(l);
     PageSlot& s = slot_of(l, page);
     if (!(l.group == group && s.valid && my_writer_bit_set(page))) {
       unlock_line(l);
       continue;  // displaced while we were away; retry
-    }
-    if (s.prefetched) {
-      s.prefetched = false;  // first demand touch: the prefetch paid off
-      ++adapt_.stats().prefetch_useful;
     }
     if (!s.dirty) {
       // Admission control BEFORE dirtying: when the buffer is full, drain
@@ -573,7 +546,6 @@ void NodeCache::fetch_line_locked(Line& l, std::uint64_t group) {
       s.valid = true;
       s.dirty = false;
       s.in_wb = false;
-      s.prefetched = false;
       s.twin.reset();
     }
 }
@@ -615,7 +587,6 @@ void NodeCache::claim_line(Line& l, std::uint64_t group) {
     s.valid = false;
     s.dirty = false;
     s.in_wb = false;
-    s.prefetched = false;
     s.twin.reset();
   }
 }
@@ -1025,106 +996,6 @@ void NodeCache::sd_fence_impl() {
 }
 
 // ---------------------------------------------------------------------------
-// Stride prefetch (core/adapt.hpp, policy c)
-// ---------------------------------------------------------------------------
-
-void NodeCache::maybe_prefetch(std::uint64_t page, StrideTable* st) {
-  const StrideTable::Prediction pred =
-      st->note_miss(page, adapt_.config(), adapt_.stats());
-  if (pred.degree == 0 || pred.stride == 0) return;
-  // Usefulness governor: when most prefetched pages go untouched (short
-  // per-thread slices whose streams end right after the stride confirms),
-  // the blocking fills are a net loss. Stand down, but re-probe every
-  // 32nd suppressed prediction — lazily credited touches of pages already
-  // in flight can restore the ratio and turn the policy back on.
-  AdaptStats& ast = adapt_.stats();
-  if (ast.prefetched_pages >= 16 &&
-      ast.prefetch_useful * 2 < ast.prefetched_pages &&
-      ++ast.prefetch_suppressed % 32 != 0)
-    return;
-  ++ast.prefetch_issued;
-  const std::uint64_t demand_group = group_of(page);
-  const int demand_home = gmem_.home_of_page(page);
-  std::size_t fetched = 0;
-  for (int k = 1; k <= pred.degree; ++k) {
-    const std::int64_t q = static_cast<std::int64_t>(page) +
-                           static_cast<std::int64_t>(k) * pred.stride;
-    if (q < 0) break;
-    const std::uint64_t qp = static_cast<std::uint64_t>(q);
-    if (qp >= gmem_.pages()) break;
-    // Same-home widening only: the prediction extends the demand fill
-    // within one home's segment. Crossing into another home's segment —
-    // under the blocked distribution, typically another node's exclusive
-    // slice — would register reader bits on pages this node may never
-    // touch, flipping them P->S and taxing the real writer's fences.
-    if (gmem_.home_of_page(qp) != demand_home) break;
-    if (group_of(qp) == demand_group) continue;  // demand fill covers it
-    try {
-      fetched += try_prefetch_line(qp);
-    } catch (const argonet::NodeFailedError& e) {
-      // A predicted page's home crashed: a prefetch is the one place that
-      // may simply give up — nothing downstream depends on it. Wait out
-      // the recovery when the membership service can, then stop.
-      if (membership_ != nullptr) crash_failover(e);
-      break;
-    } catch (const argonet::NetworkError&) {
-      break;  // transient wire failure: best effort only
-    }
-  }
-  if (fetched > 0) {
-    adapt_.stats().prefetched_pages += fetched;
-    trace(argoobs::Ev::AdaptPrefetch, page, argoobs::kUnknownState, fetched);
-  }
-}
-
-std::size_t NodeCache::try_prefetch_line(std::uint64_t page) {
-  const std::uint64_t group = group_of(page);
-  Line& l = line_of_group(group);
-  // Pollution guard: never displace. A line that is mid-fetch, already
-  // holds the page, or holds a *different* group is left alone — the last
-  // case also protects the demand line when the predicted group conflicts
-  // with it in the direct-mapped array.
-  auto blocked = [&] {
-    if (l.fetching) return true;
-    if (l.group == group) return slot_of(l, page).valid;
-    return l.group != kNoGroup;
-  };
-  if (blocked()) return 0;
-  if (!my_reader_bit_set(page)) {
-    // The fill needs the reader registration just like a demand miss; the
-    // fetch_or yields, so re-check everything it may have changed.
-    register_access(page, /*for_write=*/false);
-    if (gmem_.home_of_page(page) == node_) return 0;  // re-homed onto us
-    if (blocked()) return 0;
-  }
-  lock_line(l);  // immediate: blocked() just saw fetching == false
-  if (l.group != group) claim_line(l, group);
-  // Snapshot which slots were already valid: only the newly filled ones
-  // are this prefetch's doing. (The node-global pages_fetched delta would
-  // over-count — the fill yields, and other fibers fetch meanwhile.)
-  std::vector<bool> pre(l.pages.size());
-  for (std::size_t i = 0; i < l.pages.size(); ++i) pre[i] = l.pages[i].valid;
-  try {
-    fetch_line_locked(l, group);
-  } catch (...) {
-    // A failed fill leaves the claimed line all-invalid — the same state
-    // every demand path already handles — but the latch must not wedge.
-    unlock_line(l);
-    throw;
-  }
-  std::size_t fetched = 0;
-  for (std::size_t i = 0; i < l.pages.size(); ++i) {
-    PageSlot& s = l.pages[i];
-    if (s.valid && !pre[i]) {
-      s.prefetched = true;  // cleared (and credited) on first demand touch
-      ++fetched;
-    }
-  }
-  unlock_line(l);
-  return fetched;
-}
-
-// ---------------------------------------------------------------------------
 // Crash recovery (core/membership.hpp)
 // ---------------------------------------------------------------------------
 
@@ -1194,7 +1065,6 @@ void NodeCache::invalidate_all_free() {
       s.valid = false;
       s.dirty = false;
       s.in_wb = false;
-      s.prefetched = false;
       s.twin.reset();
     }
     occ_bits_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));

@@ -58,21 +58,15 @@ class NodeCache {
   /// next protocol operation — callers copy out immediately. When `tlb` is
   /// non-null the resulting translation is cached there for MMU-analogue
   /// reuse (src/core/tlb.hpp); passing null changes nothing observable.
-  /// When `st` is non-null and the
-  /// stride-prefetch policy is active, demand misses feed the thread's
-  /// stride table and confirmed strides widen the fill (core/adapt.hpp);
-  /// with the policy off the table is never touched.
-  const std::byte* read_ptr(GAddr a, std::size_t len, SoftTlb* tlb = nullptr,
-                            StrideTable* st = nullptr);
+  const std::byte* read_ptr(GAddr a, std::size_t len, SoftTlb* tlb = nullptr);
 
   /// Writable span [a, a+len) (must not cross a page boundary). Remote
   /// pages get write-allocated: twin created, marked dirty, queued in the
   /// write buffer; registration and classification transitions happen here.
   /// A cached write translation stays valid only while the page remains
   /// dirty + write-buffered — every event that ends that (writeback, drain,
-  /// fence, checkpoint) bumps the TLB generation. `st` as in read_ptr.
-  std::byte* write_ptr(GAddr a, std::size_t len, SoftTlb* tlb = nullptr,
-                       StrideTable* st = nullptr);
+  /// fence, checkpoint) bumps the TLB generation.
+  std::byte* write_ptr(GAddr a, std::size_t len, SoftTlb* tlb = nullptr);
 
   /// SI fence: drop every cached page the classification says may be stale
   /// (flushing it first if dirty). Acquire-side of every synchronization.
@@ -191,7 +185,6 @@ class NodeCache {
     bool dirty = false;  // write window open: stores land without a latch
     bool in_wb = false;  // holds a write-buffer slot (unflushed data); stays
                          // set mid-writeback, after dirty closes
-    bool prefetched = false;  // filled by stride prefetch, not yet touched
     argomem::PageBuf twin;  // pool-backed; reset() recycles the block
   };
 
@@ -255,9 +248,8 @@ class NodeCache {
 
   /// Register access bits at the home directory with one blocking
   /// fetch_or and apply the result (see apply_registration). Used outside
-  /// the miss path: home-page accesses, which fill nothing, and stride
-  /// prefetches, which re-check the line after the registration yields.
-  /// Returns true if the naive-P/S path healed the home copy.
+  /// the miss path, by home-page accesses, which fill nothing. Returns
+  /// true if the naive-P/S path healed the home copy.
   bool register_access(std::uint64_t page, bool for_write);
 
   /// Post-fetch_or half of a registration: merge the updated entry into
@@ -320,18 +312,6 @@ class NodeCache {
   /// Naive P/S: service a P→S transition from the private owner's
   /// checkpoint (RDMA read from owner + RDMA write to home).
   void heal_from_checkpoint(int owner, std::uint64_t page);
-
-  /// Stride prefetch (policy c): feed the demand miss on `page` into the
-  /// thread's stride table and, when a stride is confirmed, pull predicted
-  /// lines in ahead of demand. Best-effort: network failures are swallowed
-  /// (the demand access does not depend on the prefetch). May yield.
-  void maybe_prefetch(std::uint64_t page, StrideTable* st);
-
-  /// Fetch the line holding `page` if that costs no displacement: skips
-  /// lines that are mid-fetch, already resident, or occupied by another
-  /// group (which also protects the demand line — a conflicting group maps
-  /// to the same slot). Returns the number of pages actually fetched.
-  std::size_t try_prefetch_line(std::uint64_t page);
 
   /// Crash failover: wait out the recovery of the dead node an operation
   /// just tripped over, account ops the crash aborted, and report that the

@@ -194,15 +194,6 @@ void Cluster::register_metrics() {
                          ad(&AS::full_page_selected));
     metrics_.add_counter("carina.adapt.density_probes",
                          ad(&AS::density_probes));
-    metrics_.add_counter("carina.adapt.prefetch_issued",
-                         ad(&AS::prefetch_issued));
-    metrics_.add_counter("carina.adapt.prefetched_pages",
-                         ad(&AS::prefetched_pages));
-    metrics_.add_counter("carina.adapt.prefetch_useful",
-                         ad(&AS::prefetch_useful));
-    metrics_.add_counter("carina.adapt.prefetch_suppressed",
-                         ad(&AS::prefetch_suppressed));
-    metrics_.add_counter("carina.adapt.stride_resets", ad(&AS::stride_resets));
     metrics_.add_counter("carina.adapt.wb_capacity", [this] {
       std::uint64_t total = 0;
       for (const auto& c : caches_) total += c->wb_capacity();
@@ -478,7 +469,7 @@ void Thread::load_bytes(GAddr a, std::byte* dst, std::size_t n) {
     if (src)
       src += argomem::page_offset(a);
     else
-      src = cache_->read_ptr(a, chunk, &tlb_, &stride_);
+      src = cache_->read_ptr(a, chunk, &tlb_);
     std::memcpy(dst, src, chunk);
     a += chunk;
     dst += chunk;
@@ -495,7 +486,7 @@ void Thread::store_bytes(GAddr a, const std::byte* src, std::size_t n) {
     if (dst)
       dst += argomem::page_offset(a);
     else
-      dst = cache_->write_ptr(a, chunk, &tlb_, &stride_);
+      dst = cache_->write_ptr(a, chunk, &tlb_);
     std::memcpy(dst, src, chunk);
     a += chunk;
     src += chunk;

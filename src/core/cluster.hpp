@@ -122,8 +122,7 @@ class Thread {
         std::memcpy(&v, base + off, sizeof(T));
         return v;
       }
-      std::memcpy(&v, cache_->read_ptr(a, sizeof(T), &tlb_, &stride_),
-                  sizeof(T));
+      std::memcpy(&v, cache_->read_ptr(a, sizeof(T), &tlb_), sizeof(T));
     } else {
       load_bytes(a, reinterpret_cast<std::byte*>(&v), sizeof(T));
     }
@@ -141,8 +140,7 @@ class Thread {
         std::memcpy(base + off, &v, sizeof(T));
         return;
       }
-      std::memcpy(cache_->write_ptr(a, sizeof(T), &tlb_, &stride_), &v,
-                  sizeof(T));
+      std::memcpy(cache_->write_ptr(a, sizeof(T), &tlb_), &v, sizeof(T));
     } else {
       store_bytes(a, reinterpret_cast<const std::byte*>(&v), sizeof(T));
     }
@@ -194,8 +192,7 @@ class Thread {
     if (const std::byte* base = tlb_.lookup_read(argomem::page_of(a),
                                                  cache_->tlb_generation()))
       return {reinterpret_cast<const T*>(base + off), count};
-    const std::byte* ptr = cache_->read_ptr(a, count * sizeof(T), &tlb_,
-                                            &stride_);
+    const std::byte* ptr = cache_->read_ptr(a, count * sizeof(T), &tlb_);
     return {reinterpret_cast<const T*>(ptr), count};
   }
 
@@ -215,7 +212,7 @@ class Thread {
     if (std::byte* base = tlb_.lookup_write(argomem::page_of(a),
                                             cache_->tlb_generation()))
       return {reinterpret_cast<T*>(base + off), count};
-    std::byte* ptr = cache_->write_ptr(a, count * sizeof(T), &tlb_, &stride_);
+    std::byte* ptr = cache_->write_ptr(a, count * sizeof(T), &tlb_);
     return {reinterpret_cast<T*>(ptr), count};
   }
 
@@ -273,11 +270,6 @@ class Thread {
   // Per-thread translation cache (~4 KB, lives on the fiber stack with the
   // Thread object).
   argocore::SoftTlb tlb_;
-  // Per-thread stride table over this thread's page-miss history
-  // (core/adapt.hpp). Always passed down; NodeCache only consults it when
-  // the stride-prefetch policy is active. Unlike the TLB it is simulated
-  // state: prefetching changes virtual time.
-  argocore::StrideTable stride_;
 };
 
 /// The simulated Argo cluster: nodes, interconnect, global memory, Pyxis

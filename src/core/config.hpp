@@ -88,8 +88,7 @@ struct ClusterConfig {
 
   /// Adaptive runtime tuning policies (core/adapt.hpp). All disabled by
   /// default: no adapt metrics are registered and every trace/stat/virtual
-  /// time matches the fixed-knob behaviour exactly. ARGO_NO_ADAPT=1 forces
-  /// the same regardless of these flags.
+  /// time matches the fixed-knob behaviour exactly.
   AdaptConfig adapt;
 
   /// Host workers advancing this cluster's engine shards (sim/par.hpp):

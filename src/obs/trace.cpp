@@ -19,7 +19,6 @@ const char* to_string(Ev kind) {
     case Ev::PostedRetire: return "posted_retire";
     case Ev::AdaptWbResize: return "adapt_wb_resize";
     case Ev::AdaptDiffMode: return "adapt_diff_mode";
-    case Ev::AdaptPrefetch: return "adapt_prefetch";
   }
   return "unknown";
 }

@@ -32,8 +32,9 @@
 //                      boundary; arg = the new capacity in pages
 //   AdaptDiffMode      a page's diff-density classification flipped;
 //                      arg = 1 entering full-page mode, 0 back to diffs
-//   AdaptPrefetch      a confirmed stride widened a miss; page = the
-//                      demand page, arg = pages prefetched
+//
+// Kind 13 is retired (it was the stride-prefetch event, removed with the
+// policy); never reuse it.
 #pragma once
 
 #include <cstddef>
@@ -60,7 +61,7 @@ enum class Ev : std::uint8_t {
   PostedRetire = 10,
   AdaptWbResize = 11,
   AdaptDiffMode = 12,
-  AdaptPrefetch = 13,
+  // 13: retired, never reuse.
 };
 
 const char* to_string(Ev kind);

@@ -1,11 +1,9 @@
-// Adaptive runtime tuning (core/adapt.*): the three policies must be
+// Adaptive runtime tuning (core/adapt.*): both policies must be
 // deterministic (bit-identical across reruns, engine worker counts, and
-// chaos/crash schedules), must vanish completely in reference mode
-// (ARGO_NO_ADAPT / all policies off == the seed's fixed knobs), and each
-// policy's controller must honor its directed semantics: the write-buffer
-// hill-climber's priming/judgment/revert/bounds, the diff-density streak
-// and probe cadence, and the stride table's confidence gate and
-// misprediction accounting.
+// chaos/crash schedules), an inert policy must pass the configured knob
+// through verbatim, and each policy's controller must honor its directed
+// semantics: the write-buffer hill-climber's priming/judgment/revert/
+// bounds, and the diff-density streak and probe cadence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,7 +27,6 @@ namespace {
 using argocore::AdaptConfig;
 using argocore::AdaptEngine;
 using argocore::AdaptStats;
-using argocore::StrideTable;
 
 // A page no capacity drain in these tests ever names: its admission never
 // counts as re-dirty churn.
@@ -37,12 +34,9 @@ constexpr std::uint64_t kFreshPage = ~std::uint64_t{0};
 
 constexpr std::size_t kWordsPerPage = argomem::kPageSize / sizeof(std::uint64_t);
 
-// Restores the reference-mode toggle on scope exit so a failing test
-// cannot leak ARGO_NO_ADAPT semantics into later tests.
-struct AdaptGuard {
-  bool prev = argocore::adapt_forced_off();
-  ~AdaptGuard() { argocore::set_adapt_forced_off(prev); }
-};
+// The write-buffer sizer's capacity ceiling (kWbMaxPages in
+// core/adapt.cpp).
+constexpr std::size_t kWbCeiling = 8192;
 
 // Restores the process-wide worker count (ARGO_THREADS).
 struct EngineGuard {
@@ -69,10 +63,8 @@ std::vector<std::uint64_t> stat_fields(const argocore::CoherenceStats& s) {
 }
 
 std::vector<std::uint64_t> adapt_fields(const AdaptStats& a) {
-  return {a.wb_grows,          a.wb_shrinks,       a.wb_reverts,
-          a.full_page_selected, a.density_probes,   a.prefetch_issued,
-          a.prefetched_pages,  a.prefetch_useful,  a.prefetch_suppressed,
-          a.stride_resets};
+  return {a.wb_grows, a.wb_shrinks, a.wb_reverts, a.full_page_selected,
+          a.density_probes};
 }
 
 struct RunObs {
@@ -90,7 +82,6 @@ struct RunObs {
 void apply_mask(argo::ClusterConfig& c, int mask) {
   c.adapt.write_buffer = (mask & 1) != 0;
   c.adapt.diff_granularity = (mask & 2) != 0;
-  c.adapt.stride_prefetch = (mask & 4) != 0;
 }
 
 // The same DRF torture workload the host-path suite uses — alternating
@@ -161,14 +152,12 @@ RunObs run_random_workload(unsigned seed, bool chaos, int adapt_mask) {
 // Determinism: reruns, worker counts, chaos, crash schedules
 
 TEST(AdaptDeterminism, BitIdenticalAcrossRerunsAndWorkerCounts) {
-  AdaptGuard guard;
-  argocore::set_adapt_forced_off(false);
   for (const unsigned seed : {11u, 22u, 33u}) {
     for (const bool chaos : {false, true}) {
       auto run_at = [&](int workers) {
         EngineGuard eg;
         argosim::set_engine_threads(workers);
-        return run_random_workload(seed, chaos, /*adapt_mask=*/7);
+        return run_random_workload(seed, chaos, /*adapt_mask=*/3);
       };
       const RunObs ref = run_at(1);
       ASSERT_GT(ref.trace.size(), 32u) << "seed " << seed;
@@ -183,8 +172,6 @@ TEST(AdaptDeterminism, CrashRecoveryRunsReplayBitIdentically) {
   // A mid-run crash-stop failure with lease recovery, transient RDMA chaos
   // on top, and every adaptive policy active: (elapsed, checksum) must
   // replay bit-identically per seed, sequential and at 8 workers.
-  AdaptGuard guard;
-  argocore::set_adapt_forced_off(false);
   for (const std::uint64_t seed : {101ull, 202ull, 303ull}) {
     auto run_at = [&](int workers) {
       EngineGuard eg;
@@ -200,7 +187,7 @@ TEST(AdaptDeterminism, CrashRecoveryRunsReplayBitIdentically) {
       cfg.faults.rdma_fail_prob = 0.01;
       cfg.membership.enabled = true;
       cfg.faults.crashes.push_back(argonet::CrashEvent{.node = 3, .at = 400'000});
-      apply_mask(cfg, 7);
+      apply_mask(cfg, 3);
       argo::Cluster cl(cfg);
       argoapps::LuParams p;
       p.n = 128;
@@ -216,61 +203,29 @@ TEST(AdaptDeterminism, CrashRecoveryRunsReplayBitIdentically) {
 }
 
 // ---------------------------------------------------------------------------
-// Reference mode: policies off == the seed, bit for bit
-
-TEST(AdaptReference, ForcedOffReproducesSeedForEveryPolicyMask) {
-  AdaptGuard guard;
-  argocore::set_adapt_forced_off(false);
-  const RunObs seed_run = run_random_workload(11, false, /*adapt_mask=*/0);
-  ASSERT_GT(seed_run.trace.size(), 32u);
-  // ARGO_NO_ADAPT forces every mask — each policy alone and all together —
-  // back to the seed's traces, virtual times, stats, and memory image.
-  argocore::set_adapt_forced_off(true);
-  for (const int mask : {1, 2, 4, 7}) {
-    EXPECT_EQ(seed_run, run_random_workload(11, false, mask))
-        << "forced-off mask " << mask;
-  }
-  argocore::set_adapt_forced_off(false);
-}
+// Policies off: the configured knob, verbatim
 
 TEST(AdaptReference, InertPolicyPreservesSeedKnobVerbatim) {
   // With the policy off the configured knob passes through unclamped:
   // the seed's behaviour must not change just because adapt.hpp exists.
-  AdaptGuard guard;
-  argocore::set_adapt_forced_off(false);
   AdaptConfig cfg;  // write_buffer = false
   AdaptEngine eng(cfg, /*base_wb_pages=*/3, /*protocol_supported=*/true);
-  EXPECT_EQ(eng.wb_capacity(), 3u);  // below wb_min_pages, kept verbatim
+  EXPECT_EQ(eng.wb_capacity(), 3u);  // below the 4-page floor, kept verbatim
   eng.note_wb_admit(1, kFreshPage);
   EXPECT_EQ(eng.sample_fence(1000, 100, 0), 0u);
   EXPECT_EQ(eng.stats().wb_shrinks, 0u);
 }
 
-TEST(AdaptReference, ForcedOffMakesActiveEngineInert) {
-  AdaptGuard guard;
-  AdaptConfig cfg;
-  cfg.write_buffer = true;
-  AdaptEngine eng(cfg, 64, true);
-  argocore::set_adapt_forced_off(true);
-  EXPECT_FALSE(eng.wb_active());
-  eng.note_wb_admit(1, kFreshPage);
-  eng.note_drain_stall(5000);
-  EXPECT_EQ(eng.sample_fence(100'000, 10'000, 0), 0u);
-  EXPECT_EQ(eng.wb_capacity(), 64u);
-  EXPECT_EQ(eng.stats().wb_shrinks + eng.stats().wb_grows, 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Directed policy (a): the write-buffer hill-climber
 
-AdaptEngine wb_engine(std::size_t base, AdaptConfig cfg = {}) {
+AdaptEngine wb_engine(std::size_t base) {
+  AdaptConfig cfg;
   cfg.write_buffer = true;
   return AdaptEngine(cfg, base, /*protocol_supported=*/true);
 }
 
 TEST(AdaptWriteBuffer, FirstActingFencePrimesWithoutMoving) {
-  AdaptGuard guard;
-  argocore::set_adapt_forced_off(false);
   AdaptEngine eng = wb_engine(64);
   // Fences before any admission carry no signal at all.
   EXPECT_EQ(eng.sample_fence(50'000, 10'000, 0), 0u);
@@ -282,8 +237,6 @@ TEST(AdaptWriteBuffer, FirstActingFencePrimesWithoutMoving) {
 }
 
 TEST(AdaptWriteBuffer, GrosslyOversizedBufferJumpsToFourTimesPeak) {
-  AdaptGuard guard;
-  argocore::set_adapt_forced_off(false);
   AdaptEngine eng = wb_engine(1024);
   eng.note_wb_admit(1, kFreshPage);
   EXPECT_EQ(eng.sample_fence(100'000, 10'000, 0), 0u);  // prime
@@ -296,8 +249,6 @@ TEST(AdaptWriteBuffer, GrosslyOversizedBufferJumpsToFourTimesPeak) {
 }
 
 TEST(AdaptWriteBuffer, SlowerStallingPhaseRevertsTheMoveAndHolds) {
-  AdaptGuard guard;
-  argocore::set_adapt_forced_off(false);
   AdaptEngine eng = wb_engine(1024);
   eng.note_wb_admit(1, kFreshPage);
   EXPECT_EQ(eng.sample_fence(100'000, 10'000, 0), 0u);
@@ -317,8 +268,6 @@ TEST(AdaptWriteBuffer, SlowerStallingPhaseRevertsTheMoveAndHolds) {
 }
 
 TEST(AdaptWriteBuffer, GrowNeedsSustainedStallPressure) {
-  AdaptGuard guard;
-  argocore::set_adapt_forced_off(false);
   AdaptEngine eng = wb_engine(4);  // at the floor: shrinking impossible
   eng.note_wb_admit(1, kFreshPage);
   EXPECT_EQ(eng.sample_fence(100'000, 1'000, 0), 0u);  // prime
@@ -334,8 +283,6 @@ TEST(AdaptWriteBuffer, GrowNeedsSustainedStallPressure) {
 }
 
 TEST(AdaptWriteBuffer, GrowWithoutStallReliefIsReverted) {
-  AdaptGuard guard;
-  argocore::set_adapt_forced_off(false);
   AdaptEngine eng = wb_engine(4);
   eng.note_wb_admit(1, kFreshPage);
   EXPECT_EQ(eng.sample_fence(100'000, 1'000, 0), 0u);
@@ -355,8 +302,6 @@ TEST(AdaptWriteBuffer, GrowWithoutStallReliefIsReverted) {
 }
 
 TEST(AdaptWriteBuffer, GrowKeptWhenStallVanishesAndPhaseImproves) {
-  AdaptGuard guard;
-  argocore::set_adapt_forced_off(false);
   AdaptEngine eng = wb_engine(4);
   eng.note_wb_admit(1, kFreshPage);
   EXPECT_EQ(eng.sample_fence(100'000, 1'000, 0), 0u);
@@ -374,23 +319,31 @@ TEST(AdaptWriteBuffer, GrowKeptWhenStallVanishesAndPhaseImproves) {
 }
 
 TEST(AdaptWriteBuffer, CapacityRespectsFloorLiveEntriesAndCeiling) {
-  AdaptGuard guard;
-  argocore::set_adapt_forced_off(false);
-  AdaptConfig cfg;
-  cfg.wb_max_pages = 64;
-  AdaptEngine eng = wb_engine(64, cfg);
   // Shrink as hard as possible while 5 pages stay queued (SI fences do
-  // not drain): capacity must never go below pow2(live) = 8, and with
-  // heavy stall pressure grows must never exceed the 64-page ceiling.
+  // not drain): capacity must never go below pow2(live) = 8.
+  AdaptEngine low = wb_engine(64);
   std::uint64_t t = 0;
   for (int phase = 0; phase < 40; ++phase) {
-    eng.note_drain_stall(phase >= 20 ? 8'000 : 0);
-    eng.note_wb_admit(5, kFreshPage);
+    low.note_drain_stall(phase >= 20 ? 8'000 : 0);
+    low.note_wb_admit(5, kFreshPage);
     t += 100'000;
-    eng.sample_fence(t, 50'000, /*live=*/5);
-    EXPECT_GE(eng.wb_capacity(), 8u) << "phase " << phase;
-    EXPECT_LE(eng.wb_capacity(), 64u) << "phase " << phase;
+    low.sample_fence(t, 50'000, /*live=*/5);
+    EXPECT_GE(low.wb_capacity(), 8u) << "phase " << phase;
   }
+  // A workload whose overflow stall halves with every doubling of the
+  // buffer but never drops below the growth threshold: every grow pays,
+  // so the climber walks all the way up — and stops at the ceiling.
+  AdaptEngine high = wb_engine(8);
+  t = 0;
+  for (int phase = 0; phase < 200; ++phase) {
+    const std::uint64_t stall = 4'000 * kWbCeiling / high.wb_capacity();
+    high.note_drain_stall(stall);
+    high.note_wb_admit(1, kFreshPage);
+    t += 20'000 + stall;
+    high.sample_fence(t, 100, 0);
+    EXPECT_LE(high.wb_capacity(), kWbCeiling) << "phase " << phase;
+  }
+  EXPECT_EQ(high.wb_capacity(), kWbCeiling);
 }
 
 // Pages a full buffer drained and stores then re-dirtied within the same
@@ -398,8 +351,6 @@ TEST(AdaptWriteBuffer, CapacityRespectsFloorLiveEntriesAndCeiling) {
 // straight back to cover them, and churn-free phases cannot shrink it
 // below that floor until the evidence ages out.
 TEST(AdaptWriteBuffer, RedirtiedDrainedPagesSetACapacityFloor) {
-  AdaptGuard guard;
-  argocore::set_adapt_forced_off(false);
   AdaptEngine eng = wb_engine(1024);
   eng.note_wb_admit(1, 100);
   EXPECT_EQ(eng.sample_fence(100'000, 10'000, 0), 0u);  // prime
@@ -436,41 +387,36 @@ TEST(AdaptWriteBuffer, RedirtiedDrainedPagesSetACapacityFloor) {
 }
 
 TEST(AdaptWriteBuffer, ChurnFloorNeverExceedsTheMaximumCapacity) {
-  AdaptGuard guard;
-  argocore::set_adapt_forced_off(false);
-  AdaptConfig cfg;
-  cfg.wb_max_pages = 16;
-  AdaptEngine eng = wb_engine(16, cfg);
+  AdaptEngine eng = wb_engine(kWbCeiling);
   eng.note_wb_admit(1, kFreshPage);
   EXPECT_EQ(eng.sample_fence(100'000, 10'000, 0), 0u);  // prime
   eng.note_wb_admit(1, kFreshPage);
   eng.sample_fence(200'000, 10'000, 0);
-  ASSERT_LT(eng.wb_capacity(), 16u);  // explored downward
-  // Every phase from here re-dirties 20 drained pages: a floor of
-  // pow2(20) = 32 pages, past the 16-page maximum.
+  ASSERT_LT(eng.wb_capacity(), kWbCeiling);  // explored downward
+  // Every phase from here re-dirties 9000 drained pages: a floor of
+  // pow2(9000) = 16384 pages, past the maximum.
+  constexpr std::uint64_t kChurn = 9000;
   std::uint64_t now = 200'000;
   auto churn_phase = [&] {
-    for (std::uint64_t p = 0; p < 20; ++p) eng.note_capacity_drain(p);
-    for (std::uint64_t p = 0; p < 20; ++p) eng.note_wb_admit(4, p);
+    for (std::uint64_t p = 0; p < kChurn; ++p) eng.note_capacity_drain(p);
+    for (std::uint64_t p = 0; p < kChurn; ++p) eng.note_wb_admit(4, p);
     now += 100'000;
     return eng.sample_fence(now, 10'000, 0);
   };
-  EXPECT_EQ(churn_phase(), 16u);  // restored to the maximum, once
+  EXPECT_EQ(churn_phase(), kWbCeiling);  // restored to the maximum, once
   const std::uint64_t grows = eng.stats().wb_grows;
   const std::size_t history = eng.wb_capacity_history().size();
   for (int phase = 0; phase < 4; ++phase) {
     // At the maximum the floor holds: no further restore, no phantom
     // grow, no change traced.
     EXPECT_EQ(churn_phase(), 0u) << "phase " << phase;
-    EXPECT_EQ(eng.wb_capacity(), 16u) << "phase " << phase;
+    EXPECT_EQ(eng.wb_capacity(), kWbCeiling) << "phase " << phase;
   }
   EXPECT_EQ(eng.stats().wb_grows, grows);
   EXPECT_EQ(eng.wb_capacity_history().size(), history);
 }
 
 TEST(AdaptWriteBuffer, ResetRuntimeRestoresBaseCapacity) {
-  AdaptGuard guard;
-  argocore::set_adapt_forced_off(false);
   AdaptEngine eng = wb_engine(1024);
   eng.note_wb_admit(1, kFreshPage);
   eng.sample_fence(100'000, 10'000, 0);
@@ -492,8 +438,6 @@ AdaptEngine diff_engine() {
 }
 
 TEST(AdaptDiffDensity, FullPageNeedsBothDenseEwmaAndStreak) {
-  AdaptGuard guard;
-  argocore::set_adapt_forced_off(false);
   AdaptEngine eng = diff_engine();
   bool flipped = false;
   // Never-diffed pages stay on the diff path.
@@ -519,8 +463,6 @@ TEST(AdaptDiffDensity, AlternatingDenseCleanPagesKeepDiffing) {
   // A page that alternates dense and clean writebacks must never flip to
   // full-page mode: a full-page write of an unchanged page ships 4 KiB
   // for nothing.
-  AdaptGuard guard;
-  argocore::set_adapt_forced_off(false);
   AdaptEngine eng = diff_engine();
   bool flipped = false;
   for (int round = 0; round < 12; ++round) {
@@ -531,8 +473,6 @@ TEST(AdaptDiffDensity, AlternatingDenseCleanPagesKeepDiffing) {
 }
 
 TEST(AdaptDiffDensity, PeriodicProbeRediffsDensePages) {
-  AdaptGuard guard;
-  argocore::set_adapt_forced_off(false);
   AdaptEngine eng = diff_engine();  // density_probe_interval = 8
   bool flipped = false;
   for (int i = 0; i < 3; ++i) eng.note_diff(9, argomem::kPageSize);
@@ -552,69 +492,11 @@ TEST(AdaptDiffDensity, PeriodicProbeRediffsDensePages) {
 }
 
 // ---------------------------------------------------------------------------
-// Directed policy (c): the stride table
-
-TEST(AdaptStride, ConfidenceGateBlocksShortStreams) {
-  AdaptConfig cfg;  // stride_confidence = 6, prefetch_degree = 2
-  AdaptStats stats;
-  StrideTable st;
-  // Five same-stride misses after adoption stay below the confidence bar
-  // (a short array slice must never trigger predictions)...
-  for (std::uint64_t pg = 100; pg < 106; ++pg)
-    EXPECT_EQ(st.note_miss(pg, cfg, stats).degree, 0) << "page " << pg;
-  // ...the sixth confirmation clears it and predictions fire.
-  const auto pred = st.note_miss(106, cfg, stats);
-  EXPECT_EQ(pred.degree, 2);
-  EXPECT_EQ(pred.stride, 1);
-  EXPECT_EQ(stats.stride_resets, 0u);
-}
-
-TEST(AdaptStride, JumpsWithinDegreePlusOneContinueTheStream) {
-  AdaptConfig cfg;
-  AdaptStats stats;
-  StrideTable st;
-  for (std::uint64_t pg = 100; pg < 107; ++pg) st.note_miss(pg, cfg, stats);
-  // Prefetched pages absorb intermediate misses, so the next demand miss
-  // lands degree+1 strides ahead: still the same stream.
-  const auto pred = st.note_miss(109, cfg, stats);
-  EXPECT_EQ(pred.degree, 2);
-  EXPECT_EQ(pred.stride, 1);
-}
-
-TEST(AdaptStride, EvictingAConfidentStreamCountsAsMisprediction) {
-  AdaptConfig cfg;
-  AdaptStats stats;
-  StrideTable st;
-  for (std::uint64_t pg = 100; pg < 107; ++pg)
-    st.note_miss(pg, cfg, stats);  // entry 0: confident stride-1 stream
-  st.note_miss(1000, cfg, stats);  // entry 1: fresh candidate
-  st.note_miss(2000, cfg, stats);  // entry 1 adopts stride 1000
-  EXPECT_EQ(stats.stride_resets, 0u);
-  // A third unrelated page matches neither entry; the LRU victim is the
-  // confident stream — that eviction is the misprediction signal.
-  st.note_miss(2500, cfg, stats);
-  EXPECT_EQ(stats.stride_resets, 1u);
-}
-
-TEST(AdaptStride, RepeatMissesCarryNoInformation) {
-  AdaptConfig cfg;
-  AdaptStats stats;
-  StrideTable st;
-  for (std::uint64_t pg = 100; pg < 107; ++pg) st.note_miss(pg, cfg, stats);
-  // The same page missing again (e.g. a capacity re-fetch) neither
-  // advances nor resets the stream.
-  EXPECT_EQ(st.note_miss(106, cfg, stats).degree, 0);
-  EXPECT_EQ(st.note_miss(107, cfg, stats).degree, 2);
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end: every policy acts on a workload shaped for it, and the
+// End-to-end: both policies act on a workload shaped for it, and the
 // memory image matches the fixed-knob run exactly (policies move virtual
 // time, never data).
 
 TEST(AdaptCluster, PoliciesActOnAStreamingWorkloadWithoutChangingMemory) {
-  AdaptGuard guard;
-  argocore::set_adapt_forced_off(false);
   auto run_once = [&](int mask) {
     argo::ClusterConfig c;
     c.nodes = 2;
@@ -632,7 +514,7 @@ TEST(AdaptCluster, PoliciesActOnAStreamingWorkloadWithoutChangingMemory) {
       // OTHER node (64 remote dirty pages vs a 32-page buffer: overflow
       // drains plus dense sole-writer diffs), then — after the barrier's
       // SI fence dropped its cached copies — streams reads back over the
-      // same quarter: a long stride-1 remote miss stream.
+      // same quarter.
       const std::size_t lo = t.node() == 0 ? 128 : 0;
       for (int round = 0; round < 5; ++round) {
         for (std::size_t p = 0; p < kQuarter; ++p)
@@ -656,14 +538,12 @@ TEST(AdaptCluster, PoliciesActOnAStreamingWorkloadWithoutChangingMemory) {
     });
     AdaptStats total;
     for (int n = 0; n < c.nodes; ++n) total += cl.node_cache(n).adapt().stats();
-    std::uint64_t kinds[3] = {0, 0, 0};
+    std::uint64_t kinds[2] = {0, 0};
     for (const auto& e : cl.tracer().snapshot()) {
       if (e.kind == static_cast<std::uint8_t>(argoobs::Ev::AdaptWbResize))
         ++kinds[0];
       if (e.kind == static_cast<std::uint8_t>(argoobs::Ev::AdaptDiffMode))
         ++kinds[1];
-      if (e.kind == static_cast<std::uint8_t>(argoobs::Ev::AdaptPrefetch))
-        ++kinds[2];
     }
     const std::byte* bytes = cl.gmem().home_ptr(0);
     std::uint64_t h = 14695981039346656037ull;
@@ -671,22 +551,19 @@ TEST(AdaptCluster, PoliciesActOnAStreamingWorkloadWithoutChangingMemory) {
       h ^= static_cast<std::uint8_t>(bytes[i]);
       h *= 1099511628211ull;
     }
-    return std::make_tuple(total, kinds[0], kinds[1], kinds[2], h);
+    return std::make_tuple(total, kinds[0], kinds[1], h);
   };
-  const auto [stats, wb_ev, diff_ev, pf_ev, hash] = run_once(7);
-  // Every policy made at least one decision and traced it.
+  const auto [stats, wb_ev, diff_ev, hash] = run_once(3);
+  // Both policies made at least one decision and traced it.
   EXPECT_GT(stats.wb_grows + stats.wb_shrinks + stats.wb_reverts, 0u);
   EXPECT_GT(stats.full_page_selected, 0u);
-  EXPECT_GT(stats.prefetch_issued, 0u);
-  EXPECT_GT(stats.prefetch_useful, 0u);
   EXPECT_GT(wb_ev, 0u);
   EXPECT_GT(diff_ev, 0u);
-  EXPECT_GT(pf_ev, 0u);
   // Adaptation reshapes timing, never data: the final memory image is the
   // fixed-knob run's, bit for bit.
-  const auto [stats0, w0, d0, p0, hash0] = run_once(0);
-  EXPECT_EQ(adapt_fields(stats0), std::vector<std::uint64_t>(10, 0));
-  EXPECT_EQ(w0 + d0 + p0, 0u);
+  const auto [stats0, w0, d0, hash0] = run_once(0);
+  EXPECT_EQ(adapt_fields(stats0), std::vector<std::uint64_t>(5, 0));
+  EXPECT_EQ(w0 + d0, 0u);
   EXPECT_EQ(hash, hash0);
 }
 
