@@ -1,6 +1,6 @@
 // Engine microbenchmarks: the scheduler hot paths measured in isolation,
 // in *wall-clock* time (everything else in bench/ reports virtual time).
-// Three probes, one per tentpole axis of the host-performance work:
+// One probe per axis of the host-performance work:
 //
 //   fiber_switch  fiber resumptions between simulated threads: each is
 //                 one direct fiber-to-fiber jump (the parking fiber picks
@@ -13,6 +13,9 @@
 //                 across horizon spreads from dense ties to sparse keys
 //   posted_rtt    post_read + wait round trips through the interconnect's
 //                 posted send queue — the pooled-record / SmallFn path
+//   mcs_spin      a waiter spinning on its node-local grant flag of the
+//                 global MCS lock while the other node holds it: host cost
+//                 per simulated poll, which the idle-poll skip cuts
 //
 // Every row stamps the build's context-switch backend ("fcontext" or
 // "ucontext"); CI asserts which one each build leg compiled in.
@@ -23,8 +26,10 @@
 #include <queue>
 #include <vector>
 
+#include "argo/argo.hpp"
 #include "argo/net.hpp"
 #include "argo/sim.hpp"
+#include "argo/sync.hpp"
 #include "bench/report.hpp"
 
 namespace {
@@ -42,7 +47,7 @@ double wall_ns_since(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
-/// Row prefix shared by the three probes: the figure id, the probe name,
+/// Row prefix shared by the probes: the figure id, the probe name,
 /// and the context-switch backend stamp.
 JsonReport::Row& mb_row(JsonReport& json, const char* probe,
                         const BenchOpts& opts, int nodes) {
@@ -171,6 +176,52 @@ void bench_posted_rtt(JsonReport& json, const BenchOpts& opts) {
       .num("posted_ops", net.stats(0).posted_ops);
 }
 
+// --- mcs_spin ---------------------------------------------------------------
+
+/// Two nodes, one global MCS lock: node 0 takes it and holds it for a fixed
+/// span while node 1 queues behind it and spins on its own node's grant
+/// flag. Reports the polls node 1 made (its local reads, a simulated
+/// count) and the host time per simulated poll.
+void bench_mcs_spin(JsonReport& json, const BenchOpts& opts) {
+  const Time hold = opts.quick ? 2'000'000 : 20'000'000;
+  argo::ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.threads_per_node = 1;
+  cfg.global_mem_bytes = 2 * 32 * argomem::kPageSize;
+  cfg.net.pipeline = opts.pipeline;
+  argo::Cluster cl(cfg);
+  argosync::GlobalMcsLock lock(cl);
+  std::uint64_t polls = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  cl.run([&](argo::Thread& t) {
+    if (t.node() == 0) {
+      lock.acquire(t);
+      t.compute(hold);
+      lock.release(t);
+    } else {
+      t.compute(5000);  // node 0 holds the lock by now
+      const std::uint64_t reads = cl.net().stats(1).rdma_reads;
+      lock.acquire(t);
+      polls = cl.net().stats(1).rdma_reads - reads;
+      lock.release(t);
+    }
+  });
+  const double wall = wall_ns_since(t0);
+  const double per = wall / static_cast<double>(polls);
+  Table t({"hold_ns", "polls", "skipped", "wall_ms", "ns/poll"});
+  t.row({Table::fmt("%llu", static_cast<unsigned long long>(hold)),
+         Table::fmt("%llu", static_cast<unsigned long long>(polls)),
+         Table::fmt("%llu", static_cast<unsigned long long>(
+                                cl.stats().counter("sim.polls_skipped"))),
+         Table::fmt("%.2f", wall / 1e6), Table::fmt("%.1f", per)});
+  t.print();
+  mb_row(json, "mcs_spin", opts, 2)
+      .num("hold_ns", hold)
+      .num("polls", polls)
+      .num("wall_ms", wall / 1e6)
+      .num("ns_per_op", per);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -178,7 +229,7 @@ int main(int argc, char** argv) {
   const BenchOpts opts = BenchOpts::parse(argc, argv);
   header("Engine microbench",
          "scheduler hot paths in wall-clock time (fiber switch, run-queue "
-         "hold, posted round-trip)");
+         "hold, posted round-trip, MCS spin)");
   note(Table::fmt("context backend: %s", Engine::context_backend()).c_str());
   if (opts.pipeline > 1)
     note(Table::fmt("pipeline depth %d (posted verbs)", opts.pipeline).c_str());
@@ -187,6 +238,7 @@ int main(int argc, char** argv) {
   bench_fiber_switch(json, opts);
   bench_runq_hold(json, opts);
   bench_posted_rtt(json, opts);
+  bench_mcs_spin(json, opts);
   json.write(opts.json_path);
   return 0;
 }

@@ -237,6 +237,7 @@ PqResult pq_bench_dsm(Cluster& cl, DsmLockKind kind, const PqParams& p) {
   PqResult r;
   for (const std::uint64_t n : ops) r.ops += n;
   r.elapsed = p.duration;
+  r.hqdl = hqdl.total_stats();
   return r;
 }
 

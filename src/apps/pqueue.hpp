@@ -93,6 +93,7 @@ struct PqParams {
 struct PqResult {
   std::uint64_t ops = 0;
   Time elapsed = 0;
+  argosync::DelegationStats hqdl;  ///< pq_bench_dsm under HQDL only
   double ops_per_us() const {
     return elapsed == 0 ? 0.0
                         : static_cast<double>(ops) / argosim::to_us(elapsed);

@@ -24,7 +24,7 @@ void MpiWorld::send(int src_rank, int dst_rank, int tag, const void* data,
   Time deliver_at;
   if (sn == dn) {
     ++intra_msgs_;
-    argosim::delay(net_.config().mem_latency + net_.config().mem_copy(bytes));
+    argosim::delay(net_.local_cost(bytes));
     deliver_at = argosim::now();
   } else {
     deliver_at = net_.charge_message(sn, dn, bytes);

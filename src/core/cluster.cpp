@@ -149,6 +149,8 @@ void Cluster::register_metrics() {
   metrics_.add_counter("sim.runq_purged", [this] { return eng_.runq_purged(); });
   metrics_.add_counter("sim.fast_forwards",
                        [this] { return eng_.delay_fast_forwards(); });
+  metrics_.add_counter("sim.polls_skipped",
+                       [this] { return eng_.polls_skipped(); });
   metrics_.add_counter("sim.stacks_reused",
                        [this] { return eng_.stacks_reused(); });
   metrics_.add_counter("sim.stacks_mapped",

@@ -179,8 +179,7 @@ std::uint64_t Interconnect::op(int src, int dst, const Verb& v,
   }
   auto* const out = static_cast<std::byte*>(v.out);
   if (src == dst) {
-    argosim::delay(cfg_.mem_latency +
-                   (v.kind == Verb::kAtomic ? 0 : cfg_.mem_copy(v.wire)));
+    argosim::delay(local_cost(v.kind == Verb::kAtomic ? 0 : v.wire));
     return effect(v.in, out);
   }
   // The effect runs on dst's shard at the completion instant, over a
@@ -712,7 +711,7 @@ bool Interconnect::try_send(Message msg) {
   s.bytes_sent += msg.payload.size();
   const std::size_t wire = msg.wire_size();
   if (msg.src == msg.dst) {
-    argosim::delay(cfg_.mem_latency + cfg_.mem_copy(wire));
+    argosim::delay(local_cost(wire));
     deliver(std::move(msg), argosim::now());
     return true;
   }
@@ -741,7 +740,7 @@ Time Interconnect::charge_message(int src, int dst,
   s.bytes_sent += payload_bytes;
   const std::size_t wire = 40 + payload_bytes;
   if (src == dst) {
-    argosim::delay(cfg_.mem_latency + cfg_.mem_copy(wire));
+    argosim::delay(local_cost(wire));
     return argosim::now();
   }
   charge(src, cfg_.nic_overhead + cfg_.net_transfer(wire), 0);

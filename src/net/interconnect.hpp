@@ -196,6 +196,33 @@ class Interconnect {
   std::uint64_t exchange(int src, int dst, std::uint64_t* remote,
                          std::uint64_t desired);
 
+  /// Virtual time of an access that stays on the caller's own node and
+  /// moves `n` bytes: a local verb (an atomic moves none), or a message a
+  /// node sends itself.
+  Time local_cost(std::size_t n) const {
+    return cfg_.mem_latency + cfg_.mem_copy(n);
+  }
+
+  /// Idle-poll skip for a fiber of `node` that just read an `n`-byte word
+  /// homed on `node` itself and keeps polling it, one poll being
+  /// `interval` ns and then a local read (Engine::idle_polls). `take(m)`
+  /// is offered the m polls that can be skipped now and returns how many
+  /// to skip; each skipped poll counts as the local read it stands for.
+  /// Returns the polls skipped.
+  template <class Take>
+  std::uint64_t skip_local_polls(int node, std::size_t n, Time interval,
+                                 Take&& take) {
+    argosim::Engine& eng = *argosim::Engine::current();
+    const Time period = local_cost(n) + interval;
+    const std::uint64_t m = take(eng.idle_polls(period));
+    if (m == 0) return 0;
+    eng.skip_polls(period, m);
+    NodeNetStats& s = boxes_[node]->stats;
+    s.rdma_reads += m;
+    s.bytes_read += m * n;
+    return m;
+  }
+
   // --- Posted (asynchronous) verbs ----------------------------------------
   //
   // The RDMA work-queue model: post returns after charging the op's NIC

@@ -535,8 +535,8 @@ void Engine::delay(Time ns) {
 // behind. Fails when another fiber's entry comes first (possibly one an
 // effect run here just woke) or the window ends before `when`.
 bool Engine::fast_forward(Shard& s, Time when, std::uint64_t seq) {
-  if (when >= window_end_.load(std::memory_order_relaxed)) return false;
-  for (;;) {
+  while (when >= horizon(s)) {
+    if (when >= window_end_.load(std::memory_order_relaxed)) return false;
     const QueueEntry* f = live_head(s);
     if (f != nullptr && (f->when < when || (f->when == when && f->seq < seq)))
       return false;
@@ -550,6 +550,34 @@ bool Engine::fast_forward(Shard& s, Time when, std::uint64_t seq) {
   s.clock = when;
   ++s.fast_forwards;
   return true;
+}
+
+Time Engine::horizon(Shard& s) {
+  Time h = window_end_.load(std::memory_order_relaxed);
+  if (const QueueEntry* f = live_head(s)) h = std::min(h, f->when);
+  if (!s.effq.empty()) h = std::min(h, s.effq.top().when);
+  return h;
+}
+
+std::uint64_t Engine::idle_polls(Time period) {
+  SimThread* self = g_thread;
+  assert(self && "idle_polls() outside a simulated thread");
+  if (self->stop_requested_ || period == 0) return 0;
+  Shard& s = *shards_[self->shard_];
+  const Time h = horizon(s);
+  if (h == kUnbounded || h <= s.clock) return 0;
+  // Poll k (from 0) ends at clock + (k + 1) * period, which must lie
+  // strictly before the horizon.
+  return (h - 1 - s.clock) / period;
+}
+
+void Engine::skip_polls(Time period, std::uint64_t n) {
+  assert(n <= idle_polls(period));
+  Shard& s = *shards_[g_thread->shard_];
+  s.clock += n * period;
+  s.next_seq += 2 * n;
+  s.fast_forwards += 2 * n;
+  s.polls_skipped += n;
 }
 
 void Engine::push_effect(Shard& s, Effect&& e) {

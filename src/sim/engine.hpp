@@ -258,11 +258,29 @@ class Engine {
   /// and no resumption. Bounded by the current lookahead window.
   void delay(Time ns);
 
-  /// Host-path diagnostics: delays absorbed by the same-fiber fast-forward
-  /// and fiber stacks recycled from the pool.
+  /// Idle-poll skip, for a fiber that has just read a word nothing but its
+  /// own shard can change (one homed on its own node) and will keep
+  /// polling it. Each poll is two delay() calls totalling `period` ns (the
+  /// poll interval, then the next read). Before the shard's horizon (the
+  /// window end, the live run-queue head or the effect-queue head,
+  /// whichever is earliest) no other fiber and no effect runs on the
+  /// shard, so the word cannot change, and every poll that ends strictly
+  /// before the horizon would be two successful same-fiber fast-forwards
+  /// rereading the value just read. idle_polls() counts those whole polls
+  /// from now (none for a stopping fiber, or with nothing else due at all:
+  /// then nothing could ever end the spin); skip_polls() skips `n` of them
+  /// in O(1), leaving the clock, sequence numbers and fast-forward count
+  /// exactly as the `n` polls would.
+  std::uint64_t idle_polls(Time period);
+  void skip_polls(Time period, std::uint64_t n);
+
+  /// Host-path diagnostics: delays absorbed by the same-fiber fast-forward,
+  /// poll iterations skipped whole, and fiber stacks recycled from the
+  /// pool.
   std::uint64_t delay_fast_forwards() const {
     return sum(&Shard::fast_forwards);
   }
+  std::uint64_t polls_skipped() const { return sum(&Shard::polls_skipped); }
   std::uint64_t stacks_reused() const { return stacks_reused_; }
   /// Fiber stacks freshly mapped (spawns the pool could not serve).
   std::uint64_t stacks_mapped() const { return stacks_mapped_; }
@@ -388,6 +406,7 @@ class Engine {
     // the Engine accessors between windows.
     std::uint64_t switches = 0;
     std::uint64_t fast_forwards = 0;
+    std::uint64_t polls_skipped = 0;
     std::uint64_t pushes = 0;
     std::uint64_t pops = 0;
     RunQueue runq;
@@ -452,6 +471,11 @@ class Engine {
   // The shard's earliest live run-queue entry (stale heads are popped on
   // the way), or null.
   const QueueEntry* live_head(Shard& s);
+  // The earliest instant anything but the running fiber is due on `s`:
+  // the window end, the live run-queue head or the effect-queue head. The
+  // one definition of "nothing else is due" behind fast_forward and the
+  // idle-poll skip.
+  Time horizon(Shard& s);
   bool fast_forward(Shard& s, Time when, std::uint64_t seq);
   // Queue an effect on `s` (its own worker, or between windows).
   void push_effect(Shard& s, Effect&& e);

@@ -5,6 +5,37 @@
 
 namespace argosync {
 
+namespace {
+
+// Vela's one spin loop: read `word`, and until done(value) holds, compute
+// `interval` and read again; returns the value that satisfied `done`. A
+// word homed on the caller's node changes only through its own node's
+// shard, so while nothing else is due there each further poll would
+// reread the value just read: right after a read, such polls are skipped
+// whole, in O(1) (Interconnect::skip_local_polls). `take(m)` is offered m
+// skippable polls and returns how many to skip, so a caller that counts
+// polls counts those too. A remote word is polled for real: its reads
+// hold the NIC and may draw faults.
+template <class Done, class Take>
+std::uint64_t poll_until(Thread& t, gptr<std::uint64_t> word,
+                         argosim::Time interval, Done done, Take take) {
+  for (;;) {
+    const std::uint64_t v = t.atomic_load(word);
+    if (done(v)) return v;
+    if (t.is_home(word.raw()))
+      t.cluster().net().skip_local_polls(t.node(), sizeof v, interval, take);
+    t.compute(interval);
+  }
+}
+
+template <class Done>
+std::uint64_t poll_until(Thread& t, gptr<std::uint64_t> word,
+                         argosim::Time interval, Done done) {
+  return poll_until(t, word, interval, done, [](std::uint64_t m) { return m; });
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // GlobalMcsLock
 // ---------------------------------------------------------------------------
@@ -84,15 +115,14 @@ void GlobalMcsLock::acquire(Thread& t) {
       membership_->await_recovery(e.dst());
       continue;
     }
-    for (;;) {
-      const std::uint64_t v = t.atomic_load(flag_[me]);
-      if (v == kGranted) {
-        holder_.store(static_cast<int>(me), std::memory_order_relaxed);
-        return;
-      }
-      if (v == kRestart) break;  // queue force-reset after a crash: retry
-      t.compute(kPoll);
+    const std::uint64_t v = poll_until(
+        t, flag_[me], kPoll,
+        [](std::uint64_t f) { return f == kGranted || f == kRestart; });
+    if (v == kGranted) {
+      holder_.store(static_cast<int>(me), std::memory_order_relaxed);
+      return;
     }
+    // kRestart: the queue was force-reset after a crash; re-contend.
   }
 }
 
@@ -123,7 +153,8 @@ bool GlobalMcsLock::try_acquire_for(Thread& t, argosim::Time timeout) {
         !membership_->is_live(static_cast<int>(cur - 1)))
       return false;
     if (t.now() >= deadline) return false;
-    t.compute(poll);
+    // The last backoff ends at the deadline, where the final CAS goes out.
+    t.compute(std::min(poll, deadline - t.now()));
     poll = std::min<argosim::Time>(poll * 2, kPoll * 64);
   }
 }
@@ -136,21 +167,32 @@ void GlobalMcsLock::release(Thread& t) {
       holder_.store(-1, std::memory_order_relaxed);
       return;
     }
-    // Someone swapped in concurrently; wait for the link to appear.
+    // Someone swapped in concurrently; wait for the link to appear. A
+    // contender that swapped into the tail and then crashed before linking
+    // would strand this wait forever. Once a death has been declared, give
+    // the link well past the worst in-flight store time, then reset the
+    // queue — we still hold the lock, so this is the one place (besides
+    // the lease sweep, whose holder is dead) that may. Skipped polls count
+    // toward kStuckPolls, and a skip stops short of the poll reaching it.
     int stalled = 0;
-    while (t.atomic_load(next_[me]) == 0) {
-      // A contender that swapped into the tail and then crashed before
-      // linking would strand this wait forever. Once a death has been
-      // declared, give the link well past the worst in-flight store time,
-      // then reset the queue — we still hold the lock, so this is the one
-      // place (besides the lease sweep, whose holder is dead) that may.
-      if (membership_ != nullptr && membership_->any_dead() &&
-          ++stalled >= kStuckPolls) {
-        host_reset_queue();
-        holder_.store(-1, std::memory_order_relaxed);
-        return;
-      }
-      t.compute(kPoll);
+    const auto watched = [this] {
+      return membership_ != nullptr && membership_->any_dead();
+    };
+    const std::uint64_t link = poll_until(
+        t, next_[me], kPoll,
+        [&](std::uint64_t v) {
+          return v != 0 || (watched() && ++stalled >= kStuckPolls);
+        },
+        [&](std::uint64_t m) {
+          if (!watched()) return m;
+          m = std::min<std::uint64_t>(m, kStuckPolls - 1 - stalled);
+          stalled += static_cast<int>(m);
+          return m;
+        });
+    if (link == 0) {
+      host_reset_queue();
+      holder_.store(-1, std::memory_order_relaxed);
+      return;
     }
   }
   const std::uint64_t succ = t.atomic_load(next_[me]) - 1;
@@ -238,7 +280,7 @@ void HqdLock::execute(Thread& t, const std::function<void(Thread&)>& cs,
       }
       return;
     }
-    t.compute(200);  // queue closed or full: back off, retry
+    t.compute(kBackoff);  // queue closed or full: back off, retry
   }
 }
 
@@ -335,7 +377,7 @@ bool HqdLock::try_execute(Thread& t, const std::function<void(Thread&)>& cs,
       return true;
     }
     if (t.now() >= deadline) return false;
-    t.compute(200);  // queue closed or full: back off, retry
+    t.compute(kBackoff);  // queue closed or full: back off, retry
   }
 }
 
@@ -451,8 +493,8 @@ void DsmFlag::set(Thread& t, std::uint64_t value) {
 }
 
 std::uint64_t DsmFlag::wait(Thread& t, std::uint64_t at_least) {
-  std::uint64_t v;
-  while ((v = t.atomic_load(word_)) < at_least) t.compute(500);
+  const std::uint64_t v = poll_until(
+      t, word_, kPoll, [at_least](std::uint64_t w) { return w >= at_least; });
   t.acquire();  // see everything the signaller published
   return v;
 }

@@ -133,6 +133,9 @@ class HqdLock {
   bool try_execute(Thread& t, const std::function<void(Thread&)>& cs,
                    argosim::Time timeout);
 
+  /// Back-off before a thread retries a closed or full node queue.
+  static constexpr argosim::Time kBackoff = 200;
+
   const DelegationStats& stats(int node) const { return stats_[node]; }
   DelegationStats total_stats() const;
 
@@ -227,6 +230,9 @@ class DsmFlag {
   void set(Thread& t, std::uint64_t value = 1);
   std::uint64_t wait(Thread& t, std::uint64_t at_least = 1);
   std::uint64_t peek(Thread& t);  // no fence; raw RDMA read
+
+  /// Poll interval while waiting on the flag word.
+  static constexpr argosim::Time kPoll = 500;
 
  private:
   gptr<std::uint64_t> word_;

@@ -595,5 +595,152 @@ TEST(Time, LiteralsAndConversions) {
   EXPECT_DOUBLE_EQ(to_s(2500000000ull), 2.5);
 }
 
+// ---------------------------------------------------------------------------
+// Idle-poll skip: a fiber polling a word only its own shard can change
+// skips whole polls while nothing else is due, and must leave exactly what
+// polling them one by one would have. Each case puts the next event right
+// on the boundary: the skip must stop exactly one poll short of it.
+// ---------------------------------------------------------------------------
+
+constexpr Time kRead = 50;       // a poll's read
+constexpr Time kInterval = 100;  // the poll interval before the next read
+constexpr Time kPeriod = kInterval + kRead;
+
+struct SpinResult {
+  Time seen = 0;                  // when the spinner read the word set
+  std::uint64_t polls = 0;        // reads, skipped ones included
+  std::uint64_t first_skip = 0;   // polls skipped after the first read
+  std::uint64_t skipped = 0;      // Engine::polls_skipped()
+  std::uint64_t fast_forwards = 0;
+  std::uint64_t switches = 0;
+  std::uint64_t pushes = 0;
+  // Everything a skip must leave as the polls would have.
+  auto observed() const {
+    return std::tie(seen, polls, fast_forwards, switches, pushes);
+  }
+};
+
+// Vela's spin loop on a host word: read (kRead), and until the word is
+// set, skip the idle polls (when `skip`) and wait kInterval.
+void spin(const std::uint64_t& word, bool skip, SpinResult& r) {
+  Engine& eng = *Engine::current();
+  for (;;) {
+    delay(kRead);
+    ++r.polls;
+    if (word != 0) {
+      r.seen = now();
+      return;
+    }
+    if (skip) {
+      const std::uint64_t m = eng.idle_polls(kPeriod);
+      eng.skip_polls(kPeriod, m);
+      if (r.polls == 1) r.first_skip = m;
+      r.polls += m;
+    }
+    delay(kInterval);
+  }
+}
+
+void finish(const Engine& eng, SpinResult& r) {
+  r.skipped = eng.polls_skipped();
+  r.fast_forwards = eng.delay_fast_forwards();
+  r.switches = eng.context_switches();
+  r.pushes = eng.runq_pushes();
+}
+
+// The read instant of poll k (from 0) of a spin started at 0.
+constexpr Time read_at(Time k) { return kRead + k * kPeriod; }
+
+TEST(IdlePollSkip, StopsOnePollShortOfAnEffectAtAReadInstant) {
+  auto run = [](bool skip) {
+    Engine eng;
+    std::uint64_t word = 0;
+    SpinResult r;
+    eng.post_effect(0, read_at(10), 0, 0, 0, [&word] { word = 1; });
+    eng.spawn("spinner", [&] { spin(word, skip, r); });
+    eng.run();
+    finish(eng, r);
+    return r;
+  };
+  const SpinResult polled = run(false), skipped = run(true);
+  EXPECT_EQ(polled.seen, read_at(10));
+  EXPECT_EQ(skipped.observed(), polled.observed());
+  // Polls 1..9 end before the effect; poll 10 reads right at it.
+  EXPECT_EQ(skipped.first_skip, 9u);
+  EXPECT_EQ(skipped.skipped, 9u);
+  EXPECT_EQ(polled.skipped, 0u);
+}
+
+TEST(IdlePollSkip, StopsOnePollShortOfAWakeAtAReadInstant) {
+  auto run = [](bool skip) {
+    Engine eng;
+    std::uint64_t word = 0;
+    SpinResult r;
+    eng.spawn("spinner", [&] { spin(word, skip, r); });
+    eng.spawn("setter", [&] {
+      delay(read_at(10));
+      word = 1;
+    });
+    eng.run();
+    finish(eng, r);
+    return r;
+  };
+  const SpinResult polled = run(false), skipped = run(true);
+  EXPECT_EQ(polled.seen, read_at(10));
+  EXPECT_EQ(skipped.observed(), polled.observed());
+  EXPECT_EQ(skipped.first_skip, 9u);
+}
+
+// Window [0, read_at(5)): poll 5 would end right at the window end, which
+// no fast-forward may reach, so only polls 1..4 are skipped in it.
+TEST(IdlePollSkip, StopsOnePollShortOfTheWindowEnd) {
+  auto run = [](bool skip) {
+    Engine eng;
+    eng.enable_sharding(2, read_at(5), 1);
+    std::uint64_t word = 0;
+    SpinResult r;
+    eng.post_effect(0, 2000, 0, 0, 0, [&word] { word = 1; });
+    eng.spawn_on(0, "spinner", [&] { spin(word, skip, r); });
+    eng.run();
+    finish(eng, r);
+    return r;
+  };
+  const SpinResult polled = run(false), skipped = run(true);
+  EXPECT_EQ(polled.seen, 2000u);
+  EXPECT_EQ(skipped.observed(), polled.observed());
+  EXPECT_EQ(skipped.first_skip, 4u);
+}
+
+// A kill() due at a read instant: the skip stops one poll short of the
+// killer's wake, and the spinner unwinds right at that instant.
+TEST(IdlePollSkip, KilledSpinnerUnwindsAtOnce) {
+  auto run = [](bool skip) {
+    Engine eng;
+    std::uint64_t word = 0;
+    SpinResult r;
+    Time unwound = 0;
+    SimThread* spinner = eng.spawn("spinner", [&] {
+      struct OnUnwind {
+        Time& at;
+        ~OnUnwind() { at = now(); }
+      } guard{unwound};
+      spin(word, skip, r);
+    });
+    eng.spawn("killer", [&] {
+      delay(read_at(10));
+      Engine::current()->kill(spinner);
+    });
+    eng.run();
+    finish(eng, r);
+    r.seen = unwound;
+    return r;
+  };
+  const SpinResult polled = run(false), skipped = run(true);
+  EXPECT_EQ(polled.seen, read_at(10));
+  EXPECT_EQ(polled.polls, 10u);  // the poll at the kill never completes
+  EXPECT_EQ(skipped.observed(), polled.observed());
+  EXPECT_EQ(skipped.first_skip, 9u);
+}
+
 }  // namespace
 }  // namespace argosim

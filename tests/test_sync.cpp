@@ -2,10 +2,15 @@
 // cohort/QD) and distributed locks (RDMA MCS, HQDL, DSM cohort, flags).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "apps/pqueue.hpp"
 #include "core/cluster.hpp"
+#include "fingerprint.hpp"
 #include "sync/dsm_locks.hpp"
 #include "sync/local_locks.hpp"
 #include "sync/qd_lock.hpp"
@@ -482,6 +487,180 @@ TEST(DsmMutex, TimedLockHonorsTimeoutAndFences) {
   });
   EXPECT_FALSE(n1_first_try);
   EXPECT_EQ(n1_read, 42u);
+}
+
+// The timed path polls the tail with CAS under exponential backoff; the
+// last backoff is cut at the deadline, so the final CAS goes out at the
+// deadline and the call fails no later than one CAS round trip past it.
+TEST(GlobalMcs, TimedAcquireFailsWithinOneCasOfTheDeadline) {
+  for (const Time timeout : {Time{1000}, Time{5000}, Time{50000}}) {
+    Cluster cl(dsm_cfg(2, 1));
+    GlobalMcsLock lock(cl);
+    auto probe = cl.alloc<std::uint64_t>(1);  // homed on node 0, like the tail
+    bool got = true;
+    Time cas_rtt = 0, start = 0, returned = 0;
+    cl.run([&](Thread& t) {
+      if (t.node() == 0) {
+        lock.acquire(t);
+        t.compute(10 * timeout);
+        lock.release(t);
+      } else {
+        t.compute(5000);  // node 0 holds the lock by now
+        const Time c0 = t.now();
+        t.atomic_cas(probe, 1, 2);
+        cas_rtt = t.now() - c0;
+        start = t.now();
+        got = lock.try_acquire_for(t, timeout);
+        returned = t.now();
+      }
+    });
+    EXPECT_FALSE(got) << "timeout " << timeout;
+    EXPECT_GE(returned, start + timeout) << "timeout " << timeout;
+    EXPECT_LE(returned, start + timeout + cas_rtt) << "timeout " << timeout;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Vela identity: recorded results
+// ---------------------------------------------------------------------------
+//
+// Each Vela scenario must reproduce the virtual time and the fingerprint
+// recorded before the idle-poll skip existed, at 1, 2 and 4 engine workers
+// and at posted-pipeline depths 1 and 16. The fingerprint folds the HQDL
+// statistics, every net.* counter (each skipped poll still counts as the
+// local read it stands for) and sim.fast_forwards: host-side, but
+// deterministic for one shard partition (one shard per node at every
+// worker count here), and exactly what a skipped poll must leave as a
+// simulated one would have. sim.context_switches is pinned at one worker
+// only: with more, whether a blocking verb's issuer finds its record
+// already filled when it awaits it depends on host timing.
+
+struct VelaFp {
+  Time elapsed = 0;
+  std::uint64_t fp = 0;
+  std::uint64_t switches = 0;
+};
+
+VelaFp vela_fp(Cluster& cl, Time elapsed, std::uint64_t ops = 0,
+               const DelegationStats& hq = {}) {
+  std::uint64_t h = argotest::kFnvBasis;
+  auto fold = [&h](const std::string& name, std::uint64_t v) {
+    h = argotest::fnv1a(name + "=" + std::to_string(v), h);
+  };
+  fold("ops", ops);
+  fold("hqdl.batches", hq.batches);
+  fold("hqdl.executed", hq.executed);
+  fold("hqdl.delegated", hq.delegated);
+  const argo::ClusterStats st = cl.stats();
+  for (const auto& c : st.counters)
+    if (c.name.rfind("net.", 0) == 0 || c.name == "sim.fast_forwards")
+      fold(c.name, c.value);
+  return {elapsed, h, st.counter("sim.context_switches")};
+}
+
+ClusterConfig vela_cfg(int nodes, int tpn, int workers, int pipeline) {
+  ClusterConfig c = dsm_cfg(nodes, tpn);
+  c.engine_threads = workers;
+  c.net.pipeline = pipeline;
+  return c;
+}
+
+// Four nodes queue on one global MCS lock: grant spins and link waits.
+VelaFp vela_mcs(int workers, int pipeline) {
+  Cluster cl(vela_cfg(4, 1, workers, pipeline));
+  GlobalMcsLock lock(cl);
+  const Time e = cl.run([&](Thread& t) {
+    for (int k = 0; k < 20; ++k) {
+      lock.acquire(t);
+      t.compute(3000);
+      lock.release(t);
+      t.compute(100 * static_cast<Time>(t.node()));
+    }
+  });
+  return vela_fp(cl, e);
+}
+
+VelaFp vela_pq(argoapps::DsmLockKind kind, int workers, int pipeline) {
+  Cluster cl(vela_cfg(4, 3, workers, pipeline));
+  argoapps::PqParams p;
+  p.duration = 150'000;
+  p.prefill = 128;
+  const auto r = argoapps::pq_bench_dsm(cl, kind, p);
+  return vela_fp(cl, cl.now(), r.ops, r.hqdl);
+}
+
+VelaFp vela_mutex(int workers, int pipeline) {
+  Cluster cl(vela_cfg(3, 2, workers, pipeline));
+  DsmMutex lock(cl);
+  auto ctr = cl.alloc<std::uint64_t>(1);
+  const Time e = cl.run([&](Thread& t) {
+    for (int k = 0; k < 10; ++k) {
+      lock.lock(t);
+      t.store(ctr, t.load(ctr) + 1);
+      lock.unlock(t);
+      t.compute(400);
+    }
+  });
+  EXPECT_EQ(*cl.host_ptr(ctr), 60u);
+  return vela_fp(cl, e);
+}
+
+// The flag word is homed on node 0: node 0's waiters spin locally, the
+// rest remotely.
+VelaFp vela_flag(int workers, int pipeline) {
+  Cluster cl(vela_cfg(3, 2, workers, pipeline));
+  DsmFlag flag(cl);
+  auto data = cl.alloc<std::uint64_t>(8);
+  const Time e = cl.run([&](Thread& t) {
+    if (t.node() == 1 && t.tid() == 0) {
+      t.compute(30000);
+      for (int i = 0; i < 8; ++i)
+        t.store(data + i, static_cast<std::uint64_t>(i + 1));
+      flag.set(t, 3);
+    } else {
+      EXPECT_EQ(flag.wait(t, 2), 3u);
+      EXPECT_EQ(t.load(data + 7), 8u);
+    }
+  });
+  return vela_fp(cl, e);
+}
+
+TEST(VelaIdentity, RecordedResultsAtEveryWorkerCountAndDepth) {
+  using argoapps::DsmLockKind;
+  const struct {
+    const char* name;
+    int pipeline;
+    VelaFp want;
+    std::function<VelaFp(int, int)> run;
+  } cases[] = {
+      {"global_mcs", 1, {416517, 4734071798119922850ull, 980}, vela_mcs},
+      {"global_mcs", 16, {416517, 4734071798119922850ull, 980}, vela_mcs},
+      {"pq_hqdl", 1, {231054, 11240622703339903060ull, 1094},
+       [](int w, int d) { return vela_pq(DsmLockKind::Hqdl, w, d); }},
+      {"pq_hqdl", 16, {227835, 14373560238552642448ull, 1104},
+       [](int w, int d) { return vela_pq(DsmLockKind::Hqdl, w, d); }},
+      {"pq_cohort", 1, {366159, 17659316763273179313ull, 798},
+       [](int w, int d) { return vela_pq(DsmLockKind::Cohort, w, d); }},
+      {"pq_cohort", 16, {333759, 6580496535848068511ull, 760},
+       [](int w, int d) { return vela_pq(DsmLockKind::Cohort, w, d); }},
+      {"dsm_mutex", 1, {525897, 11845001941409220891ull, 1019}, vela_mutex},
+      {"dsm_mutex", 16, {522697, 9393849073382779917ull, 1013}, vela_mutex},
+      {"dsm_flag", 1, {51692, 16609501253309002068ull, 477}, vela_flag},
+      {"dsm_flag", 16, {47789, 7644259143794899368ull, 454}, vela_flag},
+  };
+  for (const auto& c : cases) {
+    for (const int workers : {1, 2, 4}) {
+      const VelaFp got = c.run(workers, c.pipeline);
+      const std::string what = std::string(c.name) + " pipeline=" +
+                               std::to_string(c.pipeline) +
+                               " workers=" + std::to_string(workers);
+      EXPECT_EQ(got.elapsed, c.want.elapsed) << what << ": virtual time moved";
+      EXPECT_EQ(got.fp, c.want.fp) << what << ": counters moved";
+      if (workers == 1) {
+        EXPECT_EQ(got.switches, c.want.switches) << what << ": switches moved";
+      }
+    }
+  }
 }
 
 }  // namespace
