@@ -118,6 +118,14 @@ echo "--- trace_query over quickstart's binary trace"
 scripts/trace_query summary "$EX_DIR/quickstart_trace.bin"
 scripts/trace_query json "$EX_DIR/quickstart_trace.bin" > /dev/null
 
+echo "=== pcprof smoke: the SIGPROF sampler resolves symbols ==="
+# scripts/pcprof must build its preload library, sample a real run and map
+# the samples to named functions (it exits 1 when none resolves). One
+# --quick run is a few ms of CPU, worth about 0.1 to 0.3 samples at a
+# 4 ms tick, so 200 runs (about 3 s) give 20 or more.
+scripts/pcprof/pcprof --top 5 --repeat 200 --out build/pcprof/engine \
+  -- build/bench/microbench_engine --quick
+
 echo "=== perf smoke: pipelined SD-fence drains ==="
 # Reduced fig09 sweep at posted-queue depths 1/4/16; the pipelined drain
 # must not be slower than the blocking one where the buffer is large

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 #include "apps/span_util.hpp"
 #include "sim/random.hpp"
@@ -13,8 +14,21 @@ using argo::Thread;
 
 namespace {
 
+// The block kernels run once per block task and dominate lu's host time.
+// Each has an AVX2 clone picked at load time by ifunc; neither clone may
+// contract to FMA (no FMA target, -ffp-contract=off), and every element
+// takes its subtract-multiplies in the order the source spells out, so the
+// factors are bit-identical whichever clone runs. Pointers never alias:
+// callers pass distinct scratch blocks. TSan builds get the default body
+// only: ifunc resolvers run before TSan's runtime is up and crash there.
+#if defined(__SANITIZE_THREAD__)
+#define ARGO_LU_KERNEL
+#else
+#define ARGO_LU_KERNEL __attribute__((target_clones("avx2", "default")))
+#endif
+
 /// Factor the diagonal block in place (unit-lower L, U on/above diagonal).
-void factor_diag(double* d, std::size_t b) {
+ARGO_LU_KERNEL void factor_diag(double* __restrict d, std::size_t b) {
   for (std::size_t j = 0; j < b; ++j)
     for (std::size_t i = j + 1; i < b; ++i) {
       d[i * b + j] /= d[j * b + j];
@@ -24,7 +38,8 @@ void factor_diag(double* d, std::size_t b) {
 }
 
 /// Column-perimeter block: A := A · U(diag)^{-1}.
-void bdiv(double* a, const double* diag, std::size_t b) {
+ARGO_LU_KERNEL void bdiv(double* __restrict a, const double* __restrict diag,
+                         std::size_t b) {
   for (std::size_t i = 0; i < b; ++i)
     for (std::size_t j = 0; j < b; ++j) {
       a[i * b + j] /= diag[j * b + j];
@@ -35,7 +50,8 @@ void bdiv(double* a, const double* diag, std::size_t b) {
 }
 
 /// Row-perimeter block: A := L(diag)^{-1} · A.
-void bmodd(double* a, const double* diag, std::size_t b) {
+ARGO_LU_KERNEL void bmodd(double* __restrict a, const double* __restrict diag,
+                          std::size_t b) {
   for (std::size_t j = 0; j < b; ++j)
     for (std::size_t i = j + 1; i < b; ++i) {
       const double lij = diag[i * b + j];
@@ -43,30 +59,75 @@ void bmodd(double* a, const double* diag, std::size_t b) {
     }
 }
 
-/// Interior block: A -= L · U.
-void bmod(double* a, const double* l, const double* u, std::size_t b) {
+/// Interior block: A -= L · U, i.e. a[i][j] -= l[i][k] * u[k][j] for k in
+/// order. Register-blocked: two rows by 16 columns of A stay in vector
+/// registers across the whole k loop, so U is loaded once per row pair.
+/// Leftover rows and columns take the same k-ordered scalar chain.
+using V = double __attribute__((vector_size(32)));
+constexpr std::size_t kV = sizeof(V) / sizeof(double);
+inline V load_v(const double* p) {
+  V v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+inline void store_v(double* p, V v) { std::memcpy(p, &v, sizeof(v)); }
+
+ARGO_LU_KERNEL void bmod(double* __restrict a, const double* __restrict l,
+                         const double* __restrict u, std::size_t b) {
+  const std::size_t rows = b & ~std::size_t{1}, cols = b - b % (4 * kV);
+  for (std::size_t i = 0; i < rows; i += 2)
+    for (std::size_t j = 0; j < cols; j += 4 * kV) {
+      double* a0 = &a[i * b + j];
+      double* a1 = a0 + b;
+      V c0[4], c1[4];
+      for (std::size_t q = 0; q < 4; ++q) {
+        c0[q] = load_v(a0 + q * kV);
+        c1[q] = load_v(a1 + q * kV);
+      }
+      for (std::size_t k = 0; k < b; ++k) {
+        const double l0 = l[i * b + k], l1 = l[(i + 1) * b + k];
+        for (std::size_t q = 0; q < 4; ++q) {
+          const V w = load_v(&u[k * b + j + q * kV]);
+          c0[q] -= l0 * w;
+          c1[q] -= l1 * w;
+        }
+      }
+      for (std::size_t q = 0; q < 4; ++q) {
+        store_v(a0 + q * kV, c0[q]);
+        store_v(a1 + q * kV, c1[q]);
+      }
+    }
   for (std::size_t i = 0; i < b; ++i)
-    for (std::size_t k = 0; k < b; ++k) {
-      const double lik = l[i * b + k];
-      for (std::size_t j = 0; j < b; ++j) a[i * b + j] -= lik * u[k * b + j];
+    for (std::size_t j = i < rows ? cols : 0; j < b; ++j) {
+      double acc = a[i * b + j];
+      for (std::size_t k = 0; k < b; ++k) acc -= l[i * b + k] * u[k * b + j];
+      a[i * b + j] = acc;
     }
 }
 
-/// 2D scatter ownership: thread grid pr×pc with pr·pc == T.
-struct Scatter {
-  int pr, pc;
-  explicit Scatter(int threads) {
-    pr = 1;
+/// The blocks one thread owns under the 2D scatter: thread grid pr×pc with
+/// pr·pc == T, block (bi, bj) belonging to thread (bi mod pr)·pc +
+/// (bj mod pc). Kept as a row and a column table, so (bi, bj) is mine iff
+/// row bi and column bj both are, and no ownership test divides.
+struct MyBlocks {
+  std::vector<char> row, col;
+  MyBlocks(int threads, int gid, std::size_t nb) : row(nb), col(nb) {
+    int pr = 1;
     for (int d = static_cast<int>(std::sqrt(threads)); d >= 1; --d)
       if (threads % d == 0) {
         pr = d;
         break;
       }
-    pc = threads / pr;
+    const auto rows = static_cast<std::size_t>(pr);
+    const auto cols = static_cast<std::size_t>(threads / pr);
+    const auto me = static_cast<std::size_t>(gid);
+    for (std::size_t x = 0; x < nb; ++x) {
+      row[x] = x % rows == me / cols;
+      col[x] = x % cols == me % cols;
+    }
   }
-  int owner(std::size_t bi, std::size_t bj) const {
-    return static_cast<int>(bi % static_cast<std::size_t>(pr)) * pc +
-           static_cast<int>(bj % static_cast<std::size_t>(pc));
+  bool operator()(std::size_t bi, std::size_t bj) const {
+    return row[bi] && col[bj];
   }
 };
 
@@ -81,7 +142,7 @@ std::size_t block_off(std::size_t bi, std::size_t bj, std::size_t nb,
 /// path, through the DSM for Argo).
 template <typename Mine, typename Sync, typename LoadB, typename StoreB,
           typename Charge>
-void lu_steps(std::size_t nb, std::size_t b, Mine mine, Sync sync,
+void lu_steps(std::size_t nb, std::size_t b, const Mine& mine, Sync sync,
               LoadB load_block, StoreB store_block, Charge charge) {
   std::vector<double> diag(b * b), work(b * b), lblk(b * b), ublk(b * b);
   const auto b3 = static_cast<Time>(b * b * b);
@@ -157,7 +218,7 @@ std::vector<double> lu_make_input(const LuParams& p) {
   return a;
 }
 
-double lu_reference(const LuParams& p) {
+std::vector<double> lu_reference_factors(const LuParams& p) {
   std::vector<double> a = lu_make_input(p);
   const std::size_t b = p.block, nb = p.n / b;
   lu_steps(
@@ -169,28 +230,31 @@ double lu_reference(const LuParams& p) {
         std::copy_n(in, b * b, a.data() + block_off(bi, bj, nb, b));
       },
       [](Time) {});
+  return a;
+}
+
+double lu_reference(const LuParams& p) {
   double sum = 0;
-  for (double v : a) sum += v;
+  for (double v : lu_reference_factors(p)) sum += v;
   return sum;
 }
 
 LuResult lu_run_argo(argo::Cluster& cl, const LuParams& p) {
-  const std::vector<double> init = lu_make_input(p);
   const std::size_t b = p.block, nb = p.n / b;
   auto result = cl.alloc<double>(1);
   auto partial = cl.alloc<double>(static_cast<std::size_t>(cl.nthreads()));
   auto mat = cl.alloc<double>(p.n * p.n);
-  std::copy(init.begin(), init.end(), cl.host_ptr(mat));
+  {  // the input copy is freed before the run
+    const std::vector<double> init = lu_make_input(p);
+    std::copy(init.begin(), init.end(), cl.host_ptr(mat));
+  }
   cl.reset_classification();
 
   LuResult res;
   res.elapsed = cl.run([&](Thread& t) {
-    const Scatter sc(t.nthreads());
+    const MyBlocks mine(t.nthreads(), t.gid(), nb);
     lu_steps(
-        nb, b,
-        [&](std::size_t bi, std::size_t bj) {
-          return sc.owner(bi, bj) == t.gid();
-        },
+        nb, b, mine,
         [&] { t.barrier(); },
         [&](std::size_t bi, std::size_t bj, double* out) {
           t.load_bulk(mat + static_cast<std::ptrdiff_t>(block_off(bi, bj, nb, b)),
@@ -206,7 +270,7 @@ LuResult lu_run_argo(argo::Cluster& cl, const LuParams& p) {
     double sum = 0;
     for (std::size_t bi = 0; bi < nb; ++bi)
       for (std::size_t bj = 0; bj < nb; ++bj) {
-        if (sc.owner(bi, bj) != t.gid()) continue;
+        if (!mine(bi, bj)) continue;
         sum += span_sum(
             t, mat + static_cast<std::ptrdiff_t>(block_off(bi, bj, nb, b)),
             b * b);

@@ -39,7 +39,12 @@ std::vector<double> lu_make_input(const LuParams& p);
 std::size_t lu_index(const LuParams& p, std::size_t i, std::size_t j);
 
 /// Sequential reference: same blocked algorithm, same operation order.
+/// Returns the checksum of lu_reference_factors.
 double lu_reference(const LuParams& p);
+
+/// The factored matrix of the sequential reference (L\U in place, blocked
+/// layout).
+std::vector<double> lu_reference_factors(const LuParams& p);
 
 LuResult lu_run_argo(argo::Cluster& cl, const LuParams& p);
 

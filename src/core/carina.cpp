@@ -65,6 +65,7 @@ NodeCache::NodeCache(int node, GlobalMemory& gmem, argonet::Interconnect& net,
   // most benchmarks never touch.
   lines_.resize(cfg_.cache_lines);
   occ_bits_.assign((cfg_.cache_lines + 63) / 64, 0);
+  live_.assign((cfg_.cache_lines + 63) / 64, 0);
   if (cfg_.classification == Mode::PSNaive)
     checkpoints_.reserve(checkpoint_reserve());
 }
@@ -89,11 +90,13 @@ bool NodeCache::my_writer_bit_set(std::uint64_t page) const {
 void NodeCache::lock_line(Line& l) {
   while (l.fetching) l.waiters.wait();
   l.fetching = true;
+  set_live(l, true);
 }
 
 void NodeCache::unlock_line(Line& l) {
   assert(l.fetching);
   l.fetching = false;
+  if (!l.data) set_live(l, false);
   l.waiters.notify_all();
 }
 
@@ -595,6 +598,7 @@ void NodeCache::release_if_invalid(Line& l) {
   for (const PageSlot& s : l.pages)
     if (s.valid) return;
   l.data.reset();
+  if (!l.fetching) set_live(l, false);
 }
 
 void NodeCache::refresh_checkpoint(Line& l, std::uint64_t page) {
@@ -684,7 +688,7 @@ void NodeCache::writeback_locked(Line& l, std::uint64_t page) {
     // Diff against the twin: scan both copies (charged as local memory
     // traffic), transmit only changed runs, apply them at the home. The
     // scan itself is host work only — the charge covers it whatever the
-    // scanner — so the word-wise scanner must (and does, by construction
+    // scanner — so the block scanner must (and does, by construction
     // and by property test against diff_runs_reference) emit exactly the
     // reference runs. The scratch vector is stolen from the member for the
     // duration: the gather write yields, and a concurrent writeback on
@@ -867,19 +871,14 @@ void NodeCache::si_fence_impl() {
   const argosim::Time fence_start = argosim::now();
   const std::uint64_t inval_before = stats_.si_invalidations;
   trace(argoobs::Ev::SiFenceBegin, 0, argoobs::kUnknownState, 0);
-  // Snapshot the occupied set into recycled scratch (the sweep yields at
-  // latches and writebacks, so occ_idx_ cannot be iterated live). Taken
-  // from a free list rather than rebuilt fresh per fence — concurrent
-  // sweeps (DSM lock acquires fence from any thread) each take their own.
-  std::vector<std::size_t> occ;
-  if (!fence_scratch_.empty()) {
-    occ = std::move(fence_scratch_.back());
-    fence_scratch_.pop_back();
-    occ.clear();
-  }
-  occ.insert(occ.end(), occ_idx_.begin(), occ_idx_.end());
-  for (const std::size_t idx : occ) {
-    Line& l = lines_[idx];
+  // Visit the live lines among those occupied when the fence began, in
+  // occupation order. occ_idx_ only grows, and the sweep yields at latches
+  // and writebacks, so each step re-reads live_: a line that turns live
+  // mid-sweep is swept, one emptied mid-sweep is skipped.
+  const std::size_t occupied = occ_idx_.size();
+  for (std::size_t r = next_live(0, occupied); r < occupied;
+       r = next_live(r + 1, occupied)) {
+    Line& l = lines_[occ_idx_[r]];
     if (l.group == kNoGroup) continue;
     lock_line(l);
     if (l.group == kNoGroup) {  // evicted while we waited for the latch
@@ -911,7 +910,6 @@ void NodeCache::si_fence_impl() {
     release_if_invalid(l);
     unlock_line(l);
   }
-  fence_scratch_.push_back(std::move(occ));
   // Retire any writebacks this sweep posted (free at pipeline depth 1:
   // the send queue is always empty there).
   net_.wait_all(node_);
@@ -1068,10 +1066,12 @@ void NodeCache::invalidate_all_free() {
       s.twin.reset();
     }
     occ_bits_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
+    l.rank = kNoRank;
   }
   ++tlb_gen_;  // every translation any thread holds is now invalid
   for (const std::size_t idx : occ_idx_) lines_[idx].data.reset();
   occ_idx_.clear();
+  std::fill(live_.begin(), live_.end(), 0);
   write_buffer_.clear();
   wb_live_ = 0;
   // Adaptive runtime state (capacity, density history, phase accumulators)

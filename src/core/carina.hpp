@@ -16,6 +16,8 @@
 // side is passive memory. No handler runs anywhere on this path.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -188,9 +190,14 @@ class NodeCache {
     argomem::PageBuf twin;  // pool-backed; reset() recycles the block
   };
 
+  static constexpr std::uint32_t kNoRank = ~std::uint32_t{0};
+
   struct Line {
     std::uint64_t group = kNoGroup;
     bool fetching = false;
+    // Position of this slot in occ_idx_ (kNoRank until first claimed); it
+    // indexes live_. Sits in the padding after `fetching`.
+    std::uint32_t rank = kNoRank;
     // pages_per_line * kPageSize, pool-backed. Held only while some page
     // is valid or mid-fill: fetch_line_locked acquires it, and every path
     // that leaves the whole line invalid returns it to the pool after that
@@ -231,6 +238,7 @@ class NodeCache {
 
   /// Per-line latch excluding concurrent mutators (fetch/evict/writeback)
   /// across their virtual-time delays. Read fast paths do not take it.
+  /// Both keep the line's live_ bit (see live_ below).
   void lock_line(Line& l);
   void unlock_line(Line& l);
 
@@ -270,9 +278,10 @@ class NodeCache {
   /// invalid. Latch held.
   void claim_line(Line& l, std::uint64_t group);
 
-  /// Return `l`'s buffer to the pool if none of its pages is valid. Call
-  /// only after the ++tlb_gen_ that invalidated the last page, and never
-  /// on a line that is mid-fill.
+  /// Return `l`'s buffer to the pool if none of its pages is valid (and
+  /// drop its live_ bit unless it is latched). Call only after the
+  /// ++tlb_gen_ that invalidated the last page, and never on a line that
+  /// is mid-fill.
   void release_if_invalid(Line& l);
 
   /// Fetch every invalid page of `group` into `l`, one posted RDMA read per
@@ -348,6 +357,11 @@ class NodeCache {
   // flat bitmap dedupes insertions without hashing.
   std::vector<std::uint64_t> occ_bits_;
   std::vector<std::size_t> occ_idx_;
+  // Live set over ranks: bit r is set exactly while line occ_idx_[r] is
+  // latched (`fetching`) or holds its buffer (`data`). A line that is
+  // neither has no valid page and no latch waiters, so the SI sweep skips
+  // it exactly as if it had latched, found nothing and unlatched.
+  std::vector<std::uint64_t> live_;
   std::deque<std::uint64_t> write_buffer_;
   std::size_t wb_live_ = 0;
   // Writers parked on a full write buffer whose every live entry is
@@ -362,10 +376,6 @@ class NodeCache {
   // interleave across their wire delays, so the vector is moved out for
   // the duration of a scan rather than used in place.
   std::vector<DiffRun> diff_scratch_;
-  // Occupied-set snapshots for SI sweeps. A free list, not a single
-  // member: DSM lock acquires run si_fence on arbitrary threads, so two
-  // fibers of one node can sweep concurrently.
-  std::vector<std::vector<std::size_t>> fence_scratch_;
   const std::vector<NodeCache*>* peers_ = nullptr;
   MembershipService* membership_ = nullptr;  // non-null only when enabled
   argoobs::Tracer* tracer_ = nullptr;
@@ -376,11 +386,33 @@ class NodeCache {
   std::uint64_t tlb_gen_ = 1;
   std::uint64_t tlb_host_hits_ = 0;
 
-  /// Record that line slot `idx` holds a group (idempotent).
+  /// Record that line slot `idx` holds a group (idempotent). Called with
+  /// the slot latched, so a first claim enters the live set too.
   void occupy(std::size_t idx) {
     if (occ_bits_[idx >> 6] & (std::uint64_t{1} << (idx & 63))) return;
     occ_bits_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+    lines_[idx].rank = static_cast<std::uint32_t>(occ_idx_.size());
     occ_idx_.push_back(idx);
+    set_live(lines_[idx], true);
+  }
+
+  void set_live(const Line& l, bool on) {
+    if (l.rank == kNoRank) return;
+    const std::uint64_t bit = std::uint64_t{1} << (l.rank & 63);
+    if (on)
+      live_[l.rank >> 6] |= bit;
+    else
+      live_[l.rank >> 6] &= ~bit;
+  }
+
+  /// First live rank in [r, end), or end.
+  std::size_t next_live(std::size_t r, std::size_t end) const {
+    while (r < end) {
+      const std::uint64_t w = live_[r >> 6] >> (r & 63);
+      if (w != 0) return std::min(end, r + std::countr_zero(w));
+      r = (r | 63) + 1;
+    }
+    return end;
   }
 };
 

@@ -137,10 +137,13 @@ void Cluster::register_metrics() {
   metrics_.add_counter("trace.emitted", [this] { return tracer_.emitted(); });
   metrics_.add_counter("trace.dropped", [this] { return tracer_.dropped(); });
 
-  // Host-side scheduler diagnostics (sim.*): deterministic for a fixed
-  // shard partition, but NOT part of the identity contract — one shard and
-  // one per node context-switch different amounts, and they count host
-  // work, not simulated work. Identity suites and the golden gate skip them
+  // Host-side scheduler diagnostics (sim.*): NOT part of the identity
+  // contract — they count host work, not simulated work. With more than
+  // one engine worker sim.context_switches varies from run to run (a fiber
+  // that awaits a remote verb resumes once more whenever it gets there
+  // before another worker's shard has filled the record), so it repeats
+  // exactly only at one worker (VelaIdentity pins it there; ROADMAP item
+  // 4). Identity suites and the golden gate skip them
   // (ClusterStats::host_side).
   metrics_.add_counter("sim.context_switches",
                        [this] { return eng_.context_switches(); });

@@ -8,20 +8,28 @@
 // time, so any faster scanner must emit bit-identical runs.
 //
 // Two implementations:
-//  * diff_runs — memcmp prefilter for clean pages plus a uint64-word scan
-//    that locates differing bytes eight at a time; the one Carina runs;
+//  * diff_runs — memcmp prefilter for clean pages plus a scan that builds
+//    one equal-byte bitmask per 64-byte block (SSE2 compare + movemask on
+//    x86-64, a byte loop elsewhere and for a short final block) and finds
+//    run ends with shifts of that mask; the one Carina runs;
 //  * diff_runs_reference — the seed's byte-at-a-time scan, kept only as
 //    the executable specification. A randomized property suite
 //    (tests/test_hostperf.cpp) pins diff_runs to it over adversarial
-//    pages: runs at word boundaries, sub-8-byte gaps straddling words,
-//    all-equal, all-different, trailing-byte changes.
+//    pages: runs and sub-8-byte gaps straddling block edges, runs ending
+//    at a block edge, lengths that are not a multiple of 64, all-equal,
+//    all-different, trailing-byte changes.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <vector>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace argocore {
 
@@ -63,84 +71,82 @@ inline void diff_runs_reference(const std::byte* cur, const std::byte* twin,
 }
 
 namespace detail {
-inline std::uint64_t diff_word(const std::byte* a, const std::byte* b) {
-  std::uint64_t wa, wb;  // memcpy loads: alignment-agnostic, folds to movq
-  std::memcpy(&wa, a, sizeof(wa));
-  std::memcpy(&wb, b, sizeof(wb));
-  return wa ^ wb;
-}
-// Byte index (little-endian) of the first / one-past-last differing byte
-// within a nonzero XOR word.
-inline std::size_t first_diff_byte(std::uint64_t x) {
-  return static_cast<std::size_t>(std::countr_zero(x)) >> 3;
-}
-inline std::size_t trailing_equal_bytes(std::uint64_t x) {
-  return static_cast<std::size_t>(std::countl_zero(x)) >> 3;
+/// Equal-byte mask of one block of `len` <= 64 bytes: bit t is set iff
+/// a[t] == b[t]. Bits at and past `len` are set, so a short final block
+/// reads as if the buffer were padded with equal bytes.
+inline std::uint64_t equal_mask(const std::byte* a, const std::byte* b,
+                                std::size_t len) {
+#if defined(__SSE2__)
+  if (len == 64) {
+    const auto* x = reinterpret_cast<const __m128i*>(a);
+    const auto* y = reinterpret_cast<const __m128i*>(b);
+    std::uint64_t m = 0;
+    for (int q = 0; q < 4; ++q) {
+      const __m128i eq =
+          _mm_cmpeq_epi8(_mm_loadu_si128(x + q), _mm_loadu_si128(y + q));
+      m |= std::uint64_t{static_cast<std::uint16_t>(_mm_movemask_epi8(eq))}
+           << (16 * q);
+    }
+    return m;
+  }
+#endif
+  std::uint64_t m = len < 64 ? ~std::uint64_t{0} << len : 0;
+  for (std::size_t t = 0; t < len; ++t)
+    m |= static_cast<std::uint64_t>(a[t] == b[t]) << t;
+  return m;
 }
 }  // namespace detail
 
-/// Word-wise scanner: emits exactly the runs of diff_runs_reference (same
-/// offsets, same lengths, hence the same wire bytes), locating differing
-/// bytes a uint64 at a time behind a whole-buffer memcmp prefilter.
+/// Block scanner: emits exactly the runs of diff_runs_reference (same
+/// offsets, same lengths, hence the same wire bytes) from one equal-byte
+/// mask per 64-byte block, behind a whole-buffer memcmp prefilter.
+///
+/// A run opens at a differing byte and closes at the first window of
+/// kDiffMergeGap equal bytes after it (its end is the window's start;
+/// bytes past n count as equal, which closes a final run just after its
+/// last differing byte). The scan resumes at the window's end. Windows
+/// inside a block come from one mask; a window straddling a block edge is
+/// the previous block's trailing equal bytes (`tail`, < 8 while a run is
+/// open) plus enough leading equal bytes of the next.
 inline void diff_runs(const std::byte* cur, const std::byte* twin,
                       std::size_t n, std::vector<DiffRun>& out) {
-  static_assert(std::endian::native == std::endian::little,
-                "byte indices are derived from LE lane order");
+  static_assert(kDiffMergeGap == 8, "the window chain below tests 8 bytes");
   if (n == 0 || std::memcmp(cur, twin, n) == 0) return;  // clean page
-  constexpr std::size_t W = sizeof(std::uint64_t);
-  std::size_t i = 0;
-  for (;;) {
-    // Skip the equal stretch, a word at a time; land i on a differing byte.
-    while (i + W <= n) {
-      const std::uint64_t x = detail::diff_word(cur + i, twin + i);
-      if (x != 0) {
-        i += detail::first_diff_byte(x);
-        break;
-      }
-      i += W;
+  bool open = false;
+  std::size_t start = 0;  // of the open run
+  unsigned tail = 0;
+  std::size_t base = 0;
+  for (; base < n; base += 64) {
+    const std::uint64_t eq = detail::equal_mask(
+        cur + base, twin + base, std::min<std::size_t>(64, n - base));
+    unsigned from = 0;  // bits below `from` are consumed
+    if (open && tail != 0 &&
+        static_cast<unsigned>(std::countr_one(eq)) >= 8 - tail) {
+      out.push_back(DiffRun{start, base - tail - start});
+      open = false;  // the window's bytes in this block are equal
     }
-    while (i < n && cur[i] == twin[i]) ++i;
-    if (i >= n) return;
-    // Extend the run. Invariant (as in the reference scan): j is the next
-    // unexamined byte and `gap` counts the consecutive equal bytes ending
-    // just before j; the run ends once gap reaches kDiffMergeGap. Word
-    // steps may overshoot gap past the threshold — `j - gap` still lands
-    // on the same run end, and the skip phase above absorbs the extra
-    // equal bytes before the next run.
-    std::size_t j = i + 1;
-    std::size_t gap = 0;
-    while (j < n && gap < kDiffMergeGap) {
-      if (j + W <= n) {
-        const std::uint64_t x = detail::diff_word(cur + j, twin + j);
-        if (x == 0) {
-          gap += W;
-          j += W;
-          continue;
-        }
-        const std::size_t lead = detail::first_diff_byte(x);
-        if (gap + lead >= kDiffMergeGap) {
-          // The equal stretch closes the run before this word's first
-          // differing byte; that byte starts the next run.
-          gap += lead;
-          j += lead;
-          break;
-        }
-        // Run continues through this word: any internal equal stretch is
-        // at most W - 2 < kDiffMergeGap bytes, so only the word's trailing
-        // equal bytes can extend into a run-ending gap.
-        gap = detail::trailing_equal_bytes(x);
-        j += W;
-        continue;
+    // Bit t: bytes t..t+7 of this block are all equal (t <= 56).
+    std::uint64_t win = eq & (eq >> 1);
+    win &= win >> 2;
+    win &= win >> 4;
+    for (;;) {
+      if (!open) {
+        const std::uint64_t diff = from < 64 ? ~eq >> from << from : 0;
+        if (diff == 0) break;
+        from = static_cast<unsigned>(std::countr_zero(diff));
+        start = base + from;
+        open = true;
       }
-      if (cur[j] == twin[j])
-        ++gap;
-      else
-        gap = 0;
-      ++j;
+      const std::uint64_t close = win >> from << from;
+      if (close == 0) break;
+      const unsigned at = static_cast<unsigned>(std::countr_zero(close));
+      out.push_back(DiffRun{start, base + at - start});
+      open = false;
+      from = at + 8;
     }
-    out.push_back(DiffRun{i, j - gap - i});
-    i = j;
+    tail = static_cast<unsigned>(std::countl_one(eq));
   }
+  if (open) out.push_back(DiffRun{start, base - tail - start});
 }
 
 }  // namespace argocore

@@ -3,8 +3,10 @@
 // tight tolerance where parallel reduction order differs).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "apps/blackscholes.hpp"
@@ -298,6 +300,38 @@ TEST(Lu, ArgoMatchesReference) {
     const auto r = lu_run_argo(cl, p);
     // The factors are identical; the checksum is reassociated per owner.
     EXPECT_LT(rel_err(r.checksum, ref), 1e-12) << to_string(m);
+  }
+}
+
+TEST(Lu, ReferenceChecksumBitsArePinned) {
+  // Exact bits of lu_reference and an FNV-1a hash of the bits of every
+  // factor it sums, recorded before the block kernels were vectorized.
+  // Each element takes its multiply-subtracts in the order the source
+  // spells out, so any vector width reproduces them. A kernel that
+  // contracts to FMA or reassociates moves factor bits; the checksum alone
+  // would not see it (the moves are far below the sum's last bit).
+  struct Case {
+    std::size_t n, block;
+    std::uint64_t sum_bits, factor_hash;
+  };
+  for (const Case c :
+       {Case{128, 16, 0x40d02387f1017e19, 0xb2fd39c3826b5c51},
+        Case{128, 32, 0x40d02387f1017e18, 0x15bfb1768c207bd9},
+        Case{256, 16, 0x40effff9f55658c5, 0x9fbb74b71d8cbcb5},
+        Case{256, 32, 0x40effff9f55658ca, 0xeccfae06135881fd}}) {
+    LuParams p;
+    p.n = c.n;
+    p.block = c.block;
+    std::uint64_t h = 0xcbf29ce484222325;
+    for (const double v : lu_reference_factors(p)) {
+      h ^= std::bit_cast<std::uint64_t>(v);
+      h *= 0x100000001b3;
+    }
+    const std::string what =
+        "n " + std::to_string(c.n) + " block " + std::to_string(c.block);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(lu_reference(p)), c.sum_bits)
+        << what;
+    EXPECT_EQ(h, c.factor_hash) << what;
   }
 }
 

@@ -436,6 +436,113 @@ TEST(Carina, StaleTranslationNeverReadsAReacquiredBuffer) {
   }
 }
 
+// The SI sweep visits only live lines: those latched or holding a buffer
+// (DESIGN.md, "SI live set"). The three cases below pin what the sweep
+// does when liveness changes under it; each holds for the full sweep of
+// every occupied line as much as for the live-set walk.
+
+// A line latched mid-fill when the sweep reaches it is live: the sweep
+// waits out the fill (a clean sweep under S costs no virtual time of its
+// own) and then invalidates the page the fill brought in.
+TEST(SiLiveSet, LineMidFillIsWaitedForAndSwept) {
+  for (const int pipeline : {1, 16}) {
+    auto cfg = small_cfg(2, 2, Mode::S);
+    cfg.net.pipeline = pipeline;
+    Cluster cl(cfg);
+    auto y = page_addr(16).cast<std::uint64_t>();  // homed on node 1
+    *cl.host_ptr(y) = 1616;
+    cl.reset_classification();
+    const std::string what = "pipeline " + std::to_string(pipeline);
+    cl.run([&](Thread& t) {
+      if (t.node() != 0) return;
+      const auto& stats = t.cache().stats();
+      if (t.tid() == 0) {
+        EXPECT_EQ(t.load(y), 1616u) << what;
+      } else {
+        while (stats.line_fetches == 0) t.compute(10);  // fill on the wire
+        const Time start = t.now();
+        t.acquire();
+        EXPECT_GT(t.now(), start) << what;
+        EXPECT_EQ(stats.si_invalidations, 1u) << what;
+        EXPECT_EQ(t.cache().resident_pages(), 0u) << what;
+      }
+    });
+  }
+}
+
+// Line Y ranks below the fence's starting size but is empty when the
+// fence starts. It turns live (a refill latches it) while the sweep is
+// parked on X's writebacks, so the sweep must reach it and invalidate it.
+TEST(SiLiveSet, LineTurningLiveMidSweepIsSwept) {
+  auto cfg = small_cfg(2, 2, Mode::S, /*pages_per_line=*/4);
+  cfg.net.pipeline = 1;  // each writeback parks the sweep
+  Cluster cl(cfg);
+  auto x = page_addr(16).cast<std::uint64_t>();  // lines X = 16..19 and
+  auto y = page_addr(20).cast<std::uint64_t>();  // Y = 20..23, node 1's
+  *cl.host_ptr(y) = 2020;
+  cl.reset_classification();
+  bool fencing = false;
+  cl.run([&](Thread& t) {
+    if (t.node() == 0 && t.tid() == 0) {
+      t.store(x, std::uint64_t{1});  // X takes rank 0
+      (void)t.load(y);               // Y takes rank 1
+    }
+    t.barrier();  // writes X back; the SI sweep empties both lines
+    if (t.node() != 0) return;
+    const auto& stats = t.cache().stats();
+    if (t.tid() == 0) {
+      for (std::ptrdiff_t pg = 0; pg < 4; ++pg)
+        t.store(x + pg * static_cast<std::ptrdiff_t>(kPageSize / 8),
+                std::uint64_t{2});
+      const std::uint64_t before = stats.si_invalidations;
+      fencing = true;
+      t.acquire();
+      EXPECT_EQ(stats.si_invalidations - before, 8u);  // X's 4 and Y's 4
+    } else {
+      while (!fencing) t.compute(10);
+      const std::uint64_t fetches = stats.line_fetches;
+      EXPECT_EQ(t.load(y), 2020u);
+      EXPECT_EQ(stats.line_fetches, fetches + 1);
+    }
+  });
+}
+
+// Y is live when a second fence starts, but the first fence (ahead of it
+// in the sweep order) empties Y while the second waits on X's latch. The
+// second sweep then skips Y: every page is invalidated exactly once, and
+// each line buffer (and X's twin) goes back to the pool once.
+TEST(SiLiveSet, LineEmptiedMidSweepIsSkipped) {
+  auto cfg = small_cfg(2, 2, Mode::S);
+  cfg.net.pipeline = 1;
+  Cluster cl(cfg);
+  auto x = page_addr(16).cast<std::uint64_t>();  // both homed on node 1
+  auto y = page_addr(20).cast<std::uint64_t>();
+  *cl.host_ptr(y) = 2020;
+  cl.reset_classification();
+  bool fencing = false;
+  cl.run([&](Thread& t) {
+    if (t.node() != 0) return;
+    const auto& stats = t.cache().stats();
+    const auto& pool = t.cache().buffer_pool();
+    if (t.tid() == 0) {
+      t.store(x, std::uint64_t{1});  // X: rank 0, dirty
+      EXPECT_EQ(t.load(y), 2020u);   // Y: rank 1, clean
+      fencing = true;
+      t.acquire();
+    } else {
+      while (!fencing) t.compute(10);
+      const std::size_t pooled = pool.pooled_buffers();
+      t.acquire();
+      EXPECT_EQ(stats.si_fences, 2u);
+      EXPECT_EQ(stats.si_invalidations, 2u);
+      EXPECT_EQ(t.cache().resident_pages(), 0u);
+      EXPECT_EQ(pool.pooled_buffers(), pooled + 3);
+      EXPECT_EQ(t.load(y), 2020u);
+      EXPECT_EQ(t.load(x), 1u);
+    }
+  });
+}
+
 TEST(Carina, AtomicsAccumulateAcrossNodes) {
   Cluster cl(small_cfg(4, 2, Mode::PS3));
   auto ctr = cl.alloc<std::uint64_t>(1);

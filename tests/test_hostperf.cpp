@@ -1,4 +1,4 @@
-// Host-path performance machinery: word-wise diff scanning, page-buffer
+// Host-path performance machinery: block-wise diff scanning, page-buffer
 // pooling, and the scheduler fast paths. Everything here checks the same
 // contract from a different angle: the fast implementations must be
 // *observationally identical* to the seed behaviour — same diff runs as
@@ -32,7 +32,7 @@ using argocore::diff_runs_reference;
 using argocore::kDiffMergeGap;
 
 // ---------------------------------------------------------------------------
-// Word-wise diff scanner vs the reference byte scanner
+// Block diff scanner vs the reference byte scanner
 
 std::vector<DiffRun> scan_reference(const std::vector<std::byte>& cur,
                                     const std::vector<std::byte>& twin) {
@@ -171,12 +171,74 @@ TEST(DiffRuns, RunsAlignedToWordBoundaries) {
     EXPECT_EQ(runs[k], (DiffRun{k * 16, 8})) << "run " << k;
 }
 
+TEST(DiffRuns, RunsAndGapsStraddlingBlockEdges) {
+  // The block scanner builds one equal-byte mask per 64 bytes, so a run's
+  // closing window can start in one block and end in the next. Sweep two
+  // dirty runs and every gap of 1..9 equal bytes across each edge of a
+  // 256-byte page (and its 250-byte truncation, whose last block is short).
+  for (const std::size_t n : {std::size_t{256}, std::size_t{250}}) {
+    for (std::size_t edge = 64; edge < n; edge += 64) {
+      for (std::size_t gap = 1; gap <= kDiffMergeGap + 1; ++gap) {
+        for (std::size_t len = 1; len <= 3; ++len) {
+          for (std::size_t shift = 0; shift <= gap + len + 1; ++shift) {
+            const std::size_t a = edge + shift - (gap + len + 1);
+            const std::size_t b = a + len + gap;
+            if (b + len > n) continue;
+            auto cur = bytes(n);
+            auto twin = bytes(n);
+            for (std::size_t k = 0; k < len; ++k) {
+              cur[a + k] = std::byte{1};
+              cur[b + k] = std::byte{2};
+            }
+            expect_identical(cur, twin);
+            const auto runs = scan_fast(cur, twin);
+            if (gap < kDiffMergeGap) {
+              ASSERT_EQ(runs.size(), 1u) << "edge " << edge << " gap " << gap;
+              EXPECT_EQ(runs[0], (DiffRun{a, b + len - a}));
+            } else {
+              ASSERT_EQ(runs.size(), 2u) << "edge " << edge << " gap " << gap;
+              EXPECT_EQ(runs[1], (DiffRun{b, len}));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DiffRuns, RunEndingExactlyAtABlockEdge) {
+  // A run whose last dirty byte is the last byte of a block: followed by
+  // a whole equal block, by fewer than 8 equal bytes and another run, and
+  // by the end of the buffer.
+  for (const std::size_t len : {std::size_t{1}, std::size_t{8},
+                                std::size_t{64}}) {
+    auto cur = bytes(192);
+    auto twin = bytes(192);
+    for (std::size_t k = 128 - len; k < 128; ++k) cur[k] = std::byte{3};
+    expect_identical(cur, twin);
+    EXPECT_EQ(scan_fast(cur, twin),
+              (std::vector<DiffRun>{DiffRun{128 - len, len}}));
+    cur[128 + 7] = std::byte{4};  // 7 equal bytes: one merged run
+    expect_identical(cur, twin);
+    EXPECT_EQ(scan_fast(cur, twin),
+              (std::vector<DiffRun>{DiffRun{128 - len, len + 8}}));
+    auto head = std::vector<std::byte>(cur.begin(), cur.begin() + 128);
+    auto head_twin = std::vector<std::byte>(twin.begin(), twin.begin() + 128);
+    expect_identical(head, head_twin);
+    EXPECT_EQ(scan_fast(head, head_twin),
+              (std::vector<DiffRun>{DiffRun{128 - len, len}}));
+  }
+}
+
 TEST(DiffRuns, RandomizedAdversarialPages) {
   // Randomized property sweep: several mutation regimes over page-sized and
   // odd-sized buffers, fixed seed. Each case is checked run-for-run against
   // the reference scanner.
   std::mt19937 rng(20260805u);
-  const std::size_t sizes[] = {24, 37, 64, 127, 512, 4095, 4096};
+  // Sizes on both sides of the scanner's 64-byte blocks: whole blocks,
+  // and final blocks 1, 7, 36 and 63 bytes short.
+  const std::size_t sizes[] = {24, 37, 64, 65, 127, 128, 135, 200,
+                               512, 4033, 4095, 4096};
   for (int iter = 0; iter < 400; ++iter) {
     const std::size_t n = sizes[rng() % std::size(sizes)];
     std::vector<std::byte> twin(n);
