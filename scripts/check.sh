@@ -123,7 +123,7 @@ echo "=== pcprof smoke: the SIGPROF sampler resolves symbols ==="
 # the samples to named functions (it exits 1 when none resolves). One
 # --quick run is a few ms of CPU, worth about 0.1 to 0.3 samples at a
 # 4 ms tick, so 200 runs (about 3 s) give 20 or more.
-scripts/pcprof/pcprof --top 5 --repeat 200 --out build/pcprof/engine \
+scripts/pcprof/pcprof --top 5 --lines 5 --repeat 200 --out build/pcprof/engine \
   -- build/bench/microbench_engine --quick
 
 echo "=== perf smoke: pipelined SD-fence drains ==="

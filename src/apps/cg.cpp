@@ -105,6 +105,8 @@ CgResult cg_run_argo(argo::Cluster& cl, const CgParams& prm) {
     cl.host_ptr(gr)[i] = cg_b(i);
   }
   cl.reset_classification();
+  // Host-side only (charges no virtual time): once, not per thread.
+  const double rho0 = cg_rho0(n);
 
   CgResult res;
   res.elapsed = cl.run([&](Thread& t) {
@@ -123,7 +125,7 @@ CgResult cg_run_argo(argo::Cluster& cl, const CgParams& prm) {
     double* const own = band.data() + (whole ? lo : kHalo);
     t.load_bulk(gx + static_cast<std::ptrdiff_t>(lo), x.data(), cnt);
     t.load_bulk(gr + static_cast<std::ptrdiff_t>(lo), r.data(), cnt);
-    double rho = cg_rho0(n);
+    double rho = rho0;
     for (int it = 0; it < prm.iterations; ++it) {
       // Walk the whole direction vector page by page — the same accesses
       // as a load_bulk of all of it — but copy out only the band.
@@ -210,6 +212,7 @@ CgResult cg_run_upc(argo::Cluster& cl, const CgParams& prm) {
   argopgas::PgasArray<double> scal(cl, 4);  // alpha, beta, rho, x_checksum
   for (std::size_t i = 0; i < n; ++i)
     *cl.gmem().home_ptr(gp.gbase().at(i)) = cg_b(i);
+  const double rho0 = cg_rho0(n);
 
   CgResult res;
   const auto max_off = static_cast<std::size_t>(CgMatrix::kOffsets[3]);
@@ -222,7 +225,7 @@ CgResult cg_run_upc(argo::Cluster& cl, const CgParams& prm) {
     std::vector<double> x(cnt, 0.0), r(cnt), q(cnt);
     for (std::size_t i = 0; i < cnt; ++i) r[i] = cg_b(lo + i);
     std::vector<double> p(n, 0.0);
-    double rho = cg_rho0(n);
+    double rho = rho0;
     for (int it = 0; it < prm.iterations; ++it) {
       // Fetch our slice plus the halo (the rest of p we touch through the
       // band) with bulk gets — the "optimized UPC" idiom.

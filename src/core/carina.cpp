@@ -80,11 +80,13 @@ std::size_t NodeCache::checkpoint_reserve() const {
 }
 
 bool NodeCache::my_reader_bit_set(std::uint64_t page) const {
-  return dir_.cache_get(node_, dir_page(page)).is_reader(node_);
+  return dir_.cache_word(node_, dir_page(page), DirEntry::word_of(node_)) &
+         DirEntry::reader_bit(node_);
 }
 
 bool NodeCache::my_writer_bit_set(std::uint64_t page) const {
-  return dir_.cache_get(node_, dir_page(page)).is_writer(node_);
+  return dir_.cache_word(node_, dir_page(page), DirEntry::word_of(node_)) &
+         DirEntry::writer_bit(node_);
 }
 
 void NodeCache::lock_line(Line& l) {
@@ -136,7 +138,17 @@ const std::byte* NodeCache::read_ptr(GAddr a, std::size_t len,
     }
   }
   ++stats_.read_misses;
-  argosim::delay(cfg_.fault_overhead);
+  // A sibling thread's fill in progress: when the path from the fault delay
+  // to ensure_cached's lock_line has no side effect (already registered as
+  // reader, which stays set; no naive-P/S heal; no membership re-homing),
+  // a miss whose wake finds the line latched would only wait on the latch,
+  // so the engine queues it there without resuming it (gated wake).
+  if (cfg_.classification != Mode::PSNaive && membership_ == nullptr &&
+      my_reader_bit_set(page))
+    argosim::Engine::current()->delay_then_wait(cfg_.fault_overhead,
+                                                l.waiters, l.fetching);
+  else
+    argosim::delay(cfg_.fault_overhead);
   for (;;) {
     try {
       ensure_cached(page, /*for_write=*/false);
@@ -515,11 +527,10 @@ void NodeCache::fetch_line_locked(Line& l, std::uint64_t group) {
   // invalid). The runs' wire latencies overlap, and the pages turn valid
   // together once every read has retired. The latch is held throughout, so
   // the slots and line buffer are stable until the posted memcpys have
-  // landed.
-  struct Run {
-    std::uint64_t begin, end;
-  };
-  std::vector<Run> runs;
+  // landed. The run list is stolen from fill_scratch_ for the fill's
+  // duration (fills of distinct lines interleave across wait_all).
+  std::vector<FillRun> runs = std::move(fill_scratch_);
+  runs.clear();
   std::uint64_t p = first;
   while (p < last) {
     PageSlot& s = slot_of(l, p);
@@ -538,19 +549,21 @@ void NodeCache::fetch_line_locked(Line& l, std::uint64_t group) {
     if (tracer_) trace(argoobs::Ev::LineFill, p, traced_state(p), bytes);
     net_.post_read(node_, home, gmem_.home_ptr(p * kPageSize), page_data(l, p),
                    bytes);
-    runs.push_back(Run{p, end});
+    runs.push_back(FillRun{p, end});
     p = end;
   }
-  if (runs.empty()) return;
-  net_.wait_all(node_);
-  for (const Run& r : runs)
-    for (std::uint64_t q = r.begin; q < r.end; ++q) {
-      PageSlot& s = slot_of(l, q);
-      s.valid = true;
-      s.dirty = false;
-      s.in_wb = false;
-      s.twin.reset();
-    }
+  if (!runs.empty()) {
+    net_.wait_all(node_);
+    for (const FillRun& r : runs)
+      for (std::uint64_t q = r.begin; q < r.end; ++q) {
+        PageSlot& s = slot_of(l, q);
+        s.valid = true;
+        s.dirty = false;
+        s.in_wb = false;
+        s.twin.reset();
+      }
+  }
+  fill_scratch_ = std::move(runs);
 }
 
 void NodeCache::evict_line_locked(Line& l) {
@@ -705,8 +718,8 @@ void NodeCache::writeback_locked(Line& l, std::uint64_t page) {
       release_wb_slot(s);
       return;
     }
-    std::vector<argonet::GatherRun> gather;
-    gather.reserve(runs.size());
+    std::vector<argonet::GatherRun> gather = std::move(gather_scratch_);
+    gather.clear();
     for (const DiffRun& r : runs) {
       wire += r.len + 8;
       gather.push_back(argonet::GatherRun{home + r.off, cur + r.off, r.len});
@@ -719,6 +732,7 @@ void NodeCache::writeback_locked(Line& l, std::uint64_t page) {
     // completion time.
     flush([&] { net_.post_write_gather(node_, home_node, gather, 8); });
     diff_scratch_ = std::move(runs);
+    gather_scratch_ = std::move(gather);
   }
   release_wb_slot(s);
   ++stats_.writebacks;

@@ -376,6 +376,13 @@ class NodeCache {
   // interleave across their wire delays, so the vector is moved out for
   // the duration of a scan rather than used in place.
   std::vector<DiffRun> diff_scratch_;
+  // The same for each writeback's gather list and each fill's runs of
+  // same-home pages.
+  std::vector<argonet::GatherRun> gather_scratch_;
+  struct FillRun {
+    std::uint64_t begin, end;
+  };
+  std::vector<FillRun> fill_scratch_;
   const std::vector<NodeCache*>* peers_ = nullptr;
   MembershipService* membership_ = nullptr;  // non-null only when enabled
   argoobs::Tracer* tracer_ = nullptr;

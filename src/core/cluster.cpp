@@ -142,8 +142,11 @@ void Cluster::register_metrics() {
   // one engine worker sim.context_switches varies from run to run (a fiber
   // that awaits a remote verb resumes once more whenever it gets there
   // before another worker's shard has filled the record), so it repeats
-  // exactly only at one worker (VelaIdentity pins it there; ROADMAP item
-  // 4). Identity suites and the golden gate skip them
+  // exactly only at one worker (ROADMAP item 4). sim.gated_waits counts
+  // the resumptions a gated wake saved (a read miss queued on a sibling's
+  // fill without being resumed): at one worker, context switches plus
+  // gated waits is the resumption count without the gate, which is what
+  // VelaIdentity pins. Identity suites and the golden gate skip them
   // (ClusterStats::host_side).
   metrics_.add_counter("sim.context_switches",
                        [this] { return eng_.context_switches(); });
@@ -154,6 +157,8 @@ void Cluster::register_metrics() {
                        [this] { return eng_.delay_fast_forwards(); });
   metrics_.add_counter("sim.polls_skipped",
                        [this] { return eng_.polls_skipped(); });
+  metrics_.add_counter("sim.gated_waits",
+                       [this] { return eng_.gated_waits(); });
   metrics_.add_counter("sim.stacks_reused",
                        [this] { return eng_.stacks_reused(); });
   metrics_.add_counter("sim.stacks_mapped",

@@ -306,6 +306,15 @@ class PyxisDirectory {
                               [page * static_cast<std::size_t>(nwords_)]);
   }
 
+  /// One word of `node`'s cached entry for `page` (word < entry_words()):
+  /// the bit tests of the access fast paths read just the word holding
+  /// their node's bits.
+  std::uint64_t cache_word(int node, std::uint64_t page, int word) const {
+    return caches_[static_cast<std::size_t>(node)]
+                  [page * static_cast<std::size_t>(nwords_) +
+                   static_cast<std::size_t>(word)];
+  }
+
   /// Merge new knowledge into `node`'s own cache (free: node-local).
   void cache_merge_local(int node, std::uint64_t page, const DirEntry& e) {
     std::uint64_t* slot = cache_slot(node, page);
@@ -359,13 +368,17 @@ class PyxisDirectory {
                    [page * static_cast<std::size_t>(nwords_)];
   }
 
+  // Constant trip counts: the loops unroll into kMaxDirWords guarded moves
+  // instead of a variable-length copy (a libc memcpy call per lookup).
   DirEntry load_entry(const std::uint64_t* p) const {
     DirEntry e;
-    for (int i = 0; i < nwords_; ++i) e.w[static_cast<std::size_t>(i)] = p[i];
+    for (int i = 0; i < kMaxDirWords; ++i)
+      if (i < nwords_) e.w[static_cast<std::size_t>(i)] = p[i];
     return e;
   }
   void store_entry(std::uint64_t* p, const DirEntry& e) {
-    for (int i = 0; i < nwords_; ++i) p[i] = e.w[static_cast<std::size_t>(i)];
+    for (int i = 0; i < kMaxDirWords; ++i)
+      if (i < nwords_) p[i] = e.w[static_cast<std::size_t>(i)];
   }
 
   GlobalMemory& gmem_;

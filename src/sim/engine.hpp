@@ -58,6 +58,7 @@ namespace argosim {
 
 class Engine;
 class SimGate;
+class WaitQueue;
 
 /// Thrown inside blocked fibers when the engine shuts down (e.g. daemon
 /// handler threads still waiting on a channel after all workers finished).
@@ -194,6 +195,9 @@ class SimThread {
   bool queued_ = false;    // a live (token-matching) run-queue entry exists
   std::uint32_t shard_ = 0;
   std::uint64_t wake_token_ = 0;  // invalidates stale run-queue entries
+  // Gate of the live run-queue entry (delay_then_wait), cleared at its pop.
+  WaitQueue* gate_q_ = nullptr;
+  const bool* gate_busy_ = nullptr;
   SimRecord op_record_;
 };
 
@@ -258,6 +262,17 @@ class Engine {
   /// and no resumption. Bounded by the current lookahead window.
   void delay(Time ns);
 
+  /// Gated wake: delay(ns) followed by one `if (busy) q.wait()`, for a
+  /// fiber whose path from the wake to that wait has no side effect. The
+  /// sequence number and fast-forward are exactly delay()'s; when the
+  /// fiber has to park, its run-queue entry carries the gate, and the pop
+  /// that would resume it (next_fiber) checks `busy` instead: set, the
+  /// fiber joins `q` unresumed, exactly where its own wait would have put
+  /// it (counted in gated_waits(), not in context_switches()). A stopping
+  /// fiber is always resumed, to unwind. Callers re-check `busy` on return,
+  /// as after any wait.
+  void delay_then_wait(Time ns, WaitQueue& q, const bool& busy);
+
   /// Idle-poll skip, for a fiber that has just read a word nothing but its
   /// own shard can change (one homed on its own node) and will keep
   /// polling it. Each poll is two delay() calls totalling `period` ns (the
@@ -281,6 +296,11 @@ class Engine {
     return sum(&Shard::fast_forwards);
   }
   std::uint64_t polls_skipped() const { return sum(&Shard::polls_skipped); }
+  /// Gated wakes whose gate was closed at the pop: fibers that joined
+  /// their wait queue without being resumed. At one worker,
+  /// context_switches() + gated_waits() is the resumption count the same
+  /// program makes with plain delay() and its own wait.
+  std::uint64_t gated_waits() const { return sum(&Shard::gated_waits); }
   std::uint64_t stacks_reused() const { return stacks_reused_; }
   /// Fiber stacks freshly mapped (spawns the pool could not serve).
   std::uint64_t stacks_mapped() const { return stacks_mapped_; }
@@ -407,6 +427,7 @@ class Engine {
     std::uint64_t switches = 0;
     std::uint64_t fast_forwards = 0;
     std::uint64_t polls_skipped = 0;
+    std::uint64_t gated_waits = 0;
     std::uint64_t pushes = 0;
     std::uint64_t pops = 0;
     RunQueue runq;
@@ -435,6 +456,9 @@ class Engine {
   // `from` (data = the jumper, null = the scheduler) and returns the jumper.
   static SimThread* resumed_by(void* from, void* data);
   void make_runnable(SimThread* t, Time when);
+  // delay() and delay_then_wait(): park until clock + ns behind the gate
+  // (q, busy), or with none when q is null.
+  void delay_gated(Time ns, WaitQueue* q, const bool* busy);
   void push_entry(RunQueue& q, std::size_t& dead, QueueEntry e);
   void compact(RunQueue& q, std::size_t& dead);
   // Suspend `self` and resume `next` (null on either side: this worker's
@@ -463,7 +487,8 @@ class Engine {
   // The shard's next event below w1, the one scheduling rule shared by
   // shard_step and park(): runs the effects due first (they precede fiber
   // wakes at the same instant), then pops the next due fiber's entry, sets
-  // the clock to its wake and returns it. Null when nothing is due below
+  // the clock to its wake and returns it; a popped fiber whose gate is
+  // closed joins its wait queue instead. Null when nothing is due below
   // w1, an effect failed, or the one-shard run has no non-daemon fiber
   // left. Sets `progressed` when anything ran.
   SimThread* next_fiber(Shard& s, Time w1, bool& progressed);

@@ -51,8 +51,7 @@ class WaitQueue {
     Engine* eng = Engine::current();
     SimThread* self = Engine::current_thread();
     assert(eng && self && "WaitQueue::wait outside simulation");
-    self->blocked_ = true;
-    waiters_.push_back(self);
+    enqueue(self);
     eng->park();
   }
 
@@ -62,8 +61,7 @@ class WaitQueue {
     Engine* eng = Engine::current();
     SimThread* self = Engine::current_thread();
     assert(eng && self && "WaitQueue::wait_until outside simulation");
-    self->blocked_ = true;
-    waiters_.push_back(self);
+    enqueue(self);
     eng->make_runnable(self, deadline);  // timeout path
     eng->park();
     if (self->blocked_) {  // timeout fired before any notify reached us
@@ -114,6 +112,16 @@ class WaitQueue {
   std::size_t waiters() const { return waiters_.size() - head_; }
 
  private:
+  friend class Engine;
+
+  // Join the queue as a parked waiter, without parking: wait() parks right
+  // after, and a closed gated wake (Engine::delay_then_wait) never resumes
+  // the fiber at all.
+  void enqueue(SimThread* t) {
+    t->blocked_ = true;
+    waiters_.push_back(t);
+  }
+
   void reset() {
     waiters_.clear();
     head_ = 0;

@@ -436,6 +436,42 @@ TEST(Carina, StaleTranslationNeverReadsAReacquiredBuffer) {
   }
 }
 
+// All four threads of node 0 miss on one remote page at once, after
+// registering as readers (the barrier's S-mode SI fence invalidated it).
+// The first fills it; the other three wake from the fault delay while the
+// line is latched and join the latch queue without being resumed (gated
+// wake). The virtual time and statistics are the ones recorded before the
+// gate existed.
+TEST(Carina, SiblingMissesWaitOnTheFillUnresumed) {
+  struct Want {
+    int pipeline;
+    Time elapsed;
+  };
+  for (const Want w : {Want{1, 16276}, Want{4, 14576}}) {
+    auto cfg = small_cfg(2, 4, Mode::S);
+    cfg.net.pipeline = w.pipeline;
+    Cluster cl(cfg);
+    auto y = page_addr(16).cast<std::uint64_t>();  // homed on node 1
+    *cl.host_ptr(y) = 1616;
+    cl.reset_classification();
+    std::uint64_t sum = 0;
+    const Time e = cl.run([&](Thread& t) {
+      if (t.node() == 0 && t.tid() == 0) (void)t.load(y);
+      t.barrier();
+      if (t.node() == 0) sum += t.load(y);
+      t.barrier();
+    });
+    const std::string what = "pipeline " + std::to_string(w.pipeline);
+    EXPECT_EQ(e, w.elapsed) << what;
+    EXPECT_EQ(sum, 4u * 1616u) << what;
+    const auto& cs = cl.coherence_stats();
+    EXPECT_EQ(cs.read_misses, 5u) << what;
+    EXPECT_EQ(cs.read_hits, 0u) << what;
+    EXPECT_EQ(cs.line_fetches, 2u) << what;
+    EXPECT_EQ(cl.stats().counter("sim.gated_waits"), 3u) << what;
+  }
+}
+
 // The SI sweep visits only live lines: those latched or holding a buffer
 // (DESIGN.md, "SI live set"). The three cases below pin what the sweep
 // does when liveness changes under it; each holds for the full sweep of

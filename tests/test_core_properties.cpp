@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -107,8 +108,7 @@ struct PropParam {
   int pipeline = 1;  ///< posted-verb send-queue depth (1 = blocking verbs)
 };
 
-std::string param_name(const ::testing::TestParamInfo<PropParam>& info) {
-  const auto& p = info.param;
+std::string describe(const PropParam& p) {
   std::string m;
   switch (p.mode) {
     case Mode::S: m = "S"; break;
@@ -120,6 +120,14 @@ std::string param_name(const ::testing::TestParamInfo<PropParam>& info) {
          std::to_string(p.cache_lines) + "_wb" + std::to_string(p.write_buffer) +
          "_seed" + std::to_string(p.seed) + "_p" + std::to_string(p.pipeline);
 }
+
+std::string param_name(const ::testing::TestParamInfo<PropParam>& info) {
+  return describe(info.param);
+}
+
+// Without this gtest prints the struct's raw bytes (padding included) into
+// each case's listed name, which then varies from build to build.
+void PrintTo(const PropParam& p, std::ostream* os) { *os << describe(p); }
 
 class RandomDrfPrograms : public ::testing::TestWithParam<PropParam> {};
 

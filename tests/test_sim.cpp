@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -740,6 +741,234 @@ TEST(IdlePollSkip, KilledSpinnerUnwindsAtOnce) {
   EXPECT_EQ(polled.polls, 10u);  // the poll at the kill never completes
   EXPECT_EQ(skipped.observed(), polled.observed());
   EXPECT_EQ(skipped.first_skip, 9u);
+}
+
+
+// ---------------------------------------------------------------------------
+// Gated wake: delay_then_wait(ns, q, busy) must leave exactly what
+// delay(ns) followed by the caller's own `while (busy) q.wait()` leaves:
+// the same wake order and times and the same run-queue pops, with every
+// resumption it saves counted as a gated wait instead of a switch.
+// ---------------------------------------------------------------------------
+
+// A line latch in the shape of Carina's lock_line/unlock_line.
+struct Latch {
+  bool busy = false;
+  WaitQueue q;
+  void lock() {
+    while (busy) q.wait();
+    busy = true;
+  }
+  void unlock() {
+    busy = false;
+    q.notify_all();
+  }
+};
+
+struct GateResult {
+  std::vector<std::pair<std::string, Time>> log;  // (fiber, time) events
+  std::uint64_t pops = 0;
+  std::uint64_t resumptions = 0;  // switches + gated waits
+  std::uint64_t gated = 0;
+  std::uint64_t fast_forwards = 0;
+  auto observed() const {
+    return std::tie(log, pops, resumptions, fast_forwards);
+  }
+};
+
+// A page miss: the fault delay, then the latch (gated or plain).
+void miss(Latch& l, Time ns, bool gated) {
+  if (gated)
+    Engine::current()->delay_then_wait(ns, l.q, l.busy);
+  else
+    delay(ns);
+  l.lock();
+}
+
+void finish(const Engine& eng, GateResult& r) {
+  r.pops = eng.runq_pops();
+  r.gated = eng.gated_waits();
+  r.resumptions = eng.context_switches() + r.gated;
+  r.fast_forwards = eng.delay_fast_forwards();
+}
+
+// Misses whose wake finds the latch held (by a 100 ns fill, then by each
+// other), interleaved with a plain waiter that queues between them: every
+// gated miss must take its FIFO place at its pop, not at its resumption.
+TEST(GatedWake, ClosedGateQueuesInPlaceWithoutResuming) {
+  auto run = [](bool gated) {
+    Engine eng;
+    Latch l;
+    GateResult r;
+    eng.spawn("fill", [&] {
+      l.lock();
+      delay(100);
+      r.log.emplace_back("fill", now());
+      l.unlock();
+    });
+    auto missing = [&](std::string name, Time start) {
+      eng.spawn(name, [&, name, start] {
+        delay(start);
+        miss(l, 10, gated);
+        r.log.emplace_back(name, now());
+        delay(7);
+        l.unlock();
+      });
+    };
+    missing("a", 0);
+    missing("b", 0);
+    eng.spawn("plain", [&] {
+      delay(15);
+      l.lock();
+      r.log.emplace_back("plain", now());
+      delay(7);
+      l.unlock();
+    });
+    missing("c", 20);
+    // Due between c's miss and its wake, so c's delay cannot fast-forward.
+    eng.spawn("tick", [] { delay(25); });
+    eng.run();
+    finish(eng, r);
+    return r;
+  };
+  const GateResult plain = run(false), gated = run(true);
+  const std::vector<std::pair<std::string, Time>> want{
+      {"fill", 100}, {"a", 100}, {"b", 107}, {"plain", 114}, {"c", 121}};
+  EXPECT_EQ(plain.log, want);
+  EXPECT_EQ(gated.observed(), plain.observed());
+  EXPECT_EQ(gated.gated, 3u);  // a, b and c never resumed at their wake
+  EXPECT_EQ(plain.gated, 0u);
+}
+
+// The latch is free again when the wake is popped: the fiber resumes and
+// takes it itself.
+TEST(GatedWake, OpenGateResumes) {
+  auto run = [](bool gated) {
+    Engine eng;
+    Latch l;
+    GateResult r;
+    eng.spawn("fill", [&] {
+      l.lock();
+      delay(5);
+      l.unlock();
+      delay(20);
+      r.log.emplace_back("fill", now());
+    });
+    eng.spawn("a", [&] {
+      miss(l, 10, gated);
+      r.log.emplace_back("a", now());
+      l.unlock();
+    });
+    eng.run();
+    finish(eng, r);
+    return r;
+  };
+  const GateResult plain = run(false), gated = run(true);
+  const std::vector<std::pair<std::string, Time>> want{{"a", 10},
+                                                       {"fill", 25}};
+  EXPECT_EQ(plain.log, want);
+  EXPECT_EQ(gated.observed(), plain.observed());
+  EXPECT_EQ(gated.gated, 0u);
+}
+
+// Nothing else is due before the wake, so the delay fast-forwards: no
+// run-queue entry, no gate. The caller's own wait queues the fiber.
+TEST(GatedWake, FastForwardNeverConsultsTheGate) {
+  auto run = [](bool gated) {
+    Engine eng;
+    Latch l;
+    GateResult r;
+    eng.spawn("fill", [&] {
+      l.lock();
+      delay(100);
+      l.unlock();
+    });
+    eng.spawn("a", [&] {
+      miss(l, 10, gated);
+      r.log.emplace_back("a", now());
+      l.unlock();
+    });
+    eng.run();
+    finish(eng, r);
+    return r;
+  };
+  const GateResult plain = run(false), gated = run(true);
+  const std::vector<std::pair<std::string, Time>> want{{"a", 100}};
+  EXPECT_EQ(plain.log, want);
+  EXPECT_EQ(gated.observed(), plain.observed());
+  EXPECT_EQ(gated.fast_forwards, 1u);
+  EXPECT_EQ(gated.gated, 0u);
+}
+
+// A fiber killed while its gated wake is queued unwinds at the kill
+// instead of joining the latch queue (where it would sleep until the
+// fill ends).
+TEST(GatedWake, KilledFiberUnwindsInsteadOfQueuing) {
+  auto run = [](bool gated) {
+    Engine eng;
+    Latch l;
+    GateResult r;
+    SimThread* victim = nullptr;
+    eng.spawn("fill", [&] {
+      l.lock();
+      delay(5);
+      Engine::current()->kill(victim);
+      delay(95);
+      l.unlock();
+    });
+    victim = eng.spawn("a", [&] {
+      struct OnUnwind {
+        GateResult& r;
+        ~OnUnwind() { r.log.emplace_back("a unwound", now()); }
+      } guard{r};
+      miss(l, 10, gated);
+      r.log.emplace_back("a locked", now());
+    });
+    eng.run();
+    finish(eng, r);
+    EXPECT_EQ(l.q.waiters(), 0u);
+    return r;
+  };
+  const GateResult plain = run(false), gated = run(true);
+  const std::vector<std::pair<std::string, Time>> want{{"a unwound", 5}};
+  EXPECT_EQ(plain.log, want);
+  EXPECT_EQ(gated.observed(), plain.observed());
+  EXPECT_EQ(gated.gated, 0u);
+}
+
+
+// A gate belongs to one wake: once popped (open here), a later wake of the
+// same fiber from an unrelated queue must resume it even though the old
+// latch is held by then.
+TEST(GatedWake, GateIsClearedAtEveryPop) {
+  auto run = [](bool gated) {
+    Engine eng;
+    Latch l;
+    WaitQueue other;
+    GateResult r;
+    eng.spawn("a", [&] {
+      miss(l, 10, gated);  // open gate: resumes at 10
+      l.unlock();
+      other.wait();
+      r.log.emplace_back("a", now());
+    });
+    eng.spawn("b", [&] {
+      delay(5);
+      delay(15);
+      l.lock();  // held from 20 to 100
+      delay(10);
+      other.notify_one();
+      delay(70);
+      l.unlock();
+    });
+    eng.run();
+    finish(eng, r);
+    return r;
+  };
+  const GateResult plain = run(false), gated = run(true);
+  const std::vector<std::pair<std::string, Time>> want{{"a", 30}};
+  EXPECT_EQ(plain.log, want);
+  EXPECT_EQ(gated.observed(), plain.observed());
 }
 
 }  // namespace

@@ -531,9 +531,10 @@ TEST(GlobalMcs, TimedAcquireFailsWithinOneCasOfTheDeadline) {
 // local read it stands for) and sim.fast_forwards: host-side, but
 // deterministic for one shard partition (one shard per node at every
 // worker count here), and exactly what a skipped poll must leave as a
-// simulated one would have. sim.context_switches is pinned at one worker
-// only: with more, whether a blocking verb's issuer finds its record
-// already filled when it awaits it depends on host timing.
+// simulated one would have. sim.context_switches + sim.gated_waits (the
+// resumptions without gated wakes) is pinned at one worker only: with
+// more, whether a blocking verb's issuer finds its record already filled
+// when it awaits it depends on host timing.
 
 struct VelaFp {
   Time elapsed = 0;
@@ -555,7 +556,8 @@ VelaFp vela_fp(Cluster& cl, Time elapsed, std::uint64_t ops = 0,
   for (const auto& c : st.counters)
     if (c.name.rfind("net.", 0) == 0 || c.name == "sim.fast_forwards")
       fold(c.name, c.value);
-  return {elapsed, h, st.counter("sim.context_switches")};
+  return {elapsed, h,
+          st.counter("sim.context_switches") + st.counter("sim.gated_waits")};
 }
 
 ClusterConfig vela_cfg(int nodes, int tpn, int workers, int pipeline) {
