@@ -48,6 +48,15 @@ if grep -rnE 'slow[_]paths|ARGO_SLOW[_]PATHS|CalQ[u]eue' \
        "implementation" >&2
   exit 1
 fi
+# The run queue holds one entry per fiber (a re-queue replaces it), so the
+# stale-entry machinery it replaced (wake tokens, dead-entry counting and
+# heap compaction) may not come back.
+if grep -rnE 'wake[_]token_|runq[_]purged|compact[(]' \
+     src bench examples tests scripts; then
+  echo "FAIL: stale run-queue entry machinery found; the run queue keeps" \
+       "one entry per fiber" >&2
+  exit 1
+fi
 # Pipeline depth is an interconnect property: at depth 1 every post is the
 # blocking verb, so protocol code posts unconditionally and never reads it.
 if grep -rnE 'config\(\)\.pipeline|pipelined\(\)' src bench examples \
@@ -55,8 +64,8 @@ if grep -rnE 'config\(\)\.pipeline|pipelined\(\)' src bench examples \
   echo "FAIL: pipeline-depth read outside src/net/" >&2
   exit 1
 fi
-echo "  OK: no engine-mode switch or fast-path toggle; pipeline-depth reads" \
-     "confined to src/net/"
+echo "  OK: no engine-mode switch, fast-path toggle or stale run-queue" \
+     "entry; pipeline-depth reads confined to src/net/"
 
 echo "=== default build ==="
 cmake -B build -S .

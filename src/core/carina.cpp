@@ -51,6 +51,8 @@ NodeCache::NodeCache(int node, GlobalMemory& gmem, argonet::Interconnect& net,
       net_(net),
       dir_(dir),
       cfg_(cfg),
+      per_line_(cfg.pages_per_line),
+      lines_div_(cfg.cache_lines),
       // Naive P/S checkpoints instead of diffing and keeps private pages
       // dirty across fences — none of the adaptive policies' signals mean
       // what they assume there, so the engine is inert in that mode.
@@ -59,6 +61,9 @@ NodeCache::NodeCache(int node, GlobalMemory& gmem, argonet::Interconnect& net,
   assert(cfg_.cache_lines >= 1);
   assert(cfg_.pages_per_line >= 1);
   assert(cfg_.write_buffer_pages >= 1);
+  // Page and group indices stay below gmem_.pages(), which GlobalMemory
+  // bounds by the dividers' range.
+  assert(gmem_.pages() <= argomem::Divider::kMaxDividend + 1);
   // Per-line PageSlot vectors are sized lazily when a line first holds a
   // group: a paper-scale cache (16384 lines × 4 pages) would otherwise pay
   // tens of thousands of allocations per node at construction for slots
@@ -596,7 +601,7 @@ void NodeCache::evict_line_locked(Line& l) {
 
 void NodeCache::claim_line(Line& l, std::uint64_t group) {
   l.group = group;
-  occupy(group % cfg_.cache_lines);
+  occupy(slot_index(group));
   if (l.pages.size() != cfg_.pages_per_line)
     l.pages.resize(cfg_.pages_per_line);  // first claim of this slot
   for (auto& s : l.pages) {

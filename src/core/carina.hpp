@@ -33,6 +33,7 @@
 #include "core/tlb.hpp"
 #include "dir/nodeset.hpp"
 #include "dir/pyxis.hpp"
+#include "mem/divider.hpp"
 #include "mem/global_memory.hpp"
 #include "mem/pool.hpp"
 #include "net/interconnect.hpp"
@@ -208,17 +209,22 @@ class NodeCache {
     argosim::WaitQueue waiters;
   };
 
+  // Line geometry, by precomputed reciprocals (no lookup divides): every
+  // page and group index is below gmem_.pages(), within their range.
   std::uint64_t group_of(std::uint64_t page) const {
-    return page / cfg_.pages_per_line;
+    return per_line_.div(page);
+  }
+  std::uint64_t slot_index(std::uint64_t group) const {
+    return lines_div_.mod(group);
   }
   Line& line_of_group(std::uint64_t group) {
-    return lines_[group % cfg_.cache_lines];
+    return lines_[slot_index(group)];
   }
   std::byte* page_data(Line& l, std::uint64_t page) {
-    return l.data.get() + (page % cfg_.pages_per_line) * kPageSize;
+    return l.data.get() + per_line_.mod(page) * kPageSize;
   }
   PageSlot& slot_of(Line& l, std::uint64_t page) {
-    return l.pages[page % cfg_.pages_per_line];
+    return l.pages[per_line_.mod(page)];
   }
 
   /// Classification granularity: like the original system, classification
@@ -230,7 +236,7 @@ class NodeCache {
   /// per-page).
   std::uint64_t dir_page(std::uint64_t page) const {
     if (cfg_.classification == Mode::PSNaive) return page;
-    return page - (page % cfg_.pages_per_line);
+    return page - per_line_.mod(page);
   }
 
   bool my_reader_bit_set(std::uint64_t page) const;
@@ -346,6 +352,8 @@ class NodeCache {
   argonet::Interconnect& net_;
   PyxisDirectory& dir_;
   CacheConfig cfg_;
+  argomem::Divider per_line_;   // by cfg_.pages_per_line
+  argomem::Divider lines_div_;  // by cfg_.cache_lines
   AdaptEngine adapt_;
   // Backs every twin, checkpoint and line buffer; declared before them so
   // it outlives the PageBufs it issued (members destroy in reverse order).

@@ -152,7 +152,8 @@ void Cluster::register_metrics() {
                        [this] { return eng_.context_switches(); });
   metrics_.add_counter("sim.runq_pushes", [this] { return eng_.runq_pushes(); });
   metrics_.add_counter("sim.runq_pops", [this] { return eng_.runq_pops(); });
-  metrics_.add_counter("sim.runq_purged", [this] { return eng_.runq_purged(); });
+  metrics_.add_counter("sim.poll_floats",
+                       [this] { return eng_.poll_floats(); });
   metrics_.add_counter("sim.fast_forwards",
                        [this] { return eng_.delay_fast_forwards(); });
   metrics_.add_counter("sim.polls_skipped",

@@ -20,6 +20,11 @@ GlobalMemory::GlobalMemory(int nodes, std::size_t total_bytes,
       static_cast<std::uint64_t>(nodes);
   if (per_node == 0) per_node = 1;
   pages_per_node_ = per_node;
+  if (per_node * static_cast<std::uint64_t>(nodes) > Divider::kMaxDividend + 1)
+    throw std::invalid_argument("GlobalMemory: more than 2^31 pages (8 TiB)");
+  home_div_ = Divider(mapping == HomeMapping::Blocked
+                          ? per_node
+                          : static_cast<std::uint64_t>(nodes));
   size_ = per_node * static_cast<std::uint64_t>(nodes) * kPageSize;
   bytes_.reset(static_cast<std::byte*>(std::calloc(size_, 1)));
   if (!bytes_) throw std::bad_alloc();

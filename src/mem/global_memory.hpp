@@ -19,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "mem/divider.hpp"
 #include "mem/gaddr.hpp"
 
 namespace argomem {
@@ -45,12 +46,12 @@ class GlobalMemory {
   int home_of_page(std::uint64_t page) const {
     int h;
     if (mapping_ == HomeMapping::Blocked) {
-      std::uint64_t b = page / pages_per_node_;
+      const std::uint64_t b = home_div_.div(page);
       h = static_cast<int>(b >= static_cast<std::uint64_t>(nodes_)
                                ? nodes_ - 1
                                : b);
     } else {
-      h = static_cast<int>(page % static_cast<std::uint64_t>(nodes_));
+      h = static_cast<int>(home_div_.mod(page));
     }
     if (any_redirect_) {
       const int r = redirect_[static_cast<std::size_t>(h)];
@@ -141,6 +142,7 @@ class GlobalMemory {
   int nodes_;
   HomeMapping mapping_;
   std::uint64_t pages_per_node_;
+  Divider home_div_;  // by pages_per_node_ (Blocked) or nodes_ (Interleaved)
   // calloc-backed so the (often 64 MB) home buffer is zeroed lazily by the
   // OS instead of memset at construction; behavior-identical to the old
   // zero-filled vector.

@@ -205,18 +205,15 @@ class Interconnect {
 
   /// Idle-poll skip for a fiber of `node` that just read an `n`-byte word
   /// homed on `node` itself and keeps polling it, one poll being
-  /// `interval` ns and then a local read (Engine::idle_polls). `take(m)`
-  /// is offered the m polls that can be skipped now and returns how many
-  /// to skip; each skipped poll counts as the local read it stands for.
-  /// Returns the polls skipped.
-  template <class Take>
+  /// `interval` ns and then a local read (Engine::skip_idle_polls, which
+  /// may float the fiber until its shard's next event). Skips at most
+  /// `cap` polls; each skipped poll counts as the local read it stands
+  /// for. Returns the polls skipped.
   std::uint64_t skip_local_polls(int node, std::size_t n, Time interval,
-                                 Take&& take) {
-    argosim::Engine& eng = *argosim::Engine::current();
+                                 std::uint64_t cap) {
     const Time period = local_cost(n) + interval;
-    const std::uint64_t m = take(eng.idle_polls(period));
-    if (m == 0) return 0;
-    eng.skip_polls(period, m);
+    const std::uint64_t m =
+        argosim::Engine::current()->skip_idle_polls(period, cap);
     NodeNetStats& s = boxes_[node]->stats;
     s.rdma_reads += m;
     s.bytes_read += m * n;

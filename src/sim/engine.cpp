@@ -59,8 +59,8 @@ namespace argosim {
 
 namespace {
 
-thread_local Engine* g_engine = nullptr;
-thread_local SimThread* g_thread = nullptr;
+using detail::g_engine;
+using detail::g_thread;
 
 constexpr std::uint32_t kNoShard = 0xffffffffu;
 thread_local std::uint32_t g_shard_idx = kNoShard;
@@ -72,7 +72,7 @@ thread_local std::uint32_t g_shard_idx = kNoShard;
 #if defined(ARGO_USE_FCONTEXT)
 // fcontext handles are one-shot (every jump re-captures the jumper): the
 // resumed side stores the jumper's fresh handle here when the scheduler
-// jumped, or in the jumping fiber's Impl otherwise.
+// jumped, or in the jumping fiber's fctx_ otherwise.
 thread_local fctx_t g_sched_fctx = nullptr;
 #else
 thread_local ucontext_t g_sched_ctx;
@@ -175,9 +175,7 @@ void FiberStack::unmap() {
 }
 
 struct SimThread::Impl {
-#if defined(ARGO_USE_FCONTEXT)
-  void* fctx = nullptr;  // the fiber's suspended context
-#else
+#if !defined(ARGO_USE_FCONTEXT)
   ucontext_t ctx{};
 #endif
   FiberStack stack;
@@ -193,12 +191,12 @@ struct SimThread::Impl {
 
 SimThread::SimThread(Engine* eng, std::uint64_t id, std::string name,
                      std::function<void()> body, FiberStack stack, bool daemon)
-    : impl_(std::make_unique<Impl>()),
+    : daemon_(daemon),
       engine_(eng),
+      impl_(std::make_unique<Impl>()),
       id_(id),
       name_(std::move(name)),
-      body_(std::move(body)),
-      daemon_(daemon) {
+      body_(std::move(body)) {
   impl_->stack = std::move(stack);
 }
 
@@ -242,9 +240,11 @@ void Engine::shutdown() {
   for (auto& t : threads_) {
     if (!t->finished_) {
       t->stop_requested_ = true;
-      if (t->blocked_) {
+      Shard& s = *t->home_;
+      if (t->blocked_ || s.floater == t.get()) {
         t->blocked_ = false;
-        make_runnable(t.get(), shards_[t->shard_]->clock);
+        if (s.floater == t.get()) s.floater = nullptr;
+        make_runnable(t.get(), s.clock);
       }
     }
   }
@@ -267,9 +267,6 @@ void Engine::shutdown() {
   }
   stop_pool();
 }
-
-Engine* Engine::current() { return g_engine; }
-SimThread* Engine::current_thread() { return g_thread; }
 
 SimThread* Engine::spawn(std::string name, std::function<void()> body,
                          bool daemon, std::size_t stack_size) {
@@ -311,6 +308,7 @@ SimThread* Engine::spawn_on(std::uint32_t unit, std::string name,
                     std::move(stack), daemon));
   SimThread* raw = t.get();
   raw->shard_ = shard;
+  raw->home_ = &s;
   threads_.push_back(std::move(t));
   if (!daemon) live_nondaemon_.fetch_add(1, std::memory_order_relaxed);
   // Between runs a shard's clock may sit ahead of the committed clock
@@ -320,27 +318,65 @@ SimThread* Engine::spawn_on(std::uint32_t unit, std::string name,
   return raw;
 }
 
-void Engine::push_entry(RunQueue& q, std::size_t& dead, QueueEntry e) {
-  // A fiber has at most one live entry: pushing a new one stales any
-  // previous entry (its token no longer matches).
-  if (e.thread->queued_) ++dead;
-  e.thread->queued_ = true;
-  q.push(e);
-  if (dead > q.size() / 2 && q.size() > 64) compact(q, dead);
+// --- run queue --------------------------------------------------------------
+
+void Engine::RunQueue::place(std::size_t i, const Entry& e) {
+  heap_[i] = e;
+  e.thread->runq_pos_ = static_cast<std::uint32_t>(i);
 }
 
-void Engine::compact(RunQueue& q, std::size_t& dead) {
-  auto& c = q.entries();
-  const std::size_t before = c.size();
-  c.erase(std::remove_if(c.begin(), c.end(),
-                         [](const QueueEntry& e) {
-                           return e.thread->finished_ ||
-                                  e.token != e.thread->wake_token_;
-                         }),
-          c.end());
-  std::make_heap(c.begin(), c.end(), std::greater<>{});
-  runq_purged_.fetch_add(before - c.size(), std::memory_order_relaxed);
-  dead = 0;
+void Engine::RunQueue::sift_up(std::size_t i, const Entry& e) {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!e.before(heap_[parent])) break;
+    place(i, heap_[parent]);
+    i = parent;
+  }
+  place(i, e);
+}
+
+void Engine::RunQueue::sift_down(std::size_t i, const Entry& e) {
+  const std::size_t n = heap_.size();
+  for (std::size_t c = 2 * i + 1; c < n; c = 2 * i + 1) {
+    if (c + 1 < n && heap_[c + 1].before(heap_[c])) ++c;
+    if (!heap_[c].before(e)) break;
+    place(i, heap_[c]);
+    i = c;
+  }
+  place(i, e);
+}
+
+void Engine::RunQueue::push(SimThread* t, Time when, std::uint64_t seq) {
+  const Entry e{when, seq, t};
+  const std::size_t i = t->runq_pos_;
+  if (i == kNone) {
+    heap_.emplace_back();
+    sift_up(heap_.size() - 1, e);
+  } else if (e.before(heap_[i])) {
+    sift_up(i, e);
+  } else {
+    sift_down(i, e);
+  }
+}
+
+void Engine::RunQueue::pop() {
+  heap_.front().thread->runq_pos_ = kNone;
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0, last);
+}
+
+void Engine::RunQueue::erase(SimThread* t) {
+  const std::size_t i = t->runq_pos_;
+  if (i == kNone) return;
+  t->runq_pos_ = kNone;
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;  // it was the last entry
+  if (i > 0 && last.before(heap_[(i - 1) / 2]))
+    sift_up(i, last);
+  else
+    sift_down(i, last);
 }
 
 void Engine::make_runnable(SimThread* t, Time when) {
@@ -350,13 +386,12 @@ void Engine::make_runnable(SimThread* t, Time when) {
         "argosim: same-time cross-shard wakeup of fiber '" + t->name_ +
         "' is not supported under conservative lookahead; route it through "
         "the interconnect or keep both fibers on one shard");
-  Shard& s = *shards_[t->shard_];
+  Shard& s = *t->home_;
   ++s.pushes;
   s.touched = true;
-  // Bumping the wake token invalidates any entry already queued for this
-  // thread (e.g. the timeout entry of a timed wait that got notified first).
-  push_entry(s.runq, s.dead,
-             QueueEntry{when, s.next_seq++, t, ++t->wake_token_});
+  // Replaces any entry already queued for this thread (e.g. the timeout
+  // entry of a timed wait that got notified first).
+  s.runq.push(t, when, s.next_seq++);
 }
 
 #if defined(ARGO_USE_FCONTEXT)
@@ -368,7 +403,7 @@ void Engine::fiber_main_fctx(void* from, void* data) {
 
 SimThread* Engine::resumed_by(void* from, void* data) {
   auto* jumper = static_cast<SimThread*>(data);
-  (jumper != nullptr ? jumper->impl_->fctx : g_sched_fctx) = from;
+  (jumper != nullptr ? jumper->fctx_ : g_sched_fctx) = from;
   return jumper;
 }
 #endif
@@ -405,7 +440,7 @@ const char* Engine::context_backend() {
 SimThread* Engine::jump(SimThread* self, SimThread* next) {
   if (next != nullptr) {
     g_thread = next;
-    ++shards_[next->shard_]->switches;
+    ++next->home_->switches;
     SimThread::Impl& n = *next->impl_;
     if (!n.started) {
       n.started = true;
@@ -414,9 +449,9 @@ SimThread* Engine::jump(SimThread* self, SimThread* next) {
       // offset all fibers' hot top frames share one address mod 4 KiB and
       // pile into the same few L1d/L2 sets. Shift each fiber's top down by
       // one of 64 cache-line offsets within a page.
-      n.fctx = argo_fctx_make(n.stack.base(),
-                              n.stack.size() - (next->id_ * 7 % 64) * 64,
-                              &Engine::fiber_main_fctx);
+      next->fctx_ = argo_fctx_make(
+          n.stack.base(), n.stack.size() - (next->id_ * 7 % 64) * 64,
+          &Engine::fiber_main_fctx);
 #else
       getcontext(&n.ctx);
       n.ctx.uc_stack.ss_sp = n.stack.base();
@@ -447,7 +482,7 @@ SimThread* Engine::jump(SimThread* self, SimThread* next) {
 #endif
 #if defined(ARGO_USE_FCONTEXT)
   const FctxTransfer r =
-      argo_fctx_jump(next != nullptr ? next->impl_->fctx : g_sched_fctx, self);
+      argo_fctx_jump(next != nullptr ? next->fctx_ : g_sched_fctx, self);
   return resumed_by(r.fctx, r.data);
 #else
   g_jumper = self;
@@ -470,10 +505,10 @@ void Engine::switch_to(SimThread* t) {
 }
 
 void Engine::reap_finished_one(SimThread* t) {
-  Shard& s = *shards_[t->shard_];
+  Shard& s = *t->home_;
   // A fiber killed while parked in await() finishes with its wake entry
-  // still queued: that entry is stale now.
-  if (t->queued_) ++s.dead;
+  // still queued.
+  s.runq.erase(t);
 #if !defined(ARGO_ASAN_FIBERS)
   // The fiber has jumped to the scheduler for good — its stack is dead
   // and can serve the next spawn on this shard. Only this shard's worker
@@ -501,7 +536,7 @@ void Engine::reap_finished_one(SimThread* t) {
 void Engine::park() {
   SimThread* self = g_thread;
   assert(self && "must be called from inside a simulated thread");
-  Shard& s = *shards_[self->shard_];
+  Shard& s = *self->home_;
   g_thread = nullptr;
   bool progressed = false;
   SimThread* next =
@@ -524,7 +559,7 @@ void Engine::delay_then_wait(Time ns, WaitQueue& q, const bool& busy) {
 void Engine::delay_gated(Time ns, WaitQueue* q, const bool* busy) {
   SimThread* self = g_thread;
   assert(self && "delay() outside a simulated thread");
-  Shard& s = *shards_[self->shard_];
+  Shard& s = *self->home_;
   const Time when = s.clock + ns;
   // Our run-queue entry is (when, seq); the seq is taken now, exactly as
   // the scheduler path would take it, so the fast path below cannot
@@ -536,7 +571,7 @@ void Engine::delay_gated(Time ns, WaitQueue* q, const bool* busy) {
   ++s.pushes;
   self->gate_q_ = q;
   self->gate_busy_ = busy;
-  push_entry(s.runq, s.dead, QueueEntry{when, seq, self, ++self->wake_token_});
+  s.runq.push(self, when, seq);
   park();
 }
 
@@ -552,8 +587,7 @@ void Engine::delay_gated(Time ns, WaitQueue* q, const bool* busy) {
 bool Engine::fast_forward(Shard& s, Time when, std::uint64_t seq) {
   while (when >= horizon(s)) {
     if (when >= window_end_.load(std::memory_order_relaxed)) return false;
-    const QueueEntry* f = live_head(s);
-    if (f != nullptr && (f->when < when || (f->when == when && f->seq < seq)))
+    if (!s.runq.empty() && s.runq.top().before({when, seq, nullptr}))
       return false;
     if (s.effq.empty() || s.effq.top().when > when) break;
     SimThread* self = g_thread;
@@ -569,30 +603,49 @@ bool Engine::fast_forward(Shard& s, Time when, std::uint64_t seq) {
 
 Time Engine::horizon(Shard& s) {
   Time h = window_end_.load(std::memory_order_relaxed);
-  if (const QueueEntry* f = live_head(s)) h = std::min(h, f->when);
+  if (!s.runq.empty()) h = std::min(h, s.runq.top().when);
   if (!s.effq.empty()) h = std::min(h, s.effq.top().when);
   return h;
 }
 
-std::uint64_t Engine::idle_polls(Time period) {
+namespace {
+// Whole polls of `period` ns, from `from`, that end strictly before `h`:
+// poll k (from 0) ends at from + (k + 1) * period.
+std::uint64_t polls_before(Time from, Time h, Time period) {
+  return h > from ? (h - 1 - from) / period : 0;
+}
+}  // namespace
+
+std::uint64_t Engine::skip_idle_polls(Time period, std::uint64_t cap) {
   SimThread* self = g_thread;
-  assert(self && "idle_polls() outside a simulated thread");
-  if (self->stop_requested_ || period == 0) return 0;
-  Shard& s = *shards_[self->shard_];
+  assert(self && "skip_idle_polls() outside a simulated thread");
+  if (self->stop_requested_ || period == 0 || cap == 0) return 0;
+  Shard& s = *self->home_;
+  const Time w1 = window_end_.load(std::memory_order_relaxed);
   const Time h = horizon(s);
-  if (h == kUnbounded || h <= s.clock) return 0;
-  // Poll k (from 0) ends at clock + (k + 1) * period, which must lie
-  // strictly before the horizon.
-  return (h - 1 - s.clock) / period;
+  if (h == kUnbounded) return 0;
+  const Time from = s.clock;
+  if (h < w1 || cap != kNoCap) {
+    const std::uint64_t m = std::min(cap, polls_before(from, h, period));
+    s.clock += m * period;
+    s.skip_polls(m);
+    return m;
+  }
+  // Nothing is due inside the window: float until the shard's next event.
+  s.floater = self;
+  s.float_period = period;
+  park();
+  return (s.clock - from) / period;
 }
 
-void Engine::skip_polls(Time period, std::uint64_t n) {
-  assert(n <= idle_polls(period));
-  Shard& s = *shards_[g_thread->shard_];
-  s.clock += n * period;
-  s.next_seq += 2 * n;
-  s.fast_forwards += 2 * n;
-  s.polls_skipped += n;
+void Engine::catch_up(Shard& s, Time h) {
+  SimThread* t = std::exchange(s.floater, nullptr);
+  const Time period = s.float_period;
+  const std::uint64_t m = polls_before(s.clock, h, period);
+  s.skip_polls(m);
+  ++s.poll_floats;
+  ++s.pushes;
+  s.runq.push(t, s.clock + m * period, s.next_seq++);
 }
 
 void Engine::push_effect(Shard& s, Effect&& e) {
@@ -631,12 +684,14 @@ void Engine::kill(SimThread* t) {
   if (t == nullptr || t->finished_) return;
   assert(t != g_thread && "a fiber must not kill itself");
   t->stop_requested_ = true;
-  // Wake it immediately wherever it is parked (WaitQueue, timed wait, or a
-  // future run-queue entry — the token bump invalidates stale entries):
-  // park() and await() throw SimStopped right after resumption, before any
+  // Wake it immediately wherever it is parked (WaitQueue, timed wait, a
+  // future run-queue entry, which the wake replaces, or a float): park()
+  // and await() throw SimStopped right after resumption, before any
   // primitive logic can act on the spurious wakeup.
   t->blocked_ = false;
-  make_runnable(t, shards_[t->shard_]->clock);
+  Shard& s = *t->home_;
+  if (s.floater == t) s.floater = nullptr;
+  make_runnable(t, s.clock);
 }
 
 // --- windows ----------------------------------------------------------------
@@ -647,20 +702,6 @@ void Engine::route_outboxes() {
       push_effect(*shards_[dst], std::move(eff));
     sp->outbox.clear();
   }
-}
-
-const Engine::QueueEntry* Engine::live_head(Shard& s) {
-  while (!s.runq.empty()) {
-    const QueueEntry& top = s.runq.top();
-    // With no stale entry queued the head is live (a finished fiber is
-    // never made runnable), so the usual case reads no fiber state.
-    if (s.dead == 0 ||
-        (!top.thread->finished_ && top.token == top.thread->wake_token_))
-      return &top;
-    --s.dead;
-    s.runq.pop();
-  }
-  return nullptr;
 }
 
 void Engine::post_effect(std::uint32_t dst, Time when, std::uint32_t klass,
@@ -687,7 +728,7 @@ void Engine::await(const SimRecord& rec) {
   SimThread* self = g_thread;
   assert(self && "await() outside a simulated thread");
   while (!rec.ready()) {
-    Shard& s = *shards_[self->shard_];
+    Shard& s = *self->home_;
     s.stalled = self;
     s.stall_rec = &rec;
     // The whole shard waits on another shard's effect: no handoff, the
@@ -703,7 +744,7 @@ SimThread* Engine::next_fiber(Shard& s, Time w1, bool& progressed) {
     // the shard at once.
     if (s.error) return nullptr;
     // Effects run before fiber wakes at the same instant.
-    const QueueEntry* f = live_head(s);
+    const RunQueue::Entry* f = s.runq.empty() ? nullptr : &s.runq.top();
     const bool effect_next =
         !s.effq.empty() && (f == nullptr || s.effq.top().when <= f->when);
     const Time t = effect_next ? s.effq.top().when
@@ -714,6 +755,12 @@ SimThread* Engine::next_fiber(Shard& s, Time w1, bool& progressed) {
     if (lookahead_ == kUnbounded && in_run_ &&
         live_nondaemon_.load(std::memory_order_relaxed) == 0)
       return nullptr;
+    // The shard's first event since a fiber floated: the floater's polls
+    // resume first, from the last one that ends before the event.
+    if (s.floater != nullptr) {
+      catch_up(s, t);
+      continue;
+    }
     progressed = true;
     if (!effect_next) {
       SimThread* next = f->thread;
@@ -722,12 +769,11 @@ SimThread* Engine::next_fiber(Shard& s, Time w1, bool& progressed) {
       // The resumption's first loads read the fiber's saved frame (and the
       // frames just above it), a cold miss more often than not: start them
       // now, ahead of the heap's sift-down.
-      const char* frame = static_cast<const char*>(next->impl_->fctx);
+      const char* frame = static_cast<const char*>(next->fctx_);
       for (int line = 0; line < 4; ++line)
         __builtin_prefetch(frame + 64 * line);
 #endif
       s.runq.pop();
-      next->queued_ = false;
       ++s.pops;
       // A closed gate: the fiber would resume only to find `busy` set and
       // wait on `q` at once, with nothing observable in between, so it
@@ -814,8 +860,7 @@ void Engine::run() {
     for (auto& sp : shards_) {
       // A shard that neither ran nor received anything keeps its `next`.
       if (sp->touched) {
-        const QueueEntry* f = live_head(*sp);
-        sp->next = f != nullptr ? f->when : kUnbounded;
+        sp->next = sp->runq.empty() ? kUnbounded : sp->runq.top().when;
         if (!sp->effq.empty())
           sp->next = std::min(sp->next, sp->effq.top().when);
         sp->touched = false;
@@ -829,6 +874,10 @@ void Engine::run() {
       os << "simulation deadlock at t=" << dl << "ns; blocked threads:";
       for (auto& t : threads_)
         if (!t->finished_ && t->blocked_) os << ' ' << t->name_;
+      // A floater spins on a word only its own shard can change, and
+      // nothing is left to run there.
+      for (auto& sp : shards_)
+        if (sp->floater != nullptr) os << ' ' << sp->floater->name_ << "(spinning)";
       in_run_ = false;
       throw SimDeadlock(os.str());
     }

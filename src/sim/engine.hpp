@@ -58,7 +58,16 @@ namespace argosim {
 
 class Engine;
 class SimGate;
+class SimThread;
 class WaitQueue;
+
+namespace detail {
+// The engine and fiber running on this host thread (null outside one).
+// Defined here so that Engine::current()/current_thread() inline to one
+// TLS load.
+inline constinit thread_local Engine* g_engine = nullptr;
+inline constinit thread_local SimThread* g_thread = nullptr;
+}  // namespace detail
 
 /// Thrown inside blocked fibers when the engine shuts down (e.g. daemon
 /// handler threads still waiting on a channel after all workers finished).
@@ -149,58 +158,6 @@ class FiberStack {
 /// target-side hook, its completion record and an empty write payload).
 using EffectFn = SmallFn<void(), 128>;
 
-/// A simulated thread. Created via Engine::spawn(); users interact with it
-/// through the engine's static current()/delay()/now() interface and the
-/// primitives in sim/sync.hpp.
-class SimThread {
- public:
-  const std::string& name() const { return name_; }
-  std::uint64_t id() const { return id_; }
-  bool daemon() const { return daemon_; }
-  bool finished() const { return finished_; }
-  /// Shard this fiber is pinned to.
-  std::uint32_t shard() const { return shard_; }
-  /// True once Engine::kill() (or shutdown) marked this fiber: it will
-  /// unwind at its next scheduling point and can no longer make progress.
-  bool stop_requested() const { return stop_requested_; }
-  /// Completion record of this fiber's blocking cross-shard operation. A
-  /// fiber has at most one in flight (it stays parked until the record
-  /// completes, or unwinds for good), and the SimThread outlives every
-  /// effect that may still fill it, so the record needs no pool.
-  SimRecord& op_record() { return op_record_; }
-  /// This fiber's stack (usable range; empty once the finished fiber's
-  /// stack went back to the engine's pool).
-  const FiberStack& stack() const;
-  ~SimThread();
-
- private:
-  friend class Engine;
-  friend class WaitQueue;
-  friend class SimGate;
-  SimThread(Engine* eng, std::uint64_t id, std::string name,
-            std::function<void()> body, FiberStack stack, bool daemon);
-  SimThread(const SimThread&) = delete;
-  SimThread& operator=(const SimThread&) = delete;
-
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-  Engine* engine_;
-  std::uint64_t id_;
-  std::string name_;
-  std::function<void()> body_;
-  bool daemon_ = false;
-  bool finished_ = false;
-  bool blocked_ = false;   // parked on a WaitQueue or SimGate
-  bool stop_requested_ = false;
-  bool queued_ = false;    // a live (token-matching) run-queue entry exists
-  std::uint32_t shard_ = 0;
-  std::uint64_t wake_token_ = 0;  // invalidates stale run-queue entries
-  // Gate of the live run-queue entry (delay_then_wait), cleared at its pop.
-  WaitQueue* gate_q_ = nullptr;
-  const bool* gate_busy_ = nullptr;
-  SimRecord op_record_;
-};
-
 /// The virtual-time scheduler.
 class Engine {
  public:
@@ -249,9 +206,9 @@ class Engine {
   Time now() const;
 
   /// The engine owning the currently executing fiber (nullptr outside one).
-  static Engine* current();
+  static Engine* current() { return detail::g_engine; }
   /// The currently executing fiber (nullptr outside the simulation).
-  static SimThread* current_thread();
+  static SimThread* current_thread() { return detail::g_thread; }
 
   /// Advance the calling fiber's clock by `ns` virtual nanoseconds.
   /// Other runnable fibers execute in the meantime: the caller parks and
@@ -276,26 +233,34 @@ class Engine {
   /// Idle-poll skip, for a fiber that has just read a word nothing but its
   /// own shard can change (one homed on its own node) and will keep
   /// polling it. Each poll is two delay() calls totalling `period` ns (the
-  /// poll interval, then the next read). Before the shard's horizon (the
-  /// window end, the live run-queue head or the effect-queue head,
-  /// whichever is earliest) no other fiber and no effect runs on the
-  /// shard, so the word cannot change, and every poll that ends strictly
-  /// before the horizon would be two successful same-fiber fast-forwards
-  /// rereading the value just read. idle_polls() counts those whole polls
-  /// from now (none for a stopping fiber, or with nothing else due at all:
-  /// then nothing could ever end the spin); skip_polls() skips `n` of them
-  /// in O(1), leaving the clock, sequence numbers and fast-forward count
-  /// exactly as the `n` polls would.
-  std::uint64_t idle_polls(Time period);
-  void skip_polls(Time period, std::uint64_t n);
+  /// poll interval, then the next read). Until the shard's next event (an
+  /// effect or another fiber's wake) no other code runs on the shard, so
+  /// the word cannot change, and every poll that ends strictly before that
+  /// event would be two successful same-fiber fast-forwards rereading the
+  /// value just read. Skips up to `cap` such polls (kNoCap: no cap) and
+  /// returns how many it skipped, leaving the clock, sequence numbers and
+  /// fast-forward count exactly as those polls would:
+  ///  - with an event due inside the current window, or a finite `cap`,
+  ///    it skips in place up to the event, the window end or the cap;
+  ///  - with nothing due inside the window (and no cap) the fiber floats:
+  ///    it parks with no run-queue entry, the shard drops out of the
+  ///    windows until its next event, and that event's next_fiber() first
+  ///    catches the floater up to it in O(1) (catch_up()).
+  /// Skips nothing for a stopping fiber, or with nothing else due at all
+  /// on a one-shard engine (then nothing could ever end the spin).
+  std::uint64_t skip_idle_polls(Time period, std::uint64_t cap);
+  static constexpr std::uint64_t kNoCap =
+      std::numeric_limits<std::uint64_t>::max();
 
   /// Host-path diagnostics: delays absorbed by the same-fiber fast-forward,
-  /// poll iterations skipped whole, and fiber stacks recycled from the
-  /// pool.
+  /// poll iterations skipped whole, floats (each adds one run-queue push,
+  /// the floater's catch-up entry, that polling would not make), and
+  /// fiber stacks recycled from the pool.
   std::uint64_t delay_fast_forwards() const {
     return sum(&Shard::fast_forwards);
   }
   std::uint64_t polls_skipped() const { return sum(&Shard::polls_skipped); }
+  std::uint64_t poll_floats() const { return sum(&Shard::poll_floats); }
   /// Gated wakes whose gate was closed at the pop: fibers that joined
   /// their wait queue without being resumed. At one worker,
   /// context_switches() + gated_waits() is the resumption count the same
@@ -304,20 +269,21 @@ class Engine {
   std::uint64_t stacks_reused() const { return stacks_reused_; }
   /// Fiber stacks freshly mapped (spawns the pool could not serve).
   std::uint64_t stacks_mapped() const { return stacks_mapped_; }
-  /// Stale (wake_token-invalidated) run-queue entries removed by heap
-  /// compaction instead of being popped one by one.
-  std::uint64_t runq_purged() const {
-    return runq_purged_.load(std::memory_order_relaxed);
-  }
   /// Fiber resumptions performed, one per fiber resumed, whether the
   /// scheduler or a parking fiber's direct handoff resumed it (same-fiber
   /// fast-forwards resume nothing). Equals runq_pops() plus the resumptions
   /// of fibers stalled in await().
   std::uint64_t context_switches() const { return sum(&Shard::switches); }
-  /// Run-queue traffic: live entries pushed / popped across every shard,
-  /// stale pops excluded.
+  /// Run-queue traffic: entries pushed (a re-queue replaces the fiber's
+  /// entry and counts as a push) / popped across every shard.
   std::uint64_t runq_pushes() const { return sum(&Shard::pushes); }
   std::uint64_t runq_pops() const { return sum(&Shard::pops); }
+  /// Entries queued right now across every shard: at most one per fiber.
+  std::size_t runq_entries() const {
+    std::size_t n = 0;
+    for (const auto& s : shards_) n += s->runq.size();
+    return n;
+  }
   /// Fiber-switch backend, fixed at build time: "fcontext" (hand-rolled
   /// assembly switch, sim/fcontext.S) on supported architectures,
   /// "ucontext" under sanitizers or on other architectures.
@@ -370,22 +336,38 @@ class Engine {
 
   static constexpr std::size_t default_stack_size = 256 * 1024;
 
-  struct QueueEntry {
-    Time when;
-    std::uint64_t seq;
-    SimThread* thread;
-    std::uint64_t token;
-    bool operator>(const QueueEntry& o) const {
-      return when != o.when ? when > o.when : seq > o.seq;
-    }
-  };
+  // A shard's run queue: a binary min-heap on (when, seq) holding at most
+  // one entry per fiber. Each queued fiber keeps its entry's index
+  // (SimThread::runq_pos_), so re-queueing a fiber moves its entry and
+  // reaping one erases it, both in O(log n); nothing stale is ever left
+  // behind. (when, seq) is a total order: seq is unique per shard.
+  class RunQueue {
+   public:
+    struct Entry {
+      Time when;
+      std::uint64_t seq;
+      SimThread* thread;
+      bool before(const Entry& o) const {
+        return when != o.when ? when < o.when : seq < o.seq;
+      }
+    };
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    bool empty() const { return heap_.empty(); }
+    std::size_t size() const { return heap_.size(); }
+    const Entry& top() const { return heap_.front(); }
+    // Queue `t` at (when, seq), replacing its entry if it has one.
+    void push(SimThread* t, Time when, std::uint64_t seq);
+    void pop();
+    // Drop `t`'s entry, if any.
+    void erase(SimThread* t);
 
-  // A shard's run queue: a binary min-heap on (when, seq) that exposes its
-  // container, so compaction can drop stale entries in place.
-  struct RunQueue
-      : std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                            std::greater<>> {
-    std::vector<QueueEntry>& entries() { return c; }
+   private:
+    // Move the hole at `i` toward the root / the leaves until `e` fits
+    // there, then store `e` in it.
+    void sift_up(std::size_t i, const Entry& e);
+    void sift_down(std::size_t i, const Entry& e);
+    void place(std::size_t i, const Entry& e);
+    std::vector<Entry> heap_;
   };
 
   // An effect's place in its shard's queue: the (when, klass, a, b) key
@@ -418,7 +400,11 @@ class Engine {
     Time next = 0;  // earliest pending event at window start (kUnbounded: none)
     bool touched = true;  // queues changed since `next` was computed
     std::uint64_t next_seq = 0;
-    std::size_t dead = 0;  // stale runq entries awaiting compaction
+    // The fiber floating through idle polls (skip_idle_polls), if any: it
+    // has no run-queue entry and the shard clock still reads its last
+    // poll's read instant. float_period is its poll period.
+    SimThread* floater = nullptr;
+    Time float_period = 0;
     SimThread* stalled = nullptr;     // fiber parked in await()
     const SimRecord* stall_rec = nullptr;
     std::exception_ptr error;
@@ -427,6 +413,7 @@ class Engine {
     std::uint64_t switches = 0;
     std::uint64_t fast_forwards = 0;
     std::uint64_t polls_skipped = 0;
+    std::uint64_t poll_floats = 0;
     std::uint64_t gated_waits = 0;
     std::uint64_t pushes = 0;
     std::uint64_t pops = 0;
@@ -448,6 +435,14 @@ class Engine {
     // assumes fresh stacks).
     std::vector<FiberStack> stack_pool;
     alignas(64) char pad_[64] = {};
+
+    // Account `m` skipped polls (two fast-forwarded delays each) as if
+    // they had run; the caller moves the clock.
+    void skip_polls(std::uint64_t m) {
+      next_seq += 2 * m;
+      fast_forwards += 2 * m;
+      polls_skipped += m;
+    }
   };
 
   static void fiber_main();
@@ -459,8 +454,6 @@ class Engine {
   // delay() and delay_then_wait(): park until clock + ns behind the gate
   // (q, busy), or with none when q is null.
   void delay_gated(Time ns, WaitQueue* q, const bool* busy);
-  void push_entry(RunQueue& q, std::size_t& dead, QueueEntry e);
-  void compact(RunQueue& q, std::size_t& dead);
   // Suspend `self` and resume `next` (null on either side: this worker's
   // scheduler context), passing `self` as the jump's data word; sets
   // g_thread to `next` and counts its resumption. Returns, once something
@@ -493,14 +486,15 @@ class Engine {
   // left. Sets `progressed` when anything ran.
   SimThread* next_fiber(Shard& s, Time w1, bool& progressed);
   void route_outboxes();
-  // The shard's earliest live run-queue entry (stale heads are popped on
-  // the way), or null.
-  const QueueEntry* live_head(Shard& s);
   // The earliest instant anything but the running fiber is due on `s`:
-  // the window end, the live run-queue head or the effect-queue head. The
-  // one definition of "nothing else is due" behind fast_forward and the
+  // the window end, the run-queue head or the effect-queue head. The one
+  // definition of "nothing else is due" behind fast_forward and the
   // idle-poll skip.
   Time horizon(Shard& s);
+  // Queue the shard's floater at the end of its last poll that ends
+  // strictly before `h` (the shard's next event), accounting the polls
+  // it skipped as skip_idle_polls would have in place.
+  void catch_up(Shard& s, Time h);
   bool fast_forward(Shard& s, Time when, std::uint64_t seq);
   // Queue an effect on `s` (its own worker, or between windows).
   void push_effect(Shard& s, Effect&& e);
@@ -514,7 +508,6 @@ class Engine {
   std::vector<std::unique_ptr<SimThread>> threads_;
   std::uint64_t stacks_reused_ = 0;
   std::uint64_t stacks_mapped_ = 0;
-  std::atomic<std::uint64_t> runq_purged_{0};
   Time now_ = 0;  // committed clock between runs
   std::uint64_t next_id_ = 0;
   std::atomic<std::size_t> live_nondaemon_{0};
@@ -536,6 +529,63 @@ class Engine {
   std::atomic<bool> pool_exit_{false};
   std::mutex pool_mu_;
   std::condition_variable pool_cv_;
+};
+
+/// A simulated thread. Created via Engine::spawn(); users interact with it
+/// through the engine's static current()/delay()/now() interface and the
+/// primitives in sim/sync.hpp.
+class SimThread {
+ public:
+  const std::string& name() const { return name_; }
+  std::uint64_t id() const { return id_; }
+  bool daemon() const { return daemon_; }
+  bool finished() const { return finished_; }
+  /// Shard this fiber is pinned to.
+  std::uint32_t shard() const { return shard_; }
+  /// True once Engine::kill() (or shutdown) marked this fiber: it will
+  /// unwind at its next scheduling point and can no longer make progress.
+  bool stop_requested() const { return stop_requested_; }
+  /// Completion record of this fiber's blocking cross-shard operation. A
+  /// fiber has at most one in flight (it stays parked until the record
+  /// completes, or unwinds for good), and the SimThread outlives every
+  /// effect that may still fill it, so the record needs no pool.
+  SimRecord& op_record() { return op_record_; }
+  /// This fiber's stack (usable range; empty once the finished fiber's
+  /// stack went back to the engine's pool).
+  const FiberStack& stack() const;
+  ~SimThread();
+
+ private:
+  friend class Engine;
+  friend class WaitQueue;
+  friend class SimGate;
+  SimThread(Engine* eng, std::uint64_t id, std::string name,
+            std::function<void()> body, FiberStack stack, bool daemon);
+  SimThread(const SimThread&) = delete;
+  SimThread& operator=(const SimThread&) = delete;
+
+  // Scheduling state first: a resumption and a park read these together.
+  // The suspended fcontext (fcontext backend; unused on ucontext), so the
+  // scheduler's prefetch of the saved frame is one load off the entry.
+  void* fctx_ = nullptr;
+  Engine::Shard* home_ = nullptr;  // shards_[shard_]
+  std::uint32_t shard_ = 0;
+  // Index of this fiber's run-queue entry (RunQueue::kNone: not queued).
+  std::uint32_t runq_pos_ = Engine::RunQueue::kNone;
+  bool daemon_ = false;
+  bool finished_ = false;
+  bool blocked_ = false;   // parked on a WaitQueue or SimGate
+  bool stop_requested_ = false;
+  // Gate of the queued entry (delay_then_wait), cleared at its pop.
+  WaitQueue* gate_q_ = nullptr;
+  const bool* gate_busy_ = nullptr;
+  Engine* engine_;
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+  std::uint64_t id_;
+  std::string name_;
+  std::function<void()> body_;
+  SimRecord op_record_;
 };
 
 /// A global barrier across shards: arrivers park; the last arriver computes

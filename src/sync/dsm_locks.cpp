@@ -10,20 +10,22 @@ namespace {
 // Vela's one spin loop: read `word`, and until done(value) holds, compute
 // `interval` and read again; returns the value that satisfied `done`. A
 // word homed on the caller's node changes only through its own node's
-// shard, so while nothing else is due there each further poll would
+// shard, so until anything else happens there each further poll would
 // reread the value just read: right after a read, such polls are skipped
-// whole, in O(1) (Interconnect::skip_local_polls). `take(m)` is offered m
-// skippable polls and returns how many to skip, so a caller that counts
-// polls counts those too. A remote word is polled for real: its reads
-// hold the NIC and may draw faults.
-template <class Done, class Take>
+// whole, in O(1) (Interconnect::skip_local_polls), at most cap() of them;
+// took(m) learns how many were skipped, so a caller that counts polls
+// counts those too. A remote word is polled for real: its reads hold the
+// NIC and may draw faults.
+template <class Done, class Cap, class Took>
 std::uint64_t poll_until(Thread& t, gptr<std::uint64_t> word,
-                         argosim::Time interval, Done done, Take take) {
+                         argosim::Time interval, Done done, Cap cap,
+                         Took took) {
   for (;;) {
     const std::uint64_t v = t.atomic_load(word);
     if (done(v)) return v;
     if (t.is_home(word.raw()))
-      t.cluster().net().skip_local_polls(t.node(), sizeof v, interval, take);
+      took(t.cluster().net().skip_local_polls(t.node(), sizeof v, interval,
+                                              cap()));
     t.compute(interval);
   }
 }
@@ -31,7 +33,9 @@ std::uint64_t poll_until(Thread& t, gptr<std::uint64_t> word,
 template <class Done>
 std::uint64_t poll_until(Thread& t, gptr<std::uint64_t> word,
                          argosim::Time interval, Done done) {
-  return poll_until(t, word, interval, done, [](std::uint64_t m) { return m; });
+  return poll_until(
+      t, word, interval, done, [] { return argosim::Engine::kNoCap; },
+      [](std::uint64_t) {});
 }
 
 }  // namespace
@@ -173,8 +177,11 @@ void GlobalMcsLock::release(Thread& t) {
     // the link well past the worst in-flight store time, then reset the
     // queue — we still hold the lock, so this is the one place (besides
     // the lease sweep, whose holder is dead) that may. Skipped polls count
-    // toward kStuckPolls, and a skip stops short of the poll reaching it.
+    // toward kStuckPolls, and a skip stops short of the poll reaching it:
+    // with no event to end it, the capped skip stays in place and the
+    // spin reaches the cap on its own.
     int stalled = 0;
+    bool capped = false;  // the last skip counted toward kStuckPolls
     const auto watched = [this] {
       return membership_ != nullptr && membership_->any_dead();
     };
@@ -183,11 +190,13 @@ void GlobalMcsLock::release(Thread& t) {
         [&](std::uint64_t v) {
           return v != 0 || (watched() && ++stalled >= kStuckPolls);
         },
+        [&] {
+          capped = watched();
+          return capped ? static_cast<std::uint64_t>(kStuckPolls - 1 - stalled)
+                        : argosim::Engine::kNoCap;
+        },
         [&](std::uint64_t m) {
-          if (!watched()) return m;
-          m = std::min<std::uint64_t>(m, kStuckPolls - 1 - stalled);
-          stalled += static_cast<int>(m);
-          return m;
+          if (capped) stalled += static_cast<int>(m);
         });
     if (link == 0) {
       host_reset_queue();

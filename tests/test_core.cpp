@@ -10,6 +10,7 @@
 
 #include "core/cluster.hpp"
 #include "dir/pyxis.hpp"
+#include "mem/divider.hpp"
 #include "sim/random.hpp"
 
 namespace argo {
@@ -33,6 +34,37 @@ ClusterConfig small_cfg(int nodes, int tpn, Mode mode,
 
 gptr<std::uint8_t> page_addr(std::uint64_t page, std::size_t off = 0) {
   return gptr<std::uint8_t>(page * kPageSize + off);
+}
+
+// The cache's line geometry divides by a precomputed reciprocal: it must
+// agree with / and % for every divisor the tests and benches configure
+// (every pages_per_line and cache_lines up to 64, 3 from the chaos suite,
+// fig07's 2 * 2048 / ppl + 16 lines, the stock and paper line counts) and
+// for divisors up to the 2^32 bound, at small dividends exhaustively and
+// at the top of the dividend range.
+TEST(LineGeometry, DividerMatchesDivisionForEveryConfiguredGeometry) {
+  using argomem::Divider;
+  std::vector<std::uint64_t> divisors;
+  for (std::uint64_t d = 1; d <= 64; ++d) divisors.push_back(d);
+  for (std::uint64_t ppl = 1; ppl <= 128; ppl *= 2)
+    divisors.push_back(2 * 2048 / ppl + 16);
+  for (const std::uint64_t d :
+       {1024ull, 4096ull, 8192ull, 16384ull, 1000003ull, (1ull << 31) - 1,
+        1ull << 31, (1ull << 31) + 1, (1ull << 32) - 1, 1ull << 32})
+    divisors.push_back(d);
+  argosim::Rng rng(23);
+  for (const std::uint64_t d : divisors) {
+    const Divider div(d);
+    auto check = [&](std::uint64_t x) {
+      ASSERT_EQ(div.div(x), x / d) << x << " / " << d;
+      ASSERT_EQ(div.mod(x), x % d) << x << " % " << d;
+    };
+    for (std::uint64_t x = 0; x < (1u << 16); ++x) check(x);
+    for (std::uint64_t k = 0; k < (1u << 12); ++k)
+      check(Divider::kMaxDividend - k);
+    for (int i = 0; i < 4096; ++i)
+      check(rng.next_u64() & Divider::kMaxDividend);
+  }
 }
 
 TEST(Cluster, SingleNodeLoadStoreRoundTrip) {

@@ -522,30 +522,35 @@ TEST(ParallelLookahead, RequireSerialThrowsWhenSharded) {
 }
 
 // ---------------------------------------------------------------------------
-// Run-queue lazy compaction: dead entries from
-// early notify_one() wakeups must be purged once they dominate the queue.
+// Run queue: one entry per fiber. A timed wait queues its timeout; an early
+// notify re-queues the fiber, which must replace that entry, not add one.
 // ---------------------------------------------------------------------------
 
-TEST(RunQueue, LazyCompactionPurgesDeadEntries) {
+TEST(RunQueue, RequeuedTimedWaitsKeepOneEntryPerFiber) {
   Engine eng;
   argosim::WaitQueue q;
   bool stop = false;
+  int notified = 0;
+  std::size_t most = 0;
   eng.spawn("sleeper", [&] {
-    // Every timed wait that is notified early leaves one dead (stale-token)
-    // entry in the run queue at the old deadline.
     while (!stop) q.wait_until(argosim::now() + 1000000);
   });
   eng.spawn("waker", [&] {
     for (int i = 0; i < 4096; ++i) {
       argosim::delay(10);
-      q.notify_one();
+      // The sleeper's timeout entry is queued; the notify moves it.
+      EXPECT_EQ(eng.runq_entries(), 1u);
+      notified += static_cast<int>(q.notify_one());
+      most = std::max(most, eng.runq_entries());
     }
     stop = true;
     argosim::delay(10);
     q.notify_one();
   });
   eng.run();
-  EXPECT_GT(eng.runq_purged(), 0u);
+  EXPECT_EQ(notified, 4096);
+  EXPECT_EQ(most, 1u);
+  EXPECT_EQ(eng.runq_entries(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -615,15 +615,25 @@ struct SpinResult {
   std::uint64_t fast_forwards = 0;
   std::uint64_t switches = 0;
   std::uint64_t pushes = 0;
-  // Everything a skip must leave as the polls would have.
+  std::uint64_t floats = 0;       // Engine::poll_floats()
+  // Everything an in-place skip must leave as the polls would have.
   auto observed() const {
     return std::tie(seen, polls, fast_forwards, switches, pushes);
   }
+  // What a float must leave as the polls would have: the simulated values,
+  // and every delay counted once, as a fast-forward or a push, with each
+  // float's catch-up entry (the one push polling never makes) set aside.
+  // Which delays fast-forward depends on where the windows fall, and a
+  // floating shard no longer pins them.
+  std::uint64_t delays() const { return fast_forwards + pushes - floats; }
+  auto simulated() const { return std::make_tuple(seen, polls, delays()); }
 };
 
 // Vela's spin loop on a host word: read (kRead), and until the word is
-// set, skip the idle polls (when `skip`) and wait kInterval.
-void spin(const std::uint64_t& word, bool skip, SpinResult& r) {
+// set, skip the idle polls (when `skip`, at most `cap` at a time) and wait
+// kInterval.
+void spin(const std::uint64_t& word, bool skip, SpinResult& r,
+          std::uint64_t cap = Engine::kNoCap) {
   Engine& eng = *Engine::current();
   for (;;) {
     delay(kRead);
@@ -633,8 +643,7 @@ void spin(const std::uint64_t& word, bool skip, SpinResult& r) {
       return;
     }
     if (skip) {
-      const std::uint64_t m = eng.idle_polls(kPeriod);
-      eng.skip_polls(kPeriod, m);
+      const std::uint64_t m = eng.skip_idle_polls(kPeriod, cap);
       if (r.polls == 1) r.first_skip = m;
       r.polls += m;
     }
@@ -647,6 +656,7 @@ void finish(const Engine& eng, SpinResult& r) {
   r.fast_forwards = eng.delay_fast_forwards();
   r.switches = eng.context_switches();
   r.pushes = eng.runq_pushes();
+  r.floats = eng.poll_floats();
 }
 
 // The read instant of poll k (from 0) of a spin started at 0.
@@ -693,7 +703,9 @@ TEST(IdlePollSkip, StopsOnePollShortOfAWakeAtAReadInstant) {
 }
 
 // Window [0, read_at(5)): poll 5 would end right at the window end, which
-// no fast-forward may reach, so only polls 1..4 are skipped in it.
+// no fast-forward may reach, so only polls 1..4 are skipped in it. A lone
+// spinner would float past the window end instead (FloatsAcrossWindows...);
+// a capped one skips in place, bounded by the window.
 TEST(IdlePollSkip, StopsOnePollShortOfTheWindowEnd) {
   auto run = [](bool skip) {
     Engine eng;
@@ -701,7 +713,7 @@ TEST(IdlePollSkip, StopsOnePollShortOfTheWindowEnd) {
     std::uint64_t word = 0;
     SpinResult r;
     eng.post_effect(0, 2000, 0, 0, 0, [&word] { word = 1; });
-    eng.spawn_on(0, "spinner", [&] { spin(word, skip, r); });
+    eng.spawn_on(0, "spinner", [&] { spin(word, skip, r, 1000); });
     eng.run();
     finish(eng, r);
     return r;
@@ -710,6 +722,7 @@ TEST(IdlePollSkip, StopsOnePollShortOfTheWindowEnd) {
   EXPECT_EQ(polled.seen, 2000u);
   EXPECT_EQ(skipped.observed(), polled.observed());
   EXPECT_EQ(skipped.first_skip, 4u);
+  EXPECT_EQ(skipped.floats, 0u);
 }
 
 // A kill() due at a read instant: the skip stops one poll short of the
@@ -743,6 +756,199 @@ TEST(IdlePollSkip, KilledSpinnerUnwindsAtOnce) {
   EXPECT_EQ(skipped.first_skip, 9u);
 }
 
+// ---------------------------------------------------------------------------
+// Floating: with nothing due on its shard inside the window, a spinner
+// parks with no run-queue entry, its shard drops out of the windows, and
+// the shard's next event catches it up first. Lookahead kL is a fraction
+// of the spins below, and a ticker on another shard keeps windows going
+// meanwhile, so each float spans many windows.
+// ---------------------------------------------------------------------------
+
+constexpr Time kL = 2 * kPeriod;
+
+// A fiber on `shard` that delays `step` ns `n` times.
+void spawn_ticker(Engine& eng, std::uint32_t shard, Time step, int n) {
+  eng.spawn_on(shard, "ticker", [step, n] {
+    for (int i = 0; i < n; ++i) delay(step);
+  });
+}
+
+TEST(PollFloat, FloatsAcrossWindowsAndStopsOnePollShortOfAnEffect) {
+  auto run = [](bool skip) {
+    Engine eng;
+    eng.enable_sharding(2, kL, 1);
+    std::uint64_t word = 0;
+    SpinResult r;
+    eng.post_effect(0, read_at(10), 0, 0, 0, [&word] { word = 1; });
+    eng.spawn_on(0, "spinner", [&] { spin(word, skip, r); });
+    spawn_ticker(eng, 1, 70, 40);
+    eng.run();
+    finish(eng, r);
+    return r;
+  };
+  const SpinResult polled = run(false), skipped = run(true);
+  EXPECT_EQ(polled.seen, read_at(10));
+  EXPECT_EQ(polled.polls, 11u);
+  EXPECT_GE(read_at(10) - read_at(0), 3 * kL);  // the float spans 3+ windows
+  EXPECT_EQ(skipped.simulated(), polled.simulated());
+  // One float from the first read to the effect: polls 1..9 end before it.
+  EXPECT_EQ(skipped.floats, 1u);
+  EXPECT_EQ(skipped.first_skip, 9u);
+  EXPECT_EQ(skipped.skipped, 9u);
+  EXPECT_EQ(polled.floats, 0u);
+}
+
+// The killer sleeps on the spinner's own shard, far past the window: the
+// spinner floats over its entry, and is caught up one poll short of the
+// kill, so it unwinds right at the kill instant.
+TEST(PollFloat, KilledFloaterUnwindsAtTheKillInstant) {
+  auto run = [](bool skip) {
+    Engine eng;
+    eng.enable_sharding(2, kL, 1);
+    std::uint64_t word = 0;
+    SpinResult r;
+    Time unwound = 0;
+    SimThread* spinner = eng.spawn_on(0, "spinner", [&] {
+      struct OnUnwind {
+        Time& at;
+        ~OnUnwind() { at = now(); }
+      } guard{unwound};
+      spin(word, skip, r);
+    });
+    eng.spawn_on(0, "killer", [&] {
+      delay(read_at(10));
+      Engine::current()->kill(spinner);
+    });
+    spawn_ticker(eng, 1, 70, 40);
+    eng.run();
+    finish(eng, r);
+    r.seen = unwound;
+    return r;
+  };
+  const SpinResult polled = run(false), skipped = run(true);
+  EXPECT_EQ(polled.seen, read_at(10));
+  EXPECT_EQ(polled.polls, 10u);  // the poll at the kill never completes
+  EXPECT_EQ(skipped.simulated(), polled.simulated());
+  EXPECT_EQ(skipped.floats, 1u);
+  EXPECT_EQ(skipped.first_skip, 9u);
+}
+
+// A daemon still floating when the run ends: a kill between runs (then
+// the next run), and shutdown alone, clear the float and unwind it at its
+// shard's clock, the read that started the float, with no catch-up.
+TEST(PollFloat, FloaterIsUnwoundBetweenRuns) {
+  for (const bool kill_first : {true, false}) {
+    Engine eng;
+    eng.enable_sharding(2, kL, 1);
+    std::uint64_t word = 0;
+    SpinResult r;
+    Time unwound = 0;
+    SimThread* spinner = eng.spawn_on(
+        0, "spinner",
+        [&] {
+          struct OnUnwind {
+            Time& at;
+            ~OnUnwind() { at = now(); }
+          } guard{unwound};
+          spin(word, true, r);
+        },
+        /*daemon=*/true);
+    spawn_ticker(eng, 1, 100, 20);
+    eng.run();
+    EXPECT_EQ(eng.poll_floats(), 0u);  // still floating: not caught up
+    EXPECT_FALSE(spinner->finished());
+    if (kill_first) {
+      eng.kill(spinner);
+      spawn_ticker(eng, 1, 100, 20);
+      eng.run();
+    }
+    eng.shutdown();
+    EXPECT_TRUE(spinner->finished()) << kill_first;
+    EXPECT_EQ(unwound, read_at(0)) << kill_first;
+    EXPECT_EQ(r.polls, 1u) << kill_first;
+    EXPECT_EQ(eng.poll_floats(), 0u) << kill_first;
+  }
+}
+
+// Vela's release-side link wait in miniature: a spin that gives up after
+// kStuck polls, with no event ever due on its shard. A capped skip never
+// floats (nothing would wake it at the cap): it skips in place, window by
+// window, and the spin still ends at its kStuck-th read.
+TEST(PollFloat, CappedSpinReachesItsCapWithNoOtherEvent) {
+  constexpr int kStuck = 40;
+  auto run = [](bool skip) {
+    Engine eng;
+    eng.enable_sharding(2, kL, 1);
+    SpinResult r;
+    eng.spawn_on(0, "link-wait", [&] {
+      Engine& e = *Engine::current();
+      int stalled = 0;
+      for (;;) {
+        delay(kRead);
+        ++r.polls;
+        if (++stalled >= kStuck) break;
+        if (skip) {
+          const std::uint64_t m = e.skip_idle_polls(
+              kPeriod, static_cast<std::uint64_t>(kStuck - 1 - stalled));
+          stalled += static_cast<int>(m);
+          r.polls += m;
+        }
+        delay(kInterval);
+      }
+      r.seen = now();
+    });
+    eng.run();
+    finish(eng, r);
+    return r;
+  };
+  const SpinResult polled = run(false), skipped = run(true);
+  EXPECT_EQ(polled.seen, read_at(kStuck - 1));
+  EXPECT_EQ(polled.polls, static_cast<std::uint64_t>(kStuck));
+  EXPECT_EQ(skipped.simulated(), polled.simulated());
+  EXPECT_EQ(skipped.floats, 0u);
+  EXPECT_GT(skipped.skipped, 0u);
+}
+
+// Four shards, a spinner on each, set by an effect its neighbour posts
+// at a read instant (shard k's at read_at(10 + 3k)), plus a ticker: every
+// float is caught up by a cross-shard effect, on any worker.
+std::vector<SpinResult> run_float_ring(bool skip, std::uint32_t workers) {
+  constexpr std::uint32_t kShards = 4;
+  Engine eng;
+  eng.enable_sharding(kShards, kL, workers);
+  std::vector<std::uint64_t> word(kShards, 0);
+  std::vector<SpinResult> r(kShards + 1);
+  for (std::uint32_t k = 0; k < kShards; ++k) {
+    eng.spawn_on(k, "spinner", [&word, &r, skip, k] {
+      spin(word[k], skip, r[k]);
+    });
+    const std::uint32_t from = (k + 1) % kShards;
+    const Time at = read_at(10 + 3 * k);
+    eng.spawn_on(from, "setter", [&eng, &word, k, at] {
+      delay(at - kL - 7 * k);
+      eng.post_effect(k, at, 1, k, 0, [&word, k] { word[k] = 1; });
+    });
+  }
+  spawn_ticker(eng, 1, 90, 30);
+  eng.run();
+  finish(eng, r[kShards]);
+  return r;
+}
+
+TEST(PollFloat, SameResultsAtEveryWorkerCount) {
+  const std::vector<SpinResult> polled = run_float_ring(false, 1);
+  for (const std::uint32_t workers : {1u, 2u, 4u}) {
+    const std::vector<SpinResult> skipped = run_float_ring(true, workers);
+    for (std::size_t k = 0; k + 1 < polled.size(); ++k) {
+      EXPECT_EQ(polled[k].seen, read_at(10 + 3 * static_cast<Time>(k)));
+      EXPECT_EQ(skipped[k].seen, polled[k].seen) << workers << " workers";
+      EXPECT_EQ(skipped[k].polls, polled[k].polls) << workers << " workers";
+    }
+    EXPECT_EQ(skipped.back().delays(), polled.back().delays())
+        << workers << " workers";
+    EXPECT_GT(skipped.back().floats, 0u);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Gated wake: delay_then_wait(ns, q, busy) must leave exactly what

@@ -528,13 +528,18 @@ TEST(GlobalMcs, TimedAcquireFailsWithinOneCasOfTheDeadline) {
 // recorded before the idle-poll skip existed, at 1, 2 and 4 engine workers
 // and at posted-pipeline depths 1 and 16. The fingerprint folds the HQDL
 // statistics, every net.* counter (each skipped poll still counts as the
-// local read it stands for) and sim.fast_forwards: host-side, but
-// deterministic for one shard partition (one shard per node at every
-// worker count here), and exactly what a skipped poll must leave as a
-// simulated one would have. sim.context_switches + sim.gated_waits (the
-// resumptions without gated wakes) is pinned at one worker only: with
-// more, whether a blocking verb's issuer finds its record already filled
-// when it awaits it depends on host timing.
+// local read it stands for) and the delay count sim.fast_forwards +
+// sim.runq_pushes - sim.poll_floats: host-side, but deterministic for one
+// shard partition (one shard per node at every worker count here), and
+// exactly what skipped polls must leave as simulated ones would have.
+// (Each delay is one fast-forward or one push, whichever the window
+// allows; a float adds one push, its catch-up entry. Floats move window
+// ends, so fast-forwards alone are not pinned.) The fingerprints were
+// derived without floats, where the delay count is fast_forwards + pushes.
+// sim.context_switches + sim.gated_waits (the resumptions without gated
+// wakes) is pinned at one worker only: with more, whether a blocking
+// verb's issuer finds its record already filled when it awaits it depends
+// on host timing.
 
 struct VelaFp {
   Time elapsed = 0;
@@ -554,8 +559,10 @@ VelaFp vela_fp(Cluster& cl, Time elapsed, std::uint64_t ops = 0,
   fold("hqdl.delegated", hq.delegated);
   const argo::ClusterStats st = cl.stats();
   for (const auto& c : st.counters)
-    if (c.name.rfind("net.", 0) == 0 || c.name == "sim.fast_forwards")
-      fold(c.name, c.value);
+    if (c.name.rfind("net.", 0) == 0) fold(c.name, c.value);
+  fold("delays", st.counter("sim.fast_forwards") +
+                     st.counter("sim.runq_pushes") -
+                     st.counter("sim.poll_floats"));
   return {elapsed, h,
           st.counter("sim.context_switches") + st.counter("sim.gated_waits")};
 }
@@ -635,20 +642,20 @@ TEST(VelaIdentity, RecordedResultsAtEveryWorkerCountAndDepth) {
     VelaFp want;
     std::function<VelaFp(int, int)> run;
   } cases[] = {
-      {"global_mcs", 1, {416517, 4734071798119922850ull, 980}, vela_mcs},
-      {"global_mcs", 16, {416517, 4734071798119922850ull, 980}, vela_mcs},
-      {"pq_hqdl", 1, {231054, 11240622703339903060ull, 1094},
+      {"global_mcs", 1, {416517, 14192598990595445839ull, 576}, vela_mcs},
+      {"global_mcs", 16, {416517, 14192598990595445839ull, 576}, vela_mcs},
+      {"pq_hqdl", 1, {231054, 10369511168309020145ull, 814},
        [](int w, int d) { return vela_pq(DsmLockKind::Hqdl, w, d); }},
-      {"pq_hqdl", 16, {227835, 14373560238552642448ull, 1104},
+      {"pq_hqdl", 16, {227835, 16976102682998999875ull, 844},
        [](int w, int d) { return vela_pq(DsmLockKind::Hqdl, w, d); }},
-      {"pq_cohort", 1, {366159, 17659316763273179313ull, 798},
+      {"pq_cohort", 1, {366159, 14842358924035715955ull, 376},
        [](int w, int d) { return vela_pq(DsmLockKind::Cohort, w, d); }},
-      {"pq_cohort", 16, {333759, 6580496535848068511ull, 760},
+      {"pq_cohort", 16, {333759, 17863699879761819877ull, 372},
        [](int w, int d) { return vela_pq(DsmLockKind::Cohort, w, d); }},
-      {"dsm_mutex", 1, {525897, 11845001941409220891ull, 1019}, vela_mutex},
-      {"dsm_mutex", 16, {522697, 9393849073382779917ull, 1013}, vela_mutex},
-      {"dsm_flag", 1, {51692, 16609501253309002068ull, 477}, vela_flag},
-      {"dsm_flag", 16, {47789, 7644259143794899368ull, 454}, vela_flag},
+      {"dsm_mutex", 1, {525897, 5824421259757279204ull, 676}, vela_mutex},
+      {"dsm_mutex", 16, {522697, 5381639178171489769ull, 675}, vela_mutex},
+      {"dsm_flag", 1, {51692, 17532846167804768209ull, 492}, vela_flag},
+      {"dsm_flag", 16, {47789, 15924858060319843160ull, 468}, vela_flag},
   };
   for (const auto& c : cases) {
     for (const int workers : {1, 2, 4}) {
