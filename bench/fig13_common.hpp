@@ -70,9 +70,8 @@ inline ArgoScaling run_argo_scaling(
   // the blocked home distribution spreads the data over all nodes.
   // --nodes pins the Argo series to the listed node counts ("--nodes 32"
   // or "--nodes 64,128") and drops the single-node Pthreads series and
-  // sequential baseline — the shape both the parallel-engine wall-clock
-  // sweep (scripts/bench_host.sh --threads) and the full-scale 64/128-node
-  // reproduction want, where only the cluster runs are of interest.
+  // sequential baseline — the shape the full-scale 64/128-node
+  // reproduction wants, where only the cluster runs are of interest.
   ArgoScaling out;
   out.nodes = !opts.nodes.empty()
                   ? opts.nodes

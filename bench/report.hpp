@@ -93,8 +93,6 @@ inline void note(const char* text) { std::printf("  %s\n", text); }
 ///   --json <path>      also write the figure's data points as JSON rows
 ///   --pipeline <depth> posted-verb send-queue depth (default 1: blocking)
 ///   --quick            reduced sweep for CI smoke runs
-///   --threads <n>      engine host workers (same as ARGO_THREADS=n; 0 or 1
-///                      is one worker — virtual-time results are identical)
 ///   --nodes <list>     restrict scaling sweeps to these node counts, a
 ///                      comma-separated list ("--nodes 32" or
 ///                      "--nodes 32,64,128"); each count must fit the
@@ -123,8 +121,6 @@ struct BenchOpts {
       } else if (std::strcmp(argv[i], "--pipeline") == 0 && i + 1 < argc) {
         o.pipeline = std::atoi(argv[++i]);
         if (o.pipeline < 1) o.pipeline = 1;
-      } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-        argosim::set_engine_threads(std::atoi(argv[++i]));
       } else if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
         for (const char* p = argv[++i]; *p != '\0';) {
           const int n = std::atoi(p);
@@ -163,8 +159,8 @@ struct BenchOpts {
 /// when a field is renamed or its meaning changes so downstream consumers
 /// (scripts/bench_compare.py, notebooks) can refuse mismatched inputs.
 /// Schema 3 added the "threads"/"engine" stamp for the parallel engine
-/// ("engine" has since gone: there is one engine, and "threads" records
-/// the worker count; no reader keyed on it, so the schema stayed).
+/// ("engine" has since gone: there is one engine; "threads" stays, always
+/// 1 now that the engine runs on one host thread, so the schema stayed).
 /// Schema 4 stamps "nodes" (the cluster node count a row was measured on,
 /// 0 for rows that run no cluster) so 32/64/128-node sweeps can share one
 /// file and be filtered apart (bench_compare.py --nodes).
@@ -174,13 +170,6 @@ struct BenchOpts {
 /// (bench_compare.py --adapt-gate). Bit 4 (stride prefetch, removed) is
 /// retired and never reused; older rows may still carry it.
 inline constexpr int kBenchSchemaVersion = 5;
-
-/// Effective engine worker count for this process: N when
-/// ARGO_THREADS/--threads selected N workers, else 1.
-inline int bench_threads() {
-  const int n = argosim::engine_threads();
-  return n > 0 ? n : 1;
-}
 
 /// Commit hash rows are stamped with. The bench binaries cannot assume a
 /// .git directory (CI runs them from an install tree), so the driver passes
@@ -234,15 +223,17 @@ class JsonReport {
   };
 
   /// Every row leads with the provenance stamp (schema version, commit,
-  /// run date, engine workers) so a BENCH file is self-describing even
-  /// when split apart.
+  /// run date, host threads) so a BENCH file is self-describing even when
+  /// split apart. "threads" is always 1; it stays because committed files
+  /// key on it and golden comparison drops only a key's first occurrence
+  /// (fig11's own "threads" parameter follows it).
   Row& row() {
     rows_.emplace_back();
     return rows_.back()
         .num("schema", kBenchSchemaVersion)
         .str("commit", bench_commit())
         .str("date", bench_date())
-        .num("threads", bench_threads());
+        .num("threads", 1);
   }
 
   /// Write the accumulated rows to `path`. No-op when path is empty.

@@ -3,7 +3,6 @@
 #pragma once
 
 #include "sim/engine.hpp"
-#include "sim/par.hpp"
 #include "sim/random.hpp"
 #include "sim/sync.hpp"
 #include "sim/time.hpp"

@@ -8,8 +8,6 @@ Usage:
                                           [--max-rss-regress 0.10]
                                           [--mode fast]
                                           [--nodes 64]
-  scripts/bench_compare.py --par-gate FILE [--min-par-speedup 2.0]
-                                           [--par-threads 8]
   scripts/bench_compare.py --adapt-gate FILE [--min-adapt-geomean 1.0]
                                              [--max-adapt-regress 0.02]
   scripts/bench_compare.py --golden GOLDEN FRESH_DIR_OR_FILE [--update]
@@ -26,15 +24,6 @@ the fresh build is faster). Gates:
                     baseline row's by more than R. Per row, not geomean:
                     RSS repeats to within 0.05% run to run, so one bench
                     growing is a real regression, not noise.
-  --par-gate FILE   single-file mode: compare the parallel-engine sweep
-                    rows (mode "par", written by scripts/bench_host.sh)
-                    at --par-threads workers against their threads=1
-                    sequential reference and fail when the geomean
-                    speedup < --min-par-speedup. The required speedup is
-                    capped at half the recorded host_cpus (a host cannot
-                    exceed its core count), and the gate is skipped with
-                    a notice on single-core hosts where any parallel
-                    speedup is physically impossible.
   --adapt-gate FILE single-file mode: compare the adaptive-tuning sweep
                     rows (mode "adapt", written by scripts/bench_host.sh)
                     pairing each bench's fixed-knob run (adapt bitmask 0)
@@ -62,8 +51,9 @@ scripts/bench_host.sh ({"schema", "commit", "date", ...}); schema 2
 (schema-1 files) a warning, and a single file mixing two schema versions
 is an error — it means two different runs were concatenated and the rows
 are not comparable. Comparison rows are keyed by (bench, mode, threads,
-nodes) so multi-configuration files (parallel sweeps, node scaling,
-adaptive pairs) never collapse distinct measurements onto one key.
+nodes) so multi-configuration files (node scaling, adaptive pairs, older
+files' worker-count sweeps) never collapse distinct measurements onto one
+key.
 Stdlib only — runs in the CI container.
 """
 
@@ -157,61 +147,6 @@ def load_rows(path, mode, nodes=None):
 
 def geomean_ratios(pairs):
     return math.exp(sum(math.log(r) for r in pairs) / len(pairs))
-
-
-def par_gate(path, want_threads, min_speedup):
-    """Gate the parallel-engine sweep in one file: wall(threads=1) /
-    wall(threads=want_threads) per bench, geomean >= the (host-capped)
-    required speedup."""
-    with open(path) as f:
-        rows = json.load(f)
-    seq, par = {}, {}
-    host_cpus = None
-    warned = False
-    seen = set()
-    for row in rows:
-        warned = check_schema(path, row, warned, seen)
-        if row.get("mode") != "par":
-            continue
-        if host_cpus is None and "host_cpus" in row:
-            host_cpus = int(row["host_cpus"])
-        t = int(row.get("threads", 0))
-        if t == 1:
-            seq[row["bench"]] = float(row["wall_s"])
-        elif t == want_threads:
-            par[row["bench"]] = float(row["wall_s"])
-    if not seq or not par:
-        sys.exit(f"{path}: no parallel sweep rows (mode 'par') at threads 1 "
-                 f"and {want_threads}; run scripts/bench_host.sh")
-
-    common = sorted(set(seq) & set(par))
-    if not common:
-        sys.exit("no benches with both sequential and parallel rows")
-    print(f"parallel gate: {path} ({want_threads} workers vs sequential, "
-          f"host_cpus={host_cpus})")
-    print(f"{'bench':<24} {'seq_s':>8} {'par_s':>8} {'speedup':>8}")
-    ratios = []
-    for bench in common:
-        ratio = seq[bench] / par[bench]
-        ratios.append(ratio)
-        print(f"{bench:<24} {seq[bench]:>8.3f} {par[bench]:>8.3f} "
-              f"{ratio:>7.2f}x")
-    geomean = geomean_ratios(ratios)
-    print(f"{'geomean':<24} {'':>8} {'':>8} {geomean:>7.2f}x")
-
-    if host_cpus is not None and host_cpus < 2:
-        print(f"SKIP: host has {host_cpus} CPU(s); a wall-clock parallel "
-              f"speedup is physically impossible — gate not enforced")
-        return
-    required = min_speedup
-    if host_cpus is not None and host_cpus / 2.0 < required:
-        required = host_cpus / 2.0
-        print(f"note: required speedup capped at {required:.2f}x "
-              f"(host has only {host_cpus} cores)")
-    if geomean < required:
-        sys.exit(f"FAIL: {want_threads}-worker geomean {geomean:.3f}x < "
-                 f"required {required:.2f}x over the sequential engine")
-    print(f"OK: {geomean:.2f}x >= {required:.2f}x")
 
 
 def adapt_gate(path, min_geomean, max_regress):
@@ -398,12 +333,6 @@ def main():
     ap.add_argument("--nodes", type=int, default=None,
                     help="keep only rows measured on this cluster node "
                          "count (rows without a 'nodes' stamp are kept)")
-    ap.add_argument("--par-gate", metavar="FILE", default=None,
-                    help="gate the parallel-engine sweep in FILE")
-    ap.add_argument("--par-threads", type=int, default=8,
-                    help="worker count the parallel gate judges (default 8)")
-    ap.add_argument("--min-par-speedup", type=float, default=2.0,
-                    help="required parallel geomean speedup (default 2.0)")
     ap.add_argument("--adapt-gate", metavar="FILE", default=None,
                     help="gate the adaptive-tuning sweep in FILE")
     ap.add_argument("--golden", metavar="GOLDEN", default=None,
@@ -423,19 +352,14 @@ def main():
             ap.error("--golden takes exactly one FRESH directory or file")
         golden_gate(args.golden, args.baseline, args.update)
         return
-    ran_gate = False
-    if args.par_gate is not None:
-        par_gate(args.par_gate, args.par_threads, args.min_par_speedup)
-        ran_gate = True
     if args.adapt_gate is not None:
         adapt_gate(args.adapt_gate, args.min_adapt_geomean,
                    args.max_adapt_regress)
-        ran_gate = True
-    if ran_gate and args.baseline is None:
-        return
+        if args.baseline is None:
+            return
     if args.baseline is None or args.fresh is None:
-        ap.error("BASELINE and FRESH files are required unless --par-gate "
-                 "or --adapt-gate is used alone")
+        ap.error("BASELINE and FRESH files are required unless --adapt-gate "
+                 "is used alone")
 
     base, base_rss, base_stamp = load_rows(args.baseline, args.mode,
                                            args.nodes)

@@ -6,19 +6,12 @@
 # against the committed BENCH_host.json and BENCH_host_round2.json, which
 # scripts/bench_compare.py gates on).
 #
-# A second sweep runs the fig13 quick suite at 32 nodes across engine
-# worker counts (--threads, default "1 2 4 8"; 1 is the default run, the
-# sequential reference) — those rows carry "threads" and "host_cpus" so
-# scripts/bench_compare.py --par-gate can judge the 8-worker wall-clock
-# speedup, and skip honestly on hosts without enough cores to demonstrate
-# one.
-#
-# A third sweep ("scale" mode) runs fig13a and fig08 at the paper's full
+# A second sweep ("scale" mode) runs fig13a and fig08 at the paper's full
 # node counts (--scale-nodes, default "64 128" — the multi-word directory
 # range) and records host wall time per count, each row stamped with its
 # "nodes" so scripts/bench_compare.py --nodes can filter.
 #
-# A fourth sweep ("adapt" mode) runs the fig13 quick suite twice — fixed
+# A third sweep ("adapt" mode) runs the fig13 quick suite twice — fixed
 # knobs and all adaptive runtime-tuning policies on (--adaptive) — and
 # records, besides wall time, the summed simulated virtual_ms of the
 # argo-series rows and the adapt bitmask those rows ran with, both from
@@ -27,15 +20,14 @@
 # any host-noise margin.
 #
 # Usage: scripts/bench_host.sh [--build <dir>] [--out <path>]
-#                              [--threads "1 2 4 8"]
 #                              [--scale-nodes "64 128"]
 #
 # Output: a JSON array (one object per line, like the other BENCH files)
 # of rows {"schema", "commit", "date", "bench", "mode", "threads",
 # "host_cpus", "adapt", "wall_s", "max_rss_kb"} — plus "nodes"
-# on the par/scale rows that pin one cluster size and "virtual_ms" on the
+# on the scale rows that pin one cluster size and "virtual_ms" on the
 # adapt rows — the same provenance stamp benchutil::JsonReport puts on
-# every row (bench/report.hpp kBenchSchemaVersion).
+# every row (bench/report.hpp kBenchSchemaVersion; "threads" is always 1).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,13 +39,11 @@ HOST_CPUS="$(nproc)"
 
 OUT="BENCH_host.json"
 BUILD="build"
-THREADS_SWEEP="1 2 4 8"
 SCALE_NODES="64 128"
 while [ $# -gt 0 ]; do
   case "$1" in
     --out) OUT="$2"; shift ;;
     --build) BUILD="$2"; shift ;;
-    --threads) THREADS_SWEEP="$2"; shift ;;
     --scale-nodes) SCALE_NODES="$2"; shift ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
@@ -91,26 +81,6 @@ for bench in $BENCHES; do
   ROWS="$ROWS{\"schema\":$SCHEMA,\"commit\":\"$ARGO_GIT_COMMIT\",\"date\":\"$RUN_DATE\",\"bench\":\"$bench\",\"mode\":\"fast\",\"threads\":1,\"host_cpus\":$HOST_CPUS,\"adapt\":0,\"wall_s\":$wall,\"max_rss_kb\":$rss},\n"
   TOTAL=$(awk -v a="$TOTAL" -v b="$wall" 'BEGIN { printf "%.3f", a + b }')
 done
-
-# Parallel-engine sweep: the fig13 quick suite pinned to 32 nodes (32
-# shards give every worker count headroom), one pass per worker count.
-# threads=1 is the default run — the sequential reference the parallel
-# runs are bit-identical to — so the wall-clock ratio isolates pure
-# host-level parallelism.
-PAR_BENCHES="fig13a_lu fig13b_nbody fig13c_blackscholes fig13d_mm fig13e_ep fig13f_cg"
-for T in $THREADS_SWEEP; do
-  if [ "$T" = 1 ]; then
-    unset ARGO_THREADS || true
-  else
-    export ARGO_THREADS="$T"
-  fi
-  for bench in $PAR_BENCHES; do
-    read -r wall rss < <(measure "$BUILD/bench/$bench" --quick --nodes 32)
-    echo "-- $bench [par threads=$T] ${wall}s rss=${rss}kB"
-    ROWS="$ROWS{\"schema\":$SCHEMA,\"commit\":\"$ARGO_GIT_COMMIT\",\"date\":\"$RUN_DATE\",\"bench\":\"$bench\",\"mode\":\"par\",\"threads\":$T,\"host_cpus\":$HOST_CPUS,\"adapt\":0,\"nodes\":32,\"wall_s\":$wall,\"max_rss_kb\":$rss},\n"
-  done
-done
-unset ARGO_THREADS || true
 
 # Full-scale sweep: the paper's 64/128-node points (the multi-word
 # directory range), quick workloads — one row per (bench, node count) so

@@ -5,14 +5,10 @@
 # the per-run JSON into one file (BENCH_pipeline.json by default).
 #
 # Usage: scripts/bench_json.sh [--quick] [--chaos] [--out <path>] [--build <dir>]
-#                               [--threads <n>]
 #   --quick   reduced sweep (fig09 only, small sizes) for CI smoke runs
 #   --chaos   crash-recovery sweep instead: runs bench/chaos_recovery
 #             (heartbeat-interval sweep with one mid-run node crash) and
 #             writes BENCH_recovery.json
-#   --threads <n>  run every bench on the parallel engine with n host
-#             workers (ARGO_THREADS=n; virtual-time results are identical,
-#             the rows' "threads" stamp records the worker count)
 #
 # Depth 1 is the paper's serialized-NIC behaviour (one blocking MPI/verbs
 # op at a time); higher depths overlap wire latency across in-flight ops.
@@ -33,7 +29,6 @@ while [ $# -gt 0 ]; do
     --chaos) CHAOS=1 ;;
     --out) OUT="$2"; shift ;;
     --build) BUILD="$2"; shift ;;
-    --threads) export ARGO_THREADS="$2"; shift ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
   shift

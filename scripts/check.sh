@@ -57,6 +57,14 @@ if grep -rnE 'wake[_]token_|runq[_]purged|compact[(]' \
        "one entry per fiber" >&2
   exit 1
 fi
+# The simulator runs on one host thread: no host worker pool, worker-count
+# knob, ThreadSanitizer leg or parallel-speedup gate may come back.
+if grep -rnE 'std::[t]hread|ARGO_[T]HREADS|engine_[t]hreads|sim/par[.]hpp|ARGO_[T]SAN|__tsan[_]|par[-]gate' \
+     src bench examples tests scripts; then
+  echo "FAIL: host worker pool, worker-count knob or TSan/par gate found;" \
+       "the simulator runs on one host thread" >&2
+  exit 1
+fi
 # Pipeline depth is an interconnect property: at depth 1 every post is the
 # blocking verb, so protocol code posts unconditionally and never reads it.
 if grep -rnE 'config\(\)\.pipeline|pipelined\(\)' src bench examples \
@@ -64,27 +72,22 @@ if grep -rnE 'config\(\)\.pipeline|pipelined\(\)' src bench examples \
   echo "FAIL: pipeline-depth read outside src/net/" >&2
   exit 1
 fi
-echo "  OK: no engine-mode switch, fast-path toggle or stale run-queue" \
-     "entry; pipeline-depth reads confined to src/net/"
+echo "  OK: no engine-mode switch, fast-path toggle, stale run-queue entry" \
+     "or host worker pool; pipeline-depth reads confined to src/net/"
 
 echo "=== default build ==="
 cmake -B build -S .
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "=== golden simulated results (1 and 4 workers) ==="
+echo "=== golden simulated results ==="
 # Every --quick row of every bench at pipeline depths 1 and 16 must match
 # bench/golden_quick.json in all simulated fields (virtual times, rates,
-# counters, checksums): host fast paths and worker counts may change
-# wall time only. A change that moves a value on purpose regenerates the
-# file and tabulates the move in EXPERIMENTS.md.
-for workers in 1 4; do
-  echo "--- ARGO_THREADS=$workers"
-  ARGO_THREADS=$workers scripts/golden_suite.sh --build build \
-    --out "build/golden-t$workers"
-  python3 scripts/bench_compare.py --golden bench/golden_quick.json \
-    "build/golden-t$workers"
-done
+# counters, checksums): host fast paths may change wall time only. A
+# change that moves a value on purpose regenerates the file and tabulates
+# the move in EXPERIMENTS.md.
+scripts/golden_suite.sh --build build --out build/golden
+python3 scripts/bench_compare.py --golden bench/golden_quick.json build/golden
 
 echo "=== sanitizer build (ASan + UBSan) ==="
 cmake -B build-sanitize -S . -DARGO_SANITIZE=ON
@@ -94,15 +97,6 @@ echo "--- golden simulated results under ASan + UBSan"
 scripts/golden_suite.sh --build build-sanitize --out build-sanitize/golden
 python3 scripts/bench_compare.py --golden bench/golden_quick.json \
   build-sanitize/golden
-
-echo "=== sanitizer build (TSan, parallel engine) ==="
-# ThreadSanitizer checks the parallel engine's worker pool (fiber switches
-# are annotated with __tsan_switch_to_fiber). The parallel identity suite
-# is the interesting load; the rest of the tests run single-threaded and
-# double as an annotation smoke test.
-cmake -B build-tsan -S . -DARGO_TSAN=ON
-cmake --build build-tsan -j "$JOBS"
-ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
 
 echo "=== crash-recovery suite (explicit, both configs) ==="
 # The crash tests exercise teardown paths (fiber unwind, mid-RPC node
@@ -163,7 +157,7 @@ awk '
 
 echo "=== perf smoke: host wall clock and peak RSS ==="
 # fig13 quick suite + fig09 wall time and peak RSS per bench, plus the
-# parallel, scale and adaptive sweeps the gates below read.
+# scale and adaptive sweeps the gates below read.
 scripts/bench_host.sh --out build/BENCH_host.json
 
 echo "=== perf smoke: peak RSS vs the committed BENCH_host.json ==="
@@ -171,13 +165,6 @@ echo "=== perf smoke: peak RSS vs the committed BENCH_host.json ==="
 # gated per bench: no fast-mode row may grow more than 10%.
 python3 scripts/bench_compare.py BENCH_host.json build/BENCH_host.json \
   --max-rss-regress 0.10
-
-echo "=== perf smoke: parallel engine speedup ==="
-# 8 engine workers vs the sequential reference on the fig13 quick suite
-# at 32 nodes (rows written by bench_host.sh above). Required speedup is
-# capped at host_cpus/2 and skipped on single-core hosts.
-python3 scripts/bench_compare.py --par-gate build/BENCH_host.json \
-  --par-threads 8 --min-par-speedup 2.0
 
 echo "=== adaptive ablation smoke ==="
 # Each adaptive runtime-tuning policy toggled individually (DESIGN.md §6)

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstring>
 #include <deque>
-#include <mutex>
 #include <unordered_map>
 
 #include "apps/memo.hpp"
@@ -74,16 +73,12 @@ void bs_price_block(const double* s, const double* k, const double* r,
                     const double* v, const double* e,
                     const std::uint8_t* put, std::size_t cnt, double* out) {
   if (cnt == 0) return;
-  // Shared across the parallel engine's host workers: blocks are never
-  // evicted (the byte cap stops inserts), so hits are served under the
-  // lock and the transcendental pricing runs outside it. The key scratch
-  // is per host thread.
+  // Blocks are never evicted: the byte cap stops inserts.
   static std::deque<PriceBlock> blocks;  // deque: growth keeps blocks stable
   static std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index;
   static std::size_t memo_bytes = 0;
-  static std::mutex mu;
   constexpr std::size_t kMaxBytes = 64u << 20;
-  thread_local std::vector<unsigned char> scratch;
+  static std::vector<unsigned char> scratch;  // the key being looked up
 
   const std::size_t kd = cnt * sizeof(double);
   const std::size_t key_bytes = 5 * kd + cnt;
@@ -97,22 +92,18 @@ void bs_price_block(const double* s, const double* k, const double* r,
   std::memcpy(w + 5 * kd, put, cnt);
   const std::uint64_t h = hash_words(scratch.data(), key_bytes, cnt);
 
-  {
-    std::lock_guard<std::mutex> g(mu);
-    if (const auto it = index.find(h); it != index.end()) {
-      for (const std::uint32_t idx : it->second) {
-        const PriceBlock& b = blocks[idx];
-        if (b.key.size() == key_bytes &&
-            std::memcmp(b.key.data(), scratch.data(), key_bytes) == 0) {
-          std::memcpy(out, b.prices.data(), kd);
-          return;
-        }
+  if (const auto it = index.find(h); it != index.end()) {
+    for (const std::uint32_t idx : it->second) {
+      const PriceBlock& b = blocks[idx];
+      if (b.key.size() == key_bytes &&
+          std::memcmp(b.key.data(), scratch.data(), key_bytes) == 0) {
+        std::memcpy(out, b.prices.data(), kd);
+        return;
       }
     }
   }
   for (std::size_t j = 0; j < cnt; ++j)
     out[j] = bs_price(s[j], k[j], r[j], v[j], e[j], put[j] != 0);
-  std::lock_guard<std::mutex> g(mu);
   if (memo_bytes + key_bytes + kd <= kMaxBytes) {
     blocks.push_back(PriceBlock{scratch, std::vector<double>(out, out + cnt)});
     index[h].push_back(static_cast<std::uint32_t>(blocks.size() - 1));

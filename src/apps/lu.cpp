@@ -19,13 +19,8 @@ namespace {
 // contract to FMA (no FMA target, -ffp-contract=off), and every element
 // takes its subtract-multiplies in the order the source spells out, so the
 // factors are bit-identical whichever clone runs. Pointers never alias:
-// callers pass distinct scratch blocks. TSan builds get the default body
-// only: ifunc resolvers run before TSan's runtime is up and crash there.
-#if defined(__SANITIZE_THREAD__)
-#define ARGO_LU_KERNEL
-#else
+// callers pass distinct scratch blocks.
 #define ARGO_LU_KERNEL __attribute__((target_clones("avx2", "default")))
-#endif
 
 /// Factor the diagonal block in place (unit-lower L, U on/above diagonal).
 ARGO_LU_KERNEL void factor_diag(double* __restrict d, std::size_t b) {

@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <deque>
-#include <mutex>
 
 #include "apps/memo.hpp"
 #include "apps/span_util.hpp"
@@ -47,22 +46,16 @@ struct MmRow {
   std::vector<double> a, c;
 };
 
-// Shared across the parallel engine's host workers: entries are never
-// evicted (the byte cap just stops inserts), so a hit is served entirely
-// under the lock and the expensive product runs outside it. Two workers
-// may compute the same row block concurrently; the duplicate insert is
-// harmless.
+// Entries are never evicted: the byte cap just stops inserts.
 std::deque<std::vector<double>> mm_bmats;  // deque: stable growth
 std::deque<MmRow> mm_cache;
 std::size_t mm_memo_bytes = 0;
-std::mutex mm_memo_mu;
 constexpr std::size_t kMmMaxBytes = 96u << 20;
 
 }  // namespace
 
 std::size_t mm_intern_b(const double* b, std::size_t n) {
   const std::size_t bn = n * n;
-  std::lock_guard<std::mutex> g(mm_memo_mu);
   for (std::size_t i = mm_bmats.size(); i-- > 0;) {
     if (mm_bmats[i].size() == bn &&
         std::memcmp(mm_bmats[i].data(), b, bn * sizeof(double)) == 0)
@@ -81,18 +74,14 @@ void mm_rows_memo(const double* a, std::size_t b_id, const double* b,
     return;
   }
   const std::size_t an = rows * n;
-  {
-    std::lock_guard<std::mutex> g(mm_memo_mu);
-    for (auto it = mm_cache.rbegin(); it != mm_cache.rend(); ++it) {
-      if (it->b_id == b_id && it->a.size() == an &&
-          std::memcmp(it->a.data(), a, an * sizeof(double)) == 0) {
-        std::memcpy(c, it->c.data(), an * sizeof(double));
-        return;
-      }
+  for (auto it = mm_cache.rbegin(); it != mm_cache.rend(); ++it) {
+    if (it->b_id == b_id && it->a.size() == an &&
+        std::memcmp(it->a.data(), a, an * sizeof(double)) == 0) {
+      std::memcpy(c, it->c.data(), an * sizeof(double));
+      return;
     }
   }
   mm_rows(a, b, c, n, 0, rows);
-  std::lock_guard<std::mutex> g(mm_memo_mu);
   if (mm_memo_bytes + 2 * an * sizeof(double) <= kMmMaxBytes) {
     mm_cache.push_back(MmRow{b_id, std::vector<double>(a, a + an),
                              std::vector<double>(c, c + an)});

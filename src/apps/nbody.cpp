@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstring>
 #include <deque>
-#include <mutex>
 
 #include "apps/memo.hpp"
 #include "apps/span_util.hpp"
@@ -79,14 +78,9 @@ struct ForceTable {
 ForceTable* force_table(const double* x, const double* y, const double* z,
                         const double* m, std::size_t n) {
   static std::deque<ForceTable> tables;  // FIFO-capped, process-global
-  static std::mutex mu;  // parallel engine workers share the table
   constexpr std::size_t kMaxStates = 16;
-  // Returned pointers are written outside the lock, but each caller owns a
-  // disjoint body slice (disjoint fx/fy/fz/have elements), and eviction
-  // cannot reach an in-use state: concurrent shards are at most one
-  // lookahead window apart, far less than the steps needed to push
-  // kMaxStates newer position states.
-  std::lock_guard<std::mutex> g(mu);
+  // The caller is done with the returned table before its fiber next
+  // yields, so a later eviction never reaches a table in use.
   // No hashing: with at most kMaxStates live states, a newest-first scan
   // with early-exit memcmp is cheaper than hashing 4n doubles per call
   // (every body moves every step, so mismatching states diverge in the
@@ -139,7 +133,7 @@ void integrate_slice(const NbodyParams& p, const double* x, const double* y,
                      const double* z, const double* m, std::size_t n,
                      std::size_t lo, std::size_t hi, double* nx, double* ny,
                      double* nz, double* vx, double* vy, double* vz) {
-  thread_local std::vector<double> f;  // per host worker
+  static std::vector<double> f;  // scratch, done with before returning
   const std::size_t w = hi - lo;
   f.resize(3 * w);
   nbody_forces(x, y, z, m, n, lo, hi, f.data(), f.data() + w,

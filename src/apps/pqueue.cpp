@@ -202,9 +202,7 @@ PqResult pq_bench_dsm(Cluster& cl, DsmLockKind kind, const PqParams& p) {
                               static_cast<std::size_t>(cl.nthreads()) * 64);
   argosync::HqdLock hqdl(cl);
   argosync::DsmCohortLock cohort(cl);
-  // Counted per node: a node's threads share one engine shard, but
-  // different nodes may run on different host workers.
-  std::vector<std::uint64_t> ops(static_cast<std::size_t>(cl.nodes()), 0);
+  PqResult r;
   argosim::Time t_end = 0;
   cl.run([&](Thread& t) {
     if (t.gid() == 0) {
@@ -231,11 +229,9 @@ PqResult pq_bench_dsm(Cluster& cl, DsmLockKind kind, const PqParams& p) {
         hqdl.execute(t, cs, /*wait=*/!is_insert);
       else
         cohort.execute(t, cs);
-      ++ops[static_cast<std::size_t>(t.node())];
+      ++r.ops;
     }
   });
-  PqResult r;
-  for (const std::uint64_t n : ops) r.ops += n;
   r.elapsed = p.duration;
   r.hqdl = hqdl.total_stats();
   return r;

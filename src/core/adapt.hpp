@@ -5,7 +5,7 @@
 // never a host clock and never a cache-hit fast path (the soft-TLB
 // short-circuits hits, so a hit-path hook would break fast-vs-slow
 // bit-identity). Policies only read state owned by their own NodeCache, so
-// decisions are identical for any host worker count of the parallel engine.
+// decisions do not depend on the order the engine runs the shards in.
 //
 // Two policies, individually gated by ClusterConfig::adapt (both off by
 // default, which reproduces the fixed-knob behaviour bit-identically):

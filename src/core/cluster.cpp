@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "sim/par.hpp"
 
 namespace argocore {
 
@@ -138,16 +137,14 @@ void Cluster::register_metrics() {
   metrics_.add_counter("trace.dropped", [this] { return tracer_.dropped(); });
 
   // Host-side scheduler diagnostics (sim.*): NOT part of the identity
-  // contract — they count host work, not simulated work. With more than
-  // one engine worker sim.context_switches varies from run to run (a fiber
-  // that awaits a remote verb resumes once more whenever it gets there
-  // before another worker's shard has filled the record), so it repeats
-  // exactly only at one worker (ROADMAP item 4). sim.gated_waits counts
-  // the resumptions a gated wake saved (a read miss queued on a sibling's
-  // fill without being resumed): at one worker, context switches plus
-  // gated waits is the resumption count without the gate, which is what
-  // VelaIdentity pins. Identity suites and the golden gate skip them
-  // (ClusterStats::host_side).
+  // contract — they count host work, not simulated work, and differ
+  // between shard partitions. For a fixed partition every one of them
+  // repeats exactly from run to run: the engine advances its shards on one
+  // host thread in a fixed order. sim.gated_waits counts the resumptions a
+  // gated wake saved (a read miss queued on a sibling's fill without being
+  // resumed): context switches plus gated waits is the resumption count
+  // without the gate, which is what VelaIdentity pins. Identity suites and
+  // the golden gate skip them (ClusterStats::host_side).
   metrics_.add_counter("sim.context_switches",
                        [this] { return eng_.context_switches(); });
   metrics_.add_counter("sim.runq_pushes", [this] { return eng_.runq_pushes(); });
@@ -259,9 +256,6 @@ Time Cluster::run(const std::function<void(Thread&)>& body) {
 void Cluster::partition_engine() {
   if (partitioned_) return;
   partitioned_ = true;
-  int workers = cfg_.engine_threads > 0 ? cfg_.engine_threads
-                                        : argosim::engine_threads();
-  if (workers <= 0) workers = 1;
   // Features that inspect or wake other nodes at the same instant need
   // every node on one shard; the rest get one shard per node.
   if (cfg_.membership.enabled)
@@ -275,8 +269,7 @@ void Cluster::partition_engine() {
   // the instant it is posted.
   eng_.enable_sharding(
       engine_fallback_reason_ ? 1 : static_cast<std::uint32_t>(cfg_.nodes),
-      std::min(cfg_.net.rdma_latency, cfg_.net.msg_latency),
-      static_cast<std::uint32_t>(workers));
+      std::min(cfg_.net.rdma_latency, cfg_.net.msg_latency));
 }
 
 Time Cluster::run_subset(int use_nodes, int use_threads_per_node,

@@ -91,13 +91,6 @@ struct ClusterConfig {
   /// time matches the fixed-knob behaviour exactly.
   AdaptConfig adapt;
 
-  /// Host workers advancing this cluster's engine shards (sim/par.hpp):
-  /// 0 inherits ARGO_THREADS (one worker when unset). Every worker count
-  /// is bit-identical to one. The cluster gets one shard per node, or one
-  /// shard holding every node when a feature needs same-instant cross-node
-  /// access (membership, a barrier hook); ClusterStats says which.
-  int engine_threads = 0;
-
   /// Throw std::invalid_argument with a descriptive message when the
   /// configuration is unusable — in particular a `nodes` count outside
   /// [1, argodir::max_nodes()], the build-time ceiling of the multi-word

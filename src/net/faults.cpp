@@ -56,9 +56,8 @@ bool FaultInjector::in_brownout(int node, Time now) {
   // Fibers on different shards query a node's windows with clocks that are
   // not mutually monotonic, and a node's windows are queried both by its
   // own fibers (src side) and by remote initiators (dst side). Materialize
-  // the schedule under a host mutex and answer by binary search: the
-  // result is a pure function of (node, now), independent of query order.
-  std::lock_guard<std::mutex> g(mu_);
+  // the schedule far enough and answer by binary search: the result is a
+  // pure function of (node, now), independent of query order.
   NodeWindows& w = windows_[static_cast<std::size_t>(node)];
   if (now > w.max_t) w.max_t = now;
   while (w.mat.empty() || w.mat.back().second <= w.max_t) {

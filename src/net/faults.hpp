@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -172,7 +171,6 @@ class FaultInjector {
   std::vector<NodeWindows> windows_;
   std::vector<CrashState> crash_;  // per node; empty when no schedule
   std::vector<argosim::Rng> src_rng_;  // per-src-node op streams
-  std::mutex mu_;  // guards windows_ materialization
 };
 
 }  // namespace argonet

@@ -248,11 +248,11 @@ std::shared_ptr<T> Interconnect::acquire(
   for (auto& slot : pool) {
     if (slot.use_count() == 1) {
       slot->reset();
-      rec_pool_hits_.fetch_add(1, std::memory_order_relaxed);
+      ++rec_pool_hits_;
       return slot;
     }
   }
-  rec_pool_misses_.fetch_add(1, std::memory_order_relaxed);
+  ++rec_pool_misses_;
   auto fresh = std::make_shared<T>();
   if (pool.size() < kPoolCap) pool.push_back(fresh);
   return fresh;
@@ -679,8 +679,8 @@ void Interconnect::deliver(Message msg, Time deliver_at) {
 void Interconnect::arrive(Message msg, Time deliver_at) {
   // The inbox belongs to dst's shard, so delivery travels as a timestamped
   // effect. The inbox sequence number is assigned on the destination in
-  // effect-key order — deterministic regardless of which workers ran the
-  // senders.
+  // effect-key order — deterministic regardless of the order the window
+  // loop ran the senders' shards in.
   const int src = msg.src;
   const int dst = msg.dst;
   ship(src, dst, deliver_at,
@@ -696,7 +696,7 @@ void Interconnect::purge_stale(NodeBox& box) {
     // "No message from a dead node is applied": the sender crash-stopped
     // before this delivery instant, so the message dies in the inbox.
     box.inbox.pop();
-    stale_msgs_dropped_.fetch_add(1, std::memory_order_relaxed);
+    ++stale_msgs_dropped_;
   }
 }
 

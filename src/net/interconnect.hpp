@@ -15,7 +15,6 @@
 // interconnect at any point in time" MPI prototype limitation (§3.6.2).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -316,9 +315,7 @@ class Interconnect {
 
   /// Messages dropped at delivery because their sender had crash-stopped
   /// (the "no message from a dead epoch is applied" rule).
-  std::uint64_t stale_msgs_dropped() const {
-    return stale_msgs_dropped_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t stale_msgs_dropped() const { return stale_msgs_dropped_; }
 
   /// One dissemination round of the hierarchical barrier, issued by
   /// `node` toward `partner`: charged like a small one-sided notification
@@ -364,12 +361,8 @@ class Interconnect {
 
   /// Posted ops' completion-record pool reuses vs fresh allocations across
   /// all nodes (host-side diagnostics).
-  std::uint64_t record_pool_hits() const {
-    return rec_pool_hits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t record_pool_misses() const {
-    return rec_pool_misses_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t record_pool_hits() const { return rec_pool_hits_; }
+  std::uint64_t record_pool_misses() const { return rec_pool_misses_; }
 
  private:
   struct Pending {
@@ -548,12 +541,10 @@ class Interconnect {
   std::vector<std::unique_ptr<NodeBox>> boxes_;
   std::unique_ptr<FaultInjector> faults_;
   argoobs::Tracer* tracer_ = nullptr;
-  // Bumped by purge_stale, which runs on the receiving fiber's shard —
-  // concurrent across shards under the parallel engine.
-  std::atomic<std::uint64_t> stale_msgs_dropped_{0};
-  // Pool diagnostics; bumped from every node's shard concurrently.
-  std::atomic<std::uint64_t> rec_pool_hits_{0};
-  std::atomic<std::uint64_t> rec_pool_misses_{0};
+  std::uint64_t stale_msgs_dropped_ = 0;  // bumped by purge_stale
+  // Pool diagnostics.
+  std::uint64_t rec_pool_hits_ = 0;
+  std::uint64_t rec_pool_misses_ = 0;
 };
 
 }  // namespace argonet

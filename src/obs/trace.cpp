@@ -103,7 +103,7 @@ std::vector<TraceEvent> Tracer::snapshot() const {
   std::vector<std::size_t> idx(per.size(), 0);
   // No global order was ever observed, so rebuild one from (t, node, ring
   // order) — the engine's own tie-break at equal timestamps — and renumber
-  // so seqs stay gap-free and deterministic for any worker count.
+  // so seqs stay gap-free and deterministic.
   const auto before = [](const TraceEvent& a, const TraceEvent& b) {
     if (a.t != b.t) return a.t < b.t;
     if (a.node != b.node) return a.node < b.node;

@@ -99,7 +99,7 @@ struct TraceConfig {
 /// Per-node event rings. Every emit site runs on the emitting node's
 /// shard, so each ring is single-writer and events carry a ring-local seq;
 /// snapshot() rebuilds the global order from (t, node, ring order) — a pure
-/// function of the per-shard histories, identical for any worker count.
+/// function of the per-shard histories, whatever order the shards ran in.
 class Tracer {
  public:
   Tracer() = default;

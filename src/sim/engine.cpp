@@ -28,30 +28,14 @@
 #include <sanitizer/common_interface_defs.h>
 #endif
 
-// ThreadSanitizer likewise needs to be told about fiber switches: it keeps
-// one shadow stack + vector clock per execution context, so every
-// swapcontext must be preceded by __tsan_switch_to_fiber or TSan reports
-// wild races between fibers that share an OS thread (ARGO_TSAN builds).
-#if defined(__SANITIZE_THREAD__)
-#define ARGO_TSAN_FIBERS 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define ARGO_TSAN_FIBERS 1
-#endif
-#endif
-#if defined(ARGO_TSAN_FIBERS)
-#include <sanitizer/tsan_interface.h>
-#endif
-
 #include "sim/fcontext.hpp"
 #include "sim/sync.hpp"
 
 // The hand-rolled assembly switch (sim/fcontext.S) is the fast path on
-// supported architectures. Sanitizer builds keep ucontext: ASan and TSan
-// track fiber stacks through the annotations bracketing swapcontext, and
-// neither understands a stack pointer that moves without them.
-#if defined(ARGO_FCONTEXT_SUPPORTED) && !defined(ARGO_ASAN_FIBERS) && \
-    !defined(ARGO_TSAN_FIBERS)
+// supported architectures. ASan builds keep ucontext: ASan tracks fiber
+// stacks through the annotations bracketing swapcontext, and does not
+// understand a stack pointer that moves without them.
+#if defined(ARGO_FCONTEXT_SUPPORTED) && !defined(ARGO_ASAN_FIBERS)
 #define ARGO_USE_FCONTEXT 1
 #endif
 
@@ -65,10 +49,7 @@ using detail::g_thread;
 constexpr std::uint32_t kNoShard = 0xffffffffu;
 thread_local std::uint32_t g_shard_idx = kNoShard;
 
-// The context the scheduler loop runs in. Each host worker owns its own
-// scheduler context, so a thread_local slot is sufficient — and static
-// shard-to-worker pinning guarantees a fiber only ever swaps with the one
-// scheduler context it started against.
+// The context the scheduler loop runs in.
 #if defined(ARGO_USE_FCONTEXT)
 // fcontext handles are one-shot (every jump re-captures the jumper): the
 // resumed side stores the jumper's fresh handle here when the scheduler
@@ -82,30 +63,12 @@ thread_local ucontext_t g_sched_ctx;
 thread_local SimThread* g_jumper = nullptr;
 #endif
 
-inline void cpu_pause() {
-#if defined(__x86_64__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#else
-  std::this_thread::yield();
-#endif
-}
-
 #if defined(ARGO_ASAN_FIBERS)
 // Bounds of the scheduler's (OS thread's) stack, learned from ASan
 // whenever the scheduler resumes a fiber; needed to annotate fiber ->
 // scheduler switches.
 thread_local const void* g_sched_stack_bottom = nullptr;
 thread_local std::size_t g_sched_stack_size = 0;
-#endif
-
-#if defined(ARGO_TSAN_FIBERS)
-// TSan context of the scheduler loop's own execution (one per host
-// worker, captured on each scheduler -> fiber switch); a fiber switches
-// TSan back to it before jumping to the scheduler. Shard-to-worker pinning
-// guarantees a fiber always returns to the same worker's scheduler.
-thread_local void* g_tsan_sched_fiber = nullptr;
 #endif
 
 #if !defined(ARGO_USE_FCONTEXT)
@@ -181,12 +144,6 @@ struct SimThread::Impl {
   FiberStack stack;
   bool started = false;
   std::exception_ptr error;
-#if defined(ARGO_TSAN_FIBERS)
-  void* tsan_fiber = nullptr;
-  ~Impl() {
-    if (tsan_fiber != nullptr) __tsan_destroy_fiber(tsan_fiber);
-  }
-#endif
 };
 
 SimThread::SimThread(Engine* eng, std::uint64_t id, std::string name,
@@ -214,12 +171,10 @@ Time Engine::now() const {
   return now_;
 }
 
-void Engine::enable_sharding(std::uint32_t shards, Time l,
-                             std::uint32_t workers) {
+void Engine::enable_sharding(std::uint32_t shards, Time l) {
   assert(threads_.empty() && "enable_sharding must precede any spawn");
   assert(shards > 0);
   lookahead_ = shards == 1 ? kUnbounded : std::max<Time>(l, 1);
-  workers_ = std::clamp<std::uint32_t>(workers, 1, shards);
   shards_.clear();
   for (std::uint32_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -248,10 +203,10 @@ void Engine::shutdown() {
       }
     }
   }
-  window_end_.store(kUnbounded, std::memory_order_relaxed);
+  window_end_ = kUnbounded;
   route_outboxes();
-  // Drain every shard on the main thread, multiple passes until no
-  // progress (a shard can stall on an effect a later shard still holds).
+  // Drain every shard, multiple passes until no progress (a shard can
+  // stall on an effect a later shard still holds).
   bool progressed = true;
   bool pending = true;
   while (pending && progressed) {
@@ -265,7 +220,6 @@ void Engine::shutdown() {
     g_shard_idx = kNoShard;
     route_outboxes();
   }
-  stop_pool();
 }
 
 SimThread* Engine::spawn(std::string name, std::function<void()> body,
@@ -282,8 +236,8 @@ SimThread* Engine::spawn_on(std::uint32_t unit, std::string name,
                             std::size_t stack_size) {
   if (shards_.size() > 1 && in_window_)
     throw std::logic_error(
-        "argosim: spawn during a parallel window is not supported; spawn "
-        "between runs instead");
+        "argosim: spawn during a window of a sharded engine is not "
+        "supported; spawn between runs instead");
   const std::uint32_t shard = shards_.size() == 1 ? 0 : unit;
   assert(shard < shards_.size());
   Shard& s = *shards_[shard];
@@ -310,7 +264,7 @@ SimThread* Engine::spawn_on(std::uint32_t unit, std::string name,
   raw->shard_ = shard;
   raw->home_ = &s;
   threads_.push_back(std::move(t));
-  if (!daemon) live_nondaemon_.fetch_add(1, std::memory_order_relaxed);
+  if (!daemon) ++live_nondaemon_;
   // Between runs a shard's clock may sit ahead of the committed clock
   // (daemon events inside the final lookahead window); keep per-shard time
   // monotone by spawning no earlier than the shard clock.
@@ -409,8 +363,8 @@ SimThread* Engine::resumed_by(void* from, void* data) {
 #endif
 
 // A fiber's base frame, on both backends. Whoever resumed the fiber set
-// g_thread to it. It exits by jumping to its worker's scheduler for good,
-// which reaps its stack off-stack.
+// g_thread to it. It exits by jumping to the scheduler for good, which
+// reaps its stack off-stack.
 void Engine::fiber_main() {
   SimThread* t = g_thread;
 #if !defined(ARGO_USE_FCONTEXT)
@@ -470,16 +424,6 @@ SimThread* Engine::jump(SimThread* self, SimThread* next) {
       next != nullptr ? next->impl_->stack.base() : g_sched_stack_bottom,
       next != nullptr ? next->impl_->stack.size() : g_sched_stack_size);
 #endif
-#if defined(ARGO_TSAN_FIBERS)
-  if (self == nullptr) g_tsan_sched_fiber = __tsan_get_current_fiber();
-  void* to = g_tsan_sched_fiber;
-  if (next != nullptr) {
-    if (next->impl_->tsan_fiber == nullptr)
-      next->impl_->tsan_fiber = __tsan_create_fiber(0);
-    to = next->impl_->tsan_fiber;
-  }
-  __tsan_switch_to_fiber(to, 0);
-#endif
 #if defined(ARGO_USE_FCONTEXT)
   const FctxTransfer r =
       argo_fctx_jump(next != nullptr ? next->fctx_ : g_sched_fctx, self);
@@ -511,17 +455,13 @@ void Engine::reap_finished_one(SimThread* t) {
   s.runq.erase(t);
 #if !defined(ARGO_ASAN_FIBERS)
   // The fiber has jumped to the scheduler for good — its stack is dead
-  // and can serve the next spawn on this shard. Only this shard's worker
-  // touches its pool during a window.
+  // and can serve the next spawn on this shard.
   if (t->impl_->stack.size() == default_stack_size)
     s.stack_pool.push_back(std::move(t->impl_->stack));
 #endif
   if (!t->daemon_) {
-    live_nondaemon_.fetch_sub(1, std::memory_order_relaxed);
-    Time cur = finish_max_.load(std::memory_order_relaxed);
-    while (s.clock > cur && !finish_max_.compare_exchange_weak(
-                                cur, s.clock, std::memory_order_relaxed)) {
-    }
+    --live_nondaemon_;
+    finish_max_ = std::max(finish_max_, s.clock);
   }
   if (t->impl_->error) {
     std::exception_ptr err = t->impl_->error;
@@ -539,8 +479,7 @@ void Engine::park() {
   Shard& s = *self->home_;
   g_thread = nullptr;
   bool progressed = false;
-  SimThread* next =
-      next_fiber(s, window_end_.load(std::memory_order_relaxed), progressed);
+  SimThread* next = next_fiber(s, window_end_, progressed);
   if (next == self) {  // our own wake came first: resume in place
     g_thread = self;
     ++s.switches;
@@ -586,7 +525,7 @@ void Engine::delay_gated(Time ns, WaitQueue* q, const bool* busy) {
 // effect run here just woke) or the window ends before `when`.
 bool Engine::fast_forward(Shard& s, Time when, std::uint64_t seq) {
   while (when >= horizon(s)) {
-    if (when >= window_end_.load(std::memory_order_relaxed)) return false;
+    if (when >= window_end_) return false;
     if (!s.runq.empty() && s.runq.top().before({when, seq, nullptr}))
       return false;
     if (s.effq.empty() || s.effq.top().when > when) break;
@@ -602,7 +541,7 @@ bool Engine::fast_forward(Shard& s, Time when, std::uint64_t seq) {
 }
 
 Time Engine::horizon(Shard& s) {
-  Time h = window_end_.load(std::memory_order_relaxed);
+  Time h = window_end_;
   if (!s.runq.empty()) h = std::min(h, s.runq.top().when);
   if (!s.effq.empty()) h = std::min(h, s.effq.top().when);
   return h;
@@ -621,7 +560,7 @@ std::uint64_t Engine::skip_idle_polls(Time period, std::uint64_t cap) {
   assert(self && "skip_idle_polls() outside a simulated thread");
   if (self->stop_requested_ || period == 0 || cap == 0) return 0;
   Shard& s = *self->home_;
-  const Time w1 = window_end_.load(std::memory_order_relaxed);
+  const Time w1 = window_end_;
   const Time h = horizon(s);
   if (h == kUnbounded) return 0;
   const Time from = s.clock;
@@ -718,8 +657,8 @@ void Engine::post_effect(std::uint32_t dst, Time when, std::uint32_t klass,
     cur.outbox.emplace_back(dst, Effect{when, klass, a, b, std::move(fn)});
     return;
   }
-  // Our own shard (or between windows): no other worker can touch the
-  // queue, and key order decides when the effect runs.
+  // Our own shard (or between windows): key order decides when the
+  // effect runs.
   assert(!in_window_ || when >= shards_[dst]->clock);
   push_effect(*shards_[dst], Effect{when, klass, a, b, std::move(fn)});
 }
@@ -732,7 +671,7 @@ void Engine::await(const SimRecord& rec) {
     s.stalled = self;
     s.stall_rec = &rec;
     // The whole shard waits on another shard's effect: no handoff, the
-    // worker revisits the shard once the record completes.
+    // window loop revisits the shard once the record completes.
     jump(self, nullptr);
     if (self->stop_requested_) throw SimStopped{};
   }
@@ -752,8 +691,7 @@ SimThread* Engine::next_fiber(Shard& s, Time w1, bool& progressed) {
     if (t >= w1) return nullptr;
     // An unbounded (one-shard) window ends, as a single run queue would,
     // the moment no non-daemon fiber is left.
-    if (lookahead_ == kUnbounded && in_run_ &&
-        live_nondaemon_.load(std::memory_order_relaxed) == 0)
+    if (lookahead_ == kUnbounded && in_run_ && live_nondaemon_ == 0)
       return nullptr;
     // The shard's first event since a fiber floated: the floater's polls
     // resume first, from the last one that ends before the event.
@@ -816,12 +754,11 @@ bool Engine::shard_step(Shard& s, Time w1, bool& progressed) {
   return true;
 }
 
-void Engine::run_window(std::uint32_t w, Time w1) {
-  int idle = 0;
+void Engine::run_window(Time w1) {
   while (true) {
     bool all = true;
     bool progressed = false;
-    for (std::uint32_t s = w; s < shards_.size(); s += workers_) {
+    for (std::uint32_t s = 0; s < shards_.size(); ++s) {
       Shard& sh = *shards_[s];
       // Nothing of an idle shard is due this window, and nothing can
       // arrive during it: cross-shard effects wait in their outboxes.
@@ -831,30 +768,17 @@ void Engine::run_window(std::uint32_t w, Time w1) {
     }
     g_shard_idx = kNoShard;
     if (all) break;
-    if (!progressed) {
-      if (workers_ == 1)
-        throw std::logic_error(
-            "argosim: await() stalled on an effect no shard can deliver");
-      // Waiting on another worker's shard: spin briefly for the common
-      // case where it is running right now, then hand the core back — on
-      // an oversubscribed host the worker that can complete the record
-      // may be preempted behind this very spin.
-      if (++idle < 64)
-        cpu_pause();
-      else
-        std::this_thread::yield();
-    } else {
-      idle = 0;
-    }
+    if (!progressed)
+      throw std::logic_error(
+          "argosim: await() stalled on an effect no shard can deliver");
   }
 }
 
 void Engine::run() {
   assert(!in_run_ && "Engine::run() is not reentrant");
   in_run_ = true;
-  if (workers_ > 1) start_pool();
   std::exception_ptr err;
-  while (live_nondaemon_.load(std::memory_order_relaxed) > 0) {
+  while (live_nondaemon_ > 0) {
     route_outboxes();
     Time tmin = kUnbounded;
     for (auto& sp : shards_) {
@@ -881,31 +805,10 @@ void Engine::run() {
       in_run_ = false;
       throw SimDeadlock(os.str());
     }
-    const Time w1 =
+    window_end_ =
         tmin > kUnbounded - lookahead_ ? kUnbounded : tmin + lookahead_;
-    window_end_.store(w1, std::memory_order_relaxed);
     in_window_ = true;
-    if (workers_ > 1) {
-      done_count_.store(0, std::memory_order_relaxed);
-      {
-        std::lock_guard<std::mutex> lk(pool_mu_);
-        epoch_.fetch_add(1, std::memory_order_release);
-      }
-      pool_cv_.notify_all();
-      run_window(0, w1);
-      // Same spin-then-yield as run_window: windows are short, so the
-      // stragglers usually finish within the spin, but when the host has
-      // fewer cores than workers they need this one to run at all.
-      for (int idle = 0;
-           done_count_.load(std::memory_order_acquire) < workers_ - 1;) {
-        if (++idle < 256)
-          cpu_pause();
-        else
-          std::this_thread::yield();
-      }
-    } else {
-      run_window(0, w1);
-    }
+    run_window(window_end_);
     in_window_ = false;
     for (auto& sp : shards_) {
       if (sp->error) {  // lowest shard id wins (deterministic)
@@ -917,51 +820,9 @@ void Engine::run() {
     if (err) break;
   }
   route_outboxes();
-  Time f = finish_max_.load(std::memory_order_relaxed);
-  if (f > now_) now_ = f;
+  now_ = std::max(now_, finish_max_);
   in_run_ = false;
   if (err) std::rethrow_exception(err);
-}
-
-void Engine::start_pool() {
-  if (!pool_.empty()) return;
-  for (std::uint32_t w = 1; w < workers_; ++w)
-    pool_.emplace_back([this, w] { worker_loop(w); });
-}
-
-void Engine::stop_pool() {
-  if (pool_.empty()) return;
-  {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    pool_exit_.store(true, std::memory_order_release);
-  }
-  pool_cv_.notify_all();
-  for (auto& th : pool_) th.join();
-  pool_.clear();
-  pool_exit_.store(false, std::memory_order_relaxed);
-}
-
-void Engine::worker_loop(std::uint32_t w) {
-  std::uint64_t last = 0;
-  while (true) {
-    int spins = 0;
-    while (epoch_.load(std::memory_order_acquire) == last &&
-           !pool_exit_.load(std::memory_order_acquire)) {
-      if (++spins < 4096) {
-        cpu_pause();
-      } else {
-        std::unique_lock<std::mutex> lk(pool_mu_);
-        pool_cv_.wait(lk, [&] {
-          return epoch_.load(std::memory_order_acquire) != last ||
-                 pool_exit_.load(std::memory_order_acquire);
-        });
-      }
-    }
-    if (pool_exit_.load(std::memory_order_acquire)) break;
-    last = epoch_.load(std::memory_order_acquire);
-    run_window(w, window_end_.load(std::memory_order_relaxed));
-    done_count_.fetch_add(1, std::memory_order_release);
-  }
 }
 
 // --- SimGate ---------------------------------------------------------------
@@ -979,24 +840,21 @@ void SimGate::arrive_and_wait() {
   assert(self != nullptr);
   Engine* eng = eng_;
   const Time t = eng->now();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    waiters_.push_back(self);
-    if (t > tmax_) tmax_ = t;
-    if (++count_ == parties_) {
-      // Release time and wake keys depend only on the arrival *times*, not
-      // on which arrival the host happens to schedule last — determinism.
-      const Time release = tmax_ + cost_;
-      for (SimThread* w : waiters_)
-        eng->post_effect(w->shard_, release, /*klass=*/0, id_, w->id_,
-                         [eng, w, release] {
-                           w->blocked_ = false;
-                           eng->make_runnable(w, release);
-                         });
-      count_ = 0;
-      tmax_ = 0;
-      waiters_.clear();
-    }
+  waiters_.push_back(self);
+  if (t > tmax_) tmax_ = t;
+  if (++count_ == parties_) {
+    // Release time and wake keys depend only on the arrival *times*, not
+    // on which shard's arrival the window loop runs last.
+    const Time release = tmax_ + cost_;
+    for (SimThread* w : waiters_)
+      eng->post_effect(w->shard_, release, /*klass=*/0, id_, w->id_,
+                       [eng, w, release] {
+                         w->blocked_ = false;
+                         eng->make_runnable(w, release);
+                       });
+    count_ = 0;
+    tmax_ = 0;
+    waiters_.clear();
   }
   self->blocked_ = true;
   eng->park();

@@ -9,45 +9,42 @@
 // sequence) pair always runs next, so the same program produces
 // bit-identical virtual timings and statistics on every run. A fiber that
 // parks makes that choice itself and jumps straight into the next fiber;
-// the host worker's scheduler context regains control only when a fiber
-// finishes or stalls in await(), or the shard has nothing left to run in
-// the current window.
+// the scheduler context regains control only when a fiber finishes or
+// stalls in await(), or the shard has nothing left to run in the current
+// window.
 //
-// Shards advance in conservative lookahead windows [Tmin, Tmin + L): every
-// shard may execute its events with when < Tmin + L independently, because
-// any cross-shard interaction carries at least the interconnect's minimum
-// verb latency L and therefore lands in a strictly later window. Cross-shard
-// side effects travel as timestamped Effect closures executed on the
-// destination shard in (when, klass, a, b) key order, before any fiber wake
-// at the same time. N host workers run the same per-shard schedules
-// concurrently and stay bit-identical to one worker, because no shard ever
-// observes another shard's intra-window progress except through Effects
-// (deterministic keys) and completion Records (deterministic values).
+// The whole simulation runs on one host thread. Shards advance in
+// conservative lookahead windows [Tmin, Tmin + L): every shard may execute
+// its events with when < Tmin + L on its own, because any cross-shard
+// interaction carries at least the interconnect's minimum verb latency L
+// and therefore lands in a strictly later window. Cross-shard side effects
+// travel as timestamped Effect closures, held in the poster's outbox until
+// the window ends and executed on the destination shard in
+// (when, klass, a, b) key order, before any fiber wake at the same time.
+// The windows are what let a shard fast-forward a fiber, or float an idle
+// spinner, past instants when other shards are busy: within a window no
+// shard observes another's progress except through Effects (deterministic
+// keys) and completion Records (deterministic values).
 //
 // A default-constructed engine has one shard. With nothing to cross, its
 // window is unbounded: it runs as a single run queue and stops the moment
 // its last non-daemon fiber finishes. enable_sharding() partitions it
 // further (argo::Cluster uses one shard per node). Each shard recycles its
-// finished fibers' stacks through its own pool, so the worker reaping them
-// needs no lock.
+// finished fibers' stacks through its own pool.
 //
 // This is the substrate that stands in for the paper's physical cluster:
 // nodes, cores, NICs and message handlers are all simulated threads whose
 // costs are charged through delay().
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -62,7 +59,7 @@ class SimThread;
 class WaitQueue;
 
 namespace detail {
-// The engine and fiber running on this host thread (null outside one).
+// The engine and fiber running right now (null outside one).
 // Defined here so that Engine::current()/current_thread() inline to one
 // TLS load.
 inline constinit thread_local Engine* g_engine = nullptr;
@@ -102,8 +99,8 @@ struct SimRecord {
     return buf_.get();
   }
   const std::byte* bytes() const { return buf_.get(); }
-  void complete() { done_.store(true, std::memory_order_release); }
-  bool ready() const { return done_.load(std::memory_order_acquire); }
+  void complete() { done_ = true; }
+  bool ready() const { return done_; }
   /// Return the record to its freshly-constructed state, keeping an
   /// operand-sized buffer but freeing a page-sized one: a pooled record
   /// must not pin the largest transfer it ever served. Only for a record
@@ -115,14 +112,14 @@ struct SimRecord {
       buf_.reset();
       cap_ = 0;
     }
-    done_.store(false, std::memory_order_relaxed);
+    done_ = false;
   }
   static constexpr std::size_t kKeptBytes = 64;
 
  private:
   std::unique_ptr<std::byte[]> buf_;
   std::size_t cap_ = 0;
-  std::atomic<bool> done_{false};
+  bool done_ = false;
 };
 
 /// A fiber's stack: an anonymous private mapping of the usable bytes plus
@@ -175,8 +172,7 @@ class Engine {
 
   /// Spawn a fiber pinned to shard `unit`; a one-shard engine takes every
   /// unit, so callers may name shards by node. With more than one shard it
-  /// must be called between runs; a fiber's whole life runs on one host
-  /// worker, which is what makes ucontext/TLS state safe.
+  /// must be called between runs.
   SimThread* spawn_on(std::uint32_t unit, std::string name,
                       std::function<void()> body, bool daemon = false,
                       std::size_t stack_size = default_stack_size);
@@ -262,9 +258,9 @@ class Engine {
   std::uint64_t polls_skipped() const { return sum(&Shard::polls_skipped); }
   std::uint64_t poll_floats() const { return sum(&Shard::poll_floats); }
   /// Gated wakes whose gate was closed at the pop: fibers that joined
-  /// their wait queue without being resumed. At one worker,
-  /// context_switches() + gated_waits() is the resumption count the same
-  /// program makes with plain delay() and its own wait.
+  /// their wait queue without being resumed. context_switches() +
+  /// gated_waits() is the resumption count the same program makes with
+  /// plain delay() and its own wait.
   std::uint64_t gated_waits() const { return sum(&Shard::gated_waits); }
   std::uint64_t stacks_reused() const { return stacks_reused_; }
   /// Fiber stacks freshly mapped (spawns the pool could not serve).
@@ -295,12 +291,11 @@ class Engine {
 
   // --- shards ------------------------------------------------------------
 
-  /// Partition the simulation into `shards` event shards advanced by
-  /// `workers` host threads (1 = the sequential reference) under
+  /// Partition the simulation into `shards` event shards advanced under
   /// conservative lookahead `l` (the interconnect's minimum verb latency;
   /// ignored for one shard, whose window is unbounded). Must be called
   /// before any fiber is spawned.
-  void enable_sharding(std::uint32_t shards, Time l, std::uint32_t workers);
+  void enable_sharding(std::uint32_t shards, Time l);
   std::uint32_t shard_count() const {
     return static_cast<std::uint32_t>(shards_.size());
   }
@@ -318,15 +313,15 @@ class Engine {
                    std::uint64_t a, std::uint64_t b, EffectFn&& fn);
 
   /// Block the calling fiber (without advancing virtual time) until the
-  /// record is complete. The fiber's whole shard parks and its worker
+  /// record is complete. The fiber's whole shard parks and the window loop
   /// revisits it; the effect filling the record executes at the same
   /// virtual time on another shard within the same window, so the wait is
   /// always bounded. No-op when the record is already complete.
   void await(const SimRecord& rec);
 
-  /// Features that need same-time wakeups across host-shared state
-  /// (SimEvent-style delegation, shared mailboxes) need every fiber on one
-  /// shard: throws std::logic_error naming `why` when there are more.
+  /// Features that need same-time wakeups across shards (SimEvent-style
+  /// delegation, shared mailboxes) need every fiber on one shard: throws
+  /// std::logic_error naming `why` when there are more.
   void require_serial(const char* why) const;
 
  private:
@@ -408,8 +403,7 @@ class Engine {
     SimThread* stalled = nullptr;     // fiber parked in await()
     const SimRecord* stall_rec = nullptr;
     std::exception_ptr error;
-    // Scheduler diagnostics, single-writer (the shard's worker); summed by
-    // the Engine accessors between windows.
+    // Scheduler diagnostics, summed by the Engine accessors.
     std::uint64_t switches = 0;
     std::uint64_t fast_forwards = 0;
     std::uint64_t polls_skipped = 0;
@@ -425,10 +419,10 @@ class Engine {
         effq;
     std::vector<EffectFn> bodies;
     std::vector<std::uint32_t> free_bodies;
-    // Effects posted by fibers of this shard during the current window,
-    // routed to their destination shards by the main thread at the next
-    // window boundary (single-writer during the window, so no lock). Its
-    // capacity survives clear(): steady state allocates nothing.
+    // Effects posted by fibers of this shard to other shards during the
+    // current window, routed to their destinations at the next window
+    // boundary. Its capacity survives clear(): steady state allocates
+    // nothing.
     std::vector<std::pair<std::uint32_t, Effect>> outbox;
     // Default-size stacks of this shard's finished fibers, handed to the
     // next spawn on the shard. Off under ASan (fake-stack bookkeeping
@@ -454,8 +448,8 @@ class Engine {
   // delay() and delay_then_wait(): park until clock + ns behind the gate
   // (q, busy), or with none when q is null.
   void delay_gated(Time ns, WaitQueue* q, const bool* busy);
-  // Suspend `self` and resume `next` (null on either side: this worker's
-  // scheduler context), passing `self` as the jump's data word; sets
+  // Suspend `self` and resume `next` (null on either side: the scheduler
+  // context), passing `self` as the jump's data word; sets
   // g_thread to `next` and counts its resumption. Returns, once something
   // resumes `self`, the context that did.
   SimThread* jump(SimThread* self, SimThread* next);
@@ -472,7 +466,7 @@ class Engine {
     return n;
   }
 
-  void run_window(std::uint32_t worker, Time w1);
+  void run_window(Time w1);
   // Execute shard events below w1; returns true when the shard is done for
   // the window (false = stalled on another shard's effect). Sets
   // `progressed` when anything ran.
@@ -496,39 +490,26 @@ class Engine {
   // it skipped as skip_idle_polls would have in place.
   void catch_up(Shard& s, Time h);
   bool fast_forward(Shard& s, Time when, std::uint64_t seq);
-  // Queue an effect on `s` (its own worker, or between windows).
+  // Queue an effect on `s` (from its own shard, or between windows).
   void push_effect(Shard& s, Effect&& e);
   // Pop and run the shard's earliest effect; false when it threw (the
   // error is parked in the shard).
   bool run_effect(Shard& s);
-  void start_pool();
-  void stop_pool();
-  void worker_loop(std::uint32_t w);
 
   std::vector<std::unique_ptr<SimThread>> threads_;
   std::uint64_t stacks_reused_ = 0;
   std::uint64_t stacks_mapped_ = 0;
   Time now_ = 0;  // committed clock between runs
   std::uint64_t next_id_ = 0;
-  std::atomic<std::size_t> live_nondaemon_{0};
+  std::size_t live_nondaemon_ = 0;
   bool in_run_ = false;
 
-  std::uint32_t workers_ = 1;
   Time lookahead_ = kUnbounded;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<Time> window_end_{0};
-  std::atomic<Time> finish_max_{0};  // latest non-daemon finish time
+  Time window_end_ = 0;
+  Time finish_max_ = 0;  // latest non-daemon finish time
   bool in_window_ = false;
   std::uint64_t next_gate_id_ = 0;
-  // persistent worker pool (workers 1..workers_-1; the main thread acts as
-  // worker 0). Spin-then-sleep epoch barrier: windows are microseconds
-  // apart, so workers spin briefly before falling back to the condvar.
-  std::vector<std::thread> pool_;
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::uint32_t> done_count_{0};
-  std::atomic<bool> pool_exit_{false};
-  std::mutex pool_mu_;
-  std::condition_variable pool_cv_;
 };
 
 /// A simulated thread. Created via Engine::spawn(); users interact with it
@@ -592,8 +573,8 @@ class SimThread {
 /// the release time R = max(arrival times) + cost (with several shards the
 /// cost is clamped to at least the lookahead L) and posts one wake Effect
 /// per waiter, keyed (R, 0, gate id, fiber id) — deterministic regardless
-/// of which arrival happens to be last on the host. The timing of a
-/// SimBarrier::arrive_and_wait() followed by delay(cost).
+/// of which shard's arrival the window loop happens to run last. The
+/// timing of a SimBarrier::arrive_and_wait() followed by delay(cost).
 class SimGate {
  public:
   SimGate(Engine* eng, std::size_t parties, Time cost);
@@ -604,7 +585,6 @@ class SimGate {
   std::size_t parties_;
   Time cost_;
   std::uint64_t id_;
-  std::mutex mu_;
   std::size_t count_ = 0;
   Time tmax_ = 0;
   std::vector<SimThread*> waiters_;

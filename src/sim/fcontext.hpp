@@ -17,9 +17,8 @@
 // the host thread's scheduler slot: any context can resume any other,
 // which is what lets a parking fiber jump straight into the next one.
 //
-// The backend is chosen at build time: sanitizer builds (ARGO_SANITIZE /
-// ARGO_TSAN) keep ucontext, whose switches ASan/TSan know how to annotate
-// (see engine.cpp). Unsupported architectures compile the engine without
+// The backend is chosen at build time: ASan builds (ARGO_SANITIZE) keep
+// ucontext, whose switches ASan knows how to annotate (see engine.cpp). Unsupported architectures compile the engine without
 // this header's symbols and always take ucontext.
 #pragma once
 

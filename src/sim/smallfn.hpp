@@ -17,7 +17,6 @@
 // nothrow-move-constructible to live inline — anything else spills.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -27,17 +26,17 @@
 namespace argosim {
 
 namespace smallfn_detail {
-inline std::atomic<std::uint64_t> g_inline_hits{0};
-inline std::atomic<std::uint64_t> g_heap_spills{0};
+inline std::uint64_t g_inline_hits = 0;
+inline std::uint64_t g_heap_spills = 0;
 }  // namespace smallfn_detail
 
 /// Closures that fit their SmallFn's inline slot (no allocation).
 inline std::uint64_t smallfn_inline_hits() {
-  return smallfn_detail::g_inline_hits.load(std::memory_order_relaxed);
+  return smallfn_detail::g_inline_hits;
 }
 /// Closures that spilled to the heap (capture too large or throwing move).
 inline std::uint64_t smallfn_heap_spills() {
-  return smallfn_detail::g_heap_spills.load(std::memory_order_relaxed);
+  return smallfn_detail::g_heap_spills;
 }
 
 template <class Sig, std::size_t N = 64>
@@ -59,11 +58,11 @@ class SmallFn<R(Args...), N> {
     if constexpr (fits_inline<D>()) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
       ops_ = &kInlineOps<D>;
-      smallfn_detail::g_inline_hits.fetch_add(1, std::memory_order_relaxed);
+      ++smallfn_detail::g_inline_hits;
     } else {
       *reinterpret_cast<D**>(buf_) = new D(std::forward<F>(f));
       ops_ = &kHeapOps<D>;
-      smallfn_detail::g_heap_spills.fetch_add(1, std::memory_order_relaxed);
+      ++smallfn_detail::g_heap_spills;
     }
   }
 

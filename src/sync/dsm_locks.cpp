@@ -82,9 +82,9 @@ void GlobalMcsLock::host_reset_queue() {
 }
 
 bool GlobalMcsLock::recover_after_crash(int dead_node) {
-  if (holder_.load(std::memory_order_relaxed) != dead_node) return false;
+  if (holder_ != dead_node) return false;
   host_reset_queue();
-  holder_.store(-1, std::memory_order_relaxed);
+  holder_ = -1;
   return true;
 }
 
@@ -104,7 +104,7 @@ void GlobalMcsLock::acquire(Thread& t) {
       continue;
     }
     if (prev == 0) {
-      holder_.store(static_cast<int>(me), std::memory_order_relaxed);
+      holder_ = static_cast<int>(me);
       return;
     }
     // Link into the predecessor's slot (one remote write), then spin on
@@ -123,7 +123,7 @@ void GlobalMcsLock::acquire(Thread& t) {
         t, flag_[me], kPoll,
         [](std::uint64_t f) { return f == kGranted || f == kRestart; });
     if (v == kGranted) {
-      holder_.store(static_cast<int>(me), std::memory_order_relaxed);
+      holder_ = static_cast<int>(me);
       return;
     }
     // kRestart: the queue was force-reset after a crash; re-contend.
@@ -148,7 +148,7 @@ bool GlobalMcsLock::try_acquire_for(Thread& t, argosim::Time timeout) {
       return false;
     }
     if (cur == 0) {
-      holder_.store(static_cast<int>(me), std::memory_order_relaxed);
+      holder_ = static_cast<int>(me);
       return true;
     }
     // A declared-dead tail cannot drain until the lease sweep resets the
@@ -168,7 +168,7 @@ void GlobalMcsLock::release(Thread& t) {
   if (t.atomic_load(next_[me]) == 0) {
     // Appear to have no successor: try to swing the tail back to free.
     if (t.atomic_cas(tail_, me + 1, 0) == me + 1) {
-      holder_.store(-1, std::memory_order_relaxed);
+      holder_ = -1;
       return;
     }
     // Someone swapped in concurrently; wait for the link to appear. A
@@ -200,7 +200,7 @@ void GlobalMcsLock::release(Thread& t) {
         });
     if (link == 0) {
       host_reset_queue();
-      holder_.store(-1, std::memory_order_relaxed);
+      holder_ = -1;
       return;
     }
   }
@@ -211,11 +211,11 @@ void GlobalMcsLock::release(Thread& t) {
     // the lease expires; reset the queue now instead. Live waiters queued
     // behind the dead successor see kRestart and re-contend.
     host_reset_queue();
-    holder_.store(-1, std::memory_order_relaxed);
+    holder_ = -1;
     return;
   }
   t.atomic_store(flag_[succ], kGranted);  // grant: remote write to their node
-  holder_.store(static_cast<int>(succ), std::memory_order_relaxed);
+  holder_ = static_cast<int>(succ);
   // All DSM locks (HQDL, cohort, mutex) funnel global handovers through
   // here; the lock's identity is its tail word's global address.
   t.cluster().tracer().emit(t.node(), argoobs::Ev::LockHandover, tail_.raw(),

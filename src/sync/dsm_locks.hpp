@@ -17,7 +17,6 @@
 //    synchronization exposed to Carina, §3.1).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <exception>
@@ -78,9 +77,7 @@ class GlobalMcsLock : public argocore::RecoverableLock {
   static constexpr int kStuckPolls = 64;
 
   // RecoverableLock: lease sweep interface (host-side, no simulated ops).
-  int holder_node() const override {
-    return holder_.load(std::memory_order_relaxed);
-  }
+  int holder_node() const override { return holder_; }
   bool recover_after_crash(int dead_node) override;
 
  private:
@@ -94,12 +91,9 @@ class GlobalMcsLock : public argocore::RecoverableLock {
   std::vector<gptr<std::uint64_t>> next_;       // successor link, per node
   argomem::GlobalMemory* gmem_ = nullptr;
   argocore::MembershipService* membership_ = nullptr;  // null = feature off
-  // Host mirror: node holding (or being granted) the lock. Atomic because
-  // under the parallel engine acquire/release run on different host
-  // workers whose fibers may share a lookahead window; the field is pure
-  // host bookkeeping (lease sweep + diagnostics), never read by simulated
-  // code, so relaxed ordering cannot perturb virtual time.
-  std::atomic<int> holder_{-1};
+  // Host mirror: node holding (or being granted) the lock. Pure host
+  // bookkeeping (lease sweep + diagnostics), never read by simulated code.
+  int holder_ = -1;
 };
 
 /// Statistics for the delegation locks.

@@ -1,6 +1,6 @@
 // Adaptive runtime tuning (core/adapt.*): both policies must be
-// deterministic (bit-identical across reruns, engine worker counts, and
-// chaos/crash schedules), an inert policy must pass the configured knob
+// deterministic (bit-identical across reruns and to results recorded once,
+// under chaos and crash schedules too), an inert policy must pass the configured knob
 // through verbatim, and each policy's controller must honor its directed
 // semantics: the write-buffer hill-climber's priming/judgment/revert/
 // bounds, and the diff-density streak and probe cadence.
@@ -17,10 +17,10 @@
 #include "core/adapt.hpp"
 #include "core/carina.hpp"
 #include "core/cluster.hpp"
+#include "fingerprint.hpp"
 #include "net/faults.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
-#include "sim/par.hpp"
 
 namespace {
 
@@ -37,12 +37,6 @@ constexpr std::size_t kWordsPerPage = argomem::kPageSize / sizeof(std::uint64_t)
 // The write-buffer sizer's capacity ceiling (kWbMaxPages in
 // core/adapt.cpp).
 constexpr std::size_t kWbCeiling = 8192;
-
-// Restores the process-wide worker count (ARGO_THREADS).
-struct EngineGuard {
-  int prev_threads = argosim::engine_threads();
-  ~EngineGuard() { argosim::set_engine_threads(prev_threads); }
-};
 
 // The curated comparable footprint of one node's CoherenceStats (same
 // fields tests/test_hostperf.cpp compares) plus every adapt decision
@@ -76,6 +70,15 @@ struct RunObs {
   bool operator==(const RunObs& o) const {
     return trace == o.trace && elapsed == o.elapsed && stats == o.stats &&
            mem_hash == o.mem_hash;
+  }
+  // Everything above folded into one FNV-1a word, to compare with a
+  // recorded result.
+  std::uint64_t fold() const {
+    std::uint64_t h = argotest::fnv1a(trace.data(), trace.size());
+    h = argotest::fnv1a(&elapsed, sizeof elapsed, h);
+    for (const auto& v : stats)
+      h = argotest::fnv1a(v.data(), v.size() * sizeof(std::uint64_t), h);
+    return argotest::fnv1a(&mem_hash, sizeof mem_hash, h);
   }
 };
 
@@ -149,33 +152,43 @@ RunObs run_random_workload(unsigned seed, bool chaos, int adapt_mask) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: reruns, worker counts, chaos, crash schedules
+// Determinism: reruns, recorded results, chaos, crash schedules
 
 TEST(AdaptDeterminism, BitIdenticalAcrossRerunsAndWorkerCounts) {
-  for (const unsigned seed : {11u, 22u, 33u}) {
-    for (const bool chaos : {false, true}) {
-      auto run_at = [&](int workers) {
-        EngineGuard eg;
-        argosim::set_engine_threads(workers);
-        return run_random_workload(seed, chaos, /*adapt_mask=*/3);
-      };
-      const RunObs ref = run_at(1);
-      ASSERT_GT(ref.trace.size(), 32u) << "seed " << seed;
-      EXPECT_EQ(ref, run_at(1)) << "rerun, seed " << seed << " chaos " << chaos;
-      EXPECT_EQ(ref, run_at(2)) << "2 workers, seed " << seed;
-      EXPECT_EQ(ref, run_at(8)) << "8 workers, seed " << seed;
-    }
+  const struct {
+    unsigned seed;
+    bool chaos;
+    std::uint64_t want;
+  } cases[] = {
+      {11, false, 14714757622279624722ull}, {11, true, 3168595047122091118ull},
+      {22, false, 8165191926741962533ull}, {22, true, 12684292111647352930ull},
+      {33, false, 6364695087858499634ull}, {33, true, 16833430058872707530ull},
+  };
+  for (const auto& c : cases) {
+    const RunObs ref = run_random_workload(c.seed, c.chaos, /*adapt_mask=*/3);
+    ASSERT_GT(ref.trace.size(), 32u) << "seed " << c.seed;
+    EXPECT_EQ(ref, run_random_workload(c.seed, c.chaos, 3))
+        << "rerun, seed " << c.seed << " chaos " << c.chaos;
+    EXPECT_EQ(ref.fold(), c.want)
+        << "recorded result, seed " << c.seed << " chaos " << c.chaos;
   }
 }
 
 TEST(AdaptDeterminism, CrashRecoveryRunsReplayBitIdentically) {
   // A mid-run crash-stop failure with lease recovery, transient RDMA chaos
   // on top, and every adaptive policy active: (elapsed, checksum) must
-  // replay bit-identically per seed, sequential and at 8 workers.
-  for (const std::uint64_t seed : {101ull, 202ull, 303ull}) {
-    auto run_at = [&](int workers) {
-      EngineGuard eg;
-      argosim::set_engine_threads(workers);
+  // replay bit-identically per seed and reproduce the recorded result.
+  const struct {
+    std::uint64_t seed;
+    std::pair<argosim::Time, double> want;
+  } cases[] = {
+      {101, {746872, 0x1.832781898f58bp+13}},
+      {202, {738246, 0x1.83278377b732dp+13}},
+      {303, {744328, 0x1.83278377b732dp+13}},
+  };
+  for (const auto& c : cases) {
+    const std::uint64_t seed = c.seed;
+    auto run = [&] {
       argo::ClusterConfig cfg;
       cfg.nodes = 4;
       cfg.threads_per_node = 2;
@@ -196,9 +209,9 @@ TEST(AdaptDeterminism, CrashRecoveryRunsReplayBitIdentically) {
       EXPECT_EQ(cl.membership().stats().deaths, 1u);
       return std::make_pair(r.elapsed, r.checksum);
     };
-    const auto ref = run_at(1);
-    EXPECT_EQ(ref, run_at(1)) << "seed " << seed;
-    EXPECT_EQ(ref, run_at(8)) << "seed " << seed;
+    const auto ref = run();
+    EXPECT_EQ(ref, run()) << "seed " << seed;
+    EXPECT_EQ(ref, c.want) << "seed " << seed;
   }
 }
 

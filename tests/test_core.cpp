@@ -333,35 +333,31 @@ TEST(Carina, DiffsOnlyTransmitChangedBytes) {
 // copy that is about to be marked clean.
 TEST(Carina, StoreDuringWritebackIsNotLost) {
   for (const int pipeline : {1, 16}) {
-    for (const int workers : {0, 2}) {
-      auto cfg = small_cfg(2, 2, Mode::PS3);
-      cfg.net.pipeline = pipeline;
-      cfg.engine_threads = workers;
-      Cluster cl(cfg);
-      auto p = page_addr(20).cast<std::uint64_t>();  // homed on node 1
-      // Inside the release's writeback window: after the diff scan, before
-      // the gather write completes (blocking) or its post returns (depth 16).
-      const Time late_store = pipeline > 1 ? 101'000 : 101'500;
-      cl.run([&](Thread& t) {
-        if (t.node() == 0 && t.tid() == 0) {
-          t.store(p, std::uint64_t{1});
-          t.compute(100'000 - t.now());
-          t.release();
-        } else if (t.node() == 0) {
-          t.compute(50'000);
-          t.store(p + 1, std::uint64_t{2});
-          t.compute(late_store - t.now());
-          t.store(p + 2, std::uint64_t{3});
-        }
-        t.barrier();
-      });
-      const std::uint64_t* home = cl.host_ptr(p);
-      const std::string what = "pipeline " + std::to_string(pipeline) +
-                               ", workers " + std::to_string(workers);
-      EXPECT_EQ(home[0], 1u) << what;
-      EXPECT_EQ(home[1], 2u) << what;
-      EXPECT_EQ(home[2], 3u) << what;
-    }
+    auto cfg = small_cfg(2, 2, Mode::PS3);
+    cfg.net.pipeline = pipeline;
+    Cluster cl(cfg);
+    auto p = page_addr(20).cast<std::uint64_t>();  // homed on node 1
+    // Inside the release's writeback window: after the diff scan, before
+    // the gather write completes (blocking) or its post returns (depth 16).
+    const Time late_store = pipeline > 1 ? 101'000 : 101'500;
+    cl.run([&](Thread& t) {
+      if (t.node() == 0 && t.tid() == 0) {
+        t.store(p, std::uint64_t{1});
+        t.compute(100'000 - t.now());
+        t.release();
+      } else if (t.node() == 0) {
+        t.compute(50'000);
+        t.store(p + 1, std::uint64_t{2});
+        t.compute(late_store - t.now());
+        t.store(p + 2, std::uint64_t{3});
+      }
+      t.barrier();
+    });
+    const std::uint64_t* home = cl.host_ptr(p);
+    const std::string what = "pipeline " + std::to_string(pipeline);
+    EXPECT_EQ(home[0], 1u) << what;
+    EXPECT_EQ(home[1], 2u) << what;
+    EXPECT_EQ(home[2], 3u) << what;
   }
 }
 

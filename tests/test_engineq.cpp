@@ -6,8 +6,8 @@
 // results the seed implementations produced, recorded once and pinned
 // below: LU / MM / EP must reproduce the seed's virtual time, result and
 // observables — every simulated counter and every trace event, folded into
-// one fingerprint — at every engine worker count, with and without chaos
-// fault injection, at posted-pipeline depths 1 and 16.
+// one fingerprint — with and without chaos fault injection, at
+// posted-pipeline depths 1 and 16.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -55,7 +55,7 @@ std::uint64_t observables(Cluster& cl) {
   return h;
 }
 
-ClusterConfig identity_cfg(int workers, int pipeline) {
+ClusterConfig identity_cfg(int pipeline) {
   ClusterConfig c;
   c.nodes = 4;
   c.threads_per_node = 2;
@@ -64,23 +64,16 @@ ClusterConfig identity_cfg(int workers, int pipeline) {
   c.cache.write_buffer_pages = 1024;
   c.net.pipeline = pipeline;
   c.trace.enabled = true;
-  c.engine_threads = workers;
   return c;
 }
 
-// Run at one worker (the sequential reference) and parallel workers 2
-// and 8; every run must reproduce the recorded seed result.
-template <class RunFn>
-void expect_seed_result(const std::string& label, const AppFp& seed,
-                        RunFn run) {
-  for (const int workers : {1, 2, 8}) {
-    const AppFp got = run(workers);
-    const std::string what = label + " workers=" + std::to_string(workers);
-    EXPECT_EQ(got.elapsed, seed.elapsed) << what << ": virtual time moved";
-    EXPECT_EQ(got.checksum, seed.checksum) << what << ": result moved";
-    EXPECT_EQ(got.observables, seed.observables)
-        << what << ": counters or trace moved";
-  }
+// The run must reproduce the recorded seed result.
+void expect_seed_result(const std::string& what, const AppFp& seed,
+                        const AppFp& got) {
+  EXPECT_EQ(got.elapsed, seed.elapsed) << what << ": virtual time moved";
+  EXPECT_EQ(got.checksum, seed.checksum) << what << ": result moved";
+  EXPECT_EQ(got.observables, seed.observables)
+      << what << ": counters or trace moved";
 }
 
 TEST(FastSlowIdentity, LuAtPipelineDepths1And16) {
@@ -95,12 +88,10 @@ TEST(FastSlowIdentity, LuAtPipelineDepths1And16) {
       {16, {235054, 0x1.01069a84e1932p+12, 2337071728558467269ull}},
   };
   for (const auto& c : cases) {
-    expect_seed_result(
-        "lu pipeline=" + std::to_string(c.pipeline), c.seed, [&](int workers) {
-          Cluster cl(identity_cfg(workers, c.pipeline));
-          const auto r = argoapps::lu_run_argo(cl, p);
-          return AppFp{r.elapsed, r.checksum, observables(cl)};
-        });
+    Cluster cl(identity_cfg(c.pipeline));
+    const auto r = argoapps::lu_run_argo(cl, p);
+    expect_seed_result("lu pipeline=" + std::to_string(c.pipeline), c.seed,
+                       {r.elapsed, r.checksum, observables(cl)});
   }
 }
 
@@ -115,12 +106,10 @@ TEST(FastSlowIdentity, MmAtPipelineDepths1And16) {
       {16, {119543, 0x1.6e9a2263b8117p+7, 12288078344231633133ull}},
   };
   for (const auto& c : cases) {
-    expect_seed_result(
-        "mm pipeline=" + std::to_string(c.pipeline), c.seed, [&](int workers) {
-          Cluster cl(identity_cfg(workers, c.pipeline));
-          const auto r = argoapps::mm_run_argo(cl, p);
-          return AppFp{r.elapsed, r.checksum, observables(cl)};
-        });
+    Cluster cl(identity_cfg(c.pipeline));
+    const auto r = argoapps::mm_run_argo(cl, p);
+    expect_seed_result("mm pipeline=" + std::to_string(c.pipeline), c.seed,
+                       {r.elapsed, r.checksum, observables(cl)});
   }
 }
 
@@ -136,24 +125,21 @@ TEST(FastSlowIdentity, EpUnderChaosSeeds) {
       {17, {54118, 0x1.98fda4db7ccf6p+11, 3448032626636992797ull}},
   };
   for (const auto& c : cases) {
+    ClusterConfig cfg = identity_cfg(16);
+    cfg.faults.enabled = true;
+    cfg.faults.seed = c.chaos_seed;
+    cfg.faults.rdma_fail_prob = 0.02;
+    cfg.faults.jitter_prob = 0.2;
+    cfg.faults.jitter_max = 800;
+    cfg.faults.msg_drop_prob = 0.05;
+    cfg.faults.msg_dup_prob = 0.02;
+    Cluster cl(cfg);
+    const auto r = argoapps::ep_run_argo(cl, p);
     expect_seed_result(
         "ep chaos_seed=" + std::to_string(c.chaos_seed), c.seed,
-        [&](int workers) {
-          ClusterConfig cfg = identity_cfg(workers, 16);
-          cfg.faults.enabled = true;
-          cfg.faults.seed = c.chaos_seed;
-          cfg.faults.rdma_fail_prob = 0.02;
-          cfg.faults.jitter_prob = 0.2;
-          cfg.faults.jitter_max = 800;
-          cfg.faults.msg_drop_prob = 0.05;
-          cfg.faults.msg_dup_prob = 0.02;
-          Cluster cl(cfg);
-          const auto r = argoapps::ep_run_argo(cl, p);
-          return AppFp{r.elapsed,
-                       r.tally.sx + r.tally.sy +
-                           static_cast<double>(r.tally.accepted),
-                       observables(cl)};
-        });
+        {r.elapsed,
+         r.tally.sx + r.tally.sy + static_cast<double>(r.tally.accepted),
+         observables(cl)});
   }
 }
 

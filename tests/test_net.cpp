@@ -367,9 +367,9 @@ TEST(PostedVerbs, DepthOneIsExactlyTheBlockingVerb) {
 }
 
 // Every remote verb, blocking and as a depth-1 post, on a one-shard engine
-// and on a two-shard engine at one and two workers, fault-free and under
-// one chaos seed: the two forms must charge, count and move exactly the
-// same bytes, and so must every engine shape.
+// and on a two-shard engine, fault-free and under one chaos seed: the two
+// forms must charge, count and move exactly the same bytes, and so must
+// both engine shapes.
 
 struct VerbMem {
   std::array<std::uint64_t, 8> remote{};  // node 1's memory
@@ -489,13 +489,12 @@ std::vector<std::uint64_t> stat_fields(const NodeNetStats& s) {
           s.posted_ops,      s.posted_inflight_hwm};
 }
 
-// `workers` 0: the default one-shard engine; else two shards (one per
-// node) advanced by that many workers.
-VerbOutcome run_verb_case(const VerbCase& vc, bool post, int workers,
+// `sharded` false: the default one-shard engine; true: two shards, one
+// per node.
+VerbOutcome run_verb_case(const VerbCase& vc, bool post, bool sharded,
                           bool chaos) {
   Engine eng;
-  if (workers > 0)
-    eng.enable_sharding(2, 1000, static_cast<std::uint32_t>(workers));
+  if (sharded) eng.enable_sharding(2, 1000);
   Interconnect net(2, test_cfg());
   if (chaos) {
     FaultConfig f;
@@ -541,13 +540,13 @@ void expect_same_outcome(const VerbOutcome& a, const VerbOutcome& b,
 TEST(PostedVerbs, EveryVerbAtDepthOneEqualsItsBlockingForm) {
   for (const VerbCase& vc : kVerbCases) {
     for (const bool chaos : {false, true}) {
-      const VerbOutcome one_shard = run_verb_case(vc, false, 0, chaos);
-      for (const int workers : {0, 1, 2}) {
-        const std::string what = std::string(vc.name) + " workers=" +
-                                 std::to_string(workers) +
+      const VerbOutcome one_shard = run_verb_case(vc, false, false, chaos);
+      for (const bool sharded : {false, true}) {
+        const std::string what = std::string(vc.name) +
+                                 (sharded ? " two shards" : " one shard") +
                                  (chaos ? " chaos" : " fault-free");
-        const VerbOutcome blocking = run_verb_case(vc, false, workers, chaos);
-        expect_same_outcome(blocking, run_verb_case(vc, true, workers, chaos),
+        const VerbOutcome blocking = run_verb_case(vc, false, sharded, chaos);
+        expect_same_outcome(blocking, run_verb_case(vc, true, sharded, chaos),
                             what);
         // Fault draws come from per-node streams, so every engine shape
         // sees the same pattern, chaos included.

@@ -529,14 +529,14 @@ TEST(EngineHandoff, FinishedFiberIsReapedAndItsStackReused) {
 // Per-shard log of (virtual time, who, effect seen) on a sharded engine.
 using ShardLog = std::vector<std::vector<std::tuple<Time, int, bool>>>;
 
-ShardLog run_window_edge(std::uint32_t workers) {
+ShardLog run_window_edge() {
   // Lookahead 100 and four shards: odd shard k+1 posts an effect to even
   // shard k at 100. On shard k, `a` parks at 10 with `b` due at 120, past
   // the first window's end: the handoff must return to the scheduler
   // instead of resuming `b` before the effect has been routed.
   constexpr std::uint32_t kShards = 4;
   Engine eng;
-  eng.enable_sharding(kShards, 100, workers);
+  eng.enable_sharding(kShards, 100);
   ShardLog log(kShards);
   std::vector<char> seen(kShards, 0);
   for (std::uint32_t k = 0; k < kShards; k += 2) {
@@ -562,13 +562,11 @@ ShardLog run_window_edge(std::uint32_t workers) {
 }
 
 TEST(EngineHandoff, NeverResumesAFiberPastTheWindowEnd) {
-  const ShardLog ref = run_window_edge(1);
-  const std::vector<std::tuple<Time, int, bool>> want = {
+  const std::vector<std::tuple<Time, int, bool>> even = {
       {10, 0, false}, {100, 2, true}, {120, 1, true}, {170, 0, true}};
-  EXPECT_EQ(ref[0], want);
-  EXPECT_EQ(ref[2], want);
-  EXPECT_EQ(ref, run_window_edge(2));
-  EXPECT_EQ(ref, run_window_edge(4));
+  const ShardLog want = {even, {}, even, {}};
+  EXPECT_EQ(run_window_edge(), want);
+  EXPECT_EQ(run_window_edge(), want);  // a fresh run repeats it
 }
 
 TEST(Rng, KnownSequencesAndRanges) {
@@ -709,7 +707,7 @@ TEST(IdlePollSkip, StopsOnePollShortOfAWakeAtAReadInstant) {
 TEST(IdlePollSkip, StopsOnePollShortOfTheWindowEnd) {
   auto run = [](bool skip) {
     Engine eng;
-    eng.enable_sharding(2, read_at(5), 1);
+    eng.enable_sharding(2, read_at(5));
     std::uint64_t word = 0;
     SpinResult r;
     eng.post_effect(0, 2000, 0, 0, 0, [&word] { word = 1; });
@@ -776,7 +774,7 @@ void spawn_ticker(Engine& eng, std::uint32_t shard, Time step, int n) {
 TEST(PollFloat, FloatsAcrossWindowsAndStopsOnePollShortOfAnEffect) {
   auto run = [](bool skip) {
     Engine eng;
-    eng.enable_sharding(2, kL, 1);
+    eng.enable_sharding(2, kL);
     std::uint64_t word = 0;
     SpinResult r;
     eng.post_effect(0, read_at(10), 0, 0, 0, [&word] { word = 1; });
@@ -804,7 +802,7 @@ TEST(PollFloat, FloatsAcrossWindowsAndStopsOnePollShortOfAnEffect) {
 TEST(PollFloat, KilledFloaterUnwindsAtTheKillInstant) {
   auto run = [](bool skip) {
     Engine eng;
-    eng.enable_sharding(2, kL, 1);
+    eng.enable_sharding(2, kL);
     std::uint64_t word = 0;
     SpinResult r;
     Time unwound = 0;
@@ -839,7 +837,7 @@ TEST(PollFloat, KilledFloaterUnwindsAtTheKillInstant) {
 TEST(PollFloat, FloaterIsUnwoundBetweenRuns) {
   for (const bool kill_first : {true, false}) {
     Engine eng;
-    eng.enable_sharding(2, kL, 1);
+    eng.enable_sharding(2, kL);
     std::uint64_t word = 0;
     SpinResult r;
     Time unwound = 0;
@@ -878,7 +876,7 @@ TEST(PollFloat, CappedSpinReachesItsCapWithNoOtherEvent) {
   constexpr int kStuck = 40;
   auto run = [](bool skip) {
     Engine eng;
-    eng.enable_sharding(2, kL, 1);
+    eng.enable_sharding(2, kL);
     SpinResult r;
     eng.spawn_on(0, "link-wait", [&] {
       Engine& e = *Engine::current();
@@ -911,11 +909,11 @@ TEST(PollFloat, CappedSpinReachesItsCapWithNoOtherEvent) {
 
 // Four shards, a spinner on each, set by an effect its neighbour posts
 // at a read instant (shard k's at read_at(10 + 3k)), plus a ticker: every
-// float is caught up by a cross-shard effect, on any worker.
-std::vector<SpinResult> run_float_ring(bool skip, std::uint32_t workers) {
+// float is caught up by a cross-shard effect.
+std::vector<SpinResult> run_float_ring(bool skip) {
   constexpr std::uint32_t kShards = 4;
   Engine eng;
-  eng.enable_sharding(kShards, kL, workers);
+  eng.enable_sharding(kShards, kL);
   std::vector<std::uint64_t> word(kShards, 0);
   std::vector<SpinResult> r(kShards + 1);
   for (std::uint32_t k = 0; k < kShards; ++k) {
@@ -936,18 +934,15 @@ std::vector<SpinResult> run_float_ring(bool skip, std::uint32_t workers) {
 }
 
 TEST(PollFloat, SameResultsAtEveryWorkerCount) {
-  const std::vector<SpinResult> polled = run_float_ring(false, 1);
-  for (const std::uint32_t workers : {1u, 2u, 4u}) {
-    const std::vector<SpinResult> skipped = run_float_ring(true, workers);
-    for (std::size_t k = 0; k + 1 < polled.size(); ++k) {
-      EXPECT_EQ(polled[k].seen, read_at(10 + 3 * static_cast<Time>(k)));
-      EXPECT_EQ(skipped[k].seen, polled[k].seen) << workers << " workers";
-      EXPECT_EQ(skipped[k].polls, polled[k].polls) << workers << " workers";
-    }
-    EXPECT_EQ(skipped.back().delays(), polled.back().delays())
-        << workers << " workers";
-    EXPECT_GT(skipped.back().floats, 0u);
+  const std::vector<SpinResult> polled = run_float_ring(false);
+  const std::vector<SpinResult> skipped = run_float_ring(true);
+  for (std::size_t k = 0; k + 1 < polled.size(); ++k) {
+    EXPECT_EQ(polled[k].seen, read_at(10 + 3 * static_cast<Time>(k)));
+    EXPECT_EQ(skipped[k].seen, polled[k].seen) << "shard " << k;
+    EXPECT_EQ(skipped[k].polls, polled[k].polls) << "shard " << k;
   }
+  EXPECT_EQ(skipped.back().delays(), polled.back().delays());
+  EXPECT_GT(skipped.back().floats, 0u);
 }
 
 // ---------------------------------------------------------------------------

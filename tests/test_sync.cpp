@@ -525,21 +525,18 @@ TEST(GlobalMcs, TimedAcquireFailsWithinOneCasOfTheDeadline) {
 // ---------------------------------------------------------------------------
 //
 // Each Vela scenario must reproduce the virtual time and the fingerprint
-// recorded before the idle-poll skip existed, at 1, 2 and 4 engine workers
-// and at posted-pipeline depths 1 and 16. The fingerprint folds the HQDL
-// statistics, every net.* counter (each skipped poll still counts as the
-// local read it stands for) and the delay count sim.fast_forwards +
-// sim.runq_pushes - sim.poll_floats: host-side, but deterministic for one
-// shard partition (one shard per node at every worker count here), and
-// exactly what skipped polls must leave as simulated ones would have.
-// (Each delay is one fast-forward or one push, whichever the window
+// recorded before the idle-poll skip existed, at posted-pipeline depths 1
+// and 16. The fingerprint folds the HQDL statistics, every net.* counter
+// (each skipped poll still counts as the local read it stands for) and the
+// delay count sim.fast_forwards + sim.runq_pushes - sim.poll_floats:
+// host-side, but deterministic for one shard partition (one shard per node
+// here), and exactly what skipped polls must leave as simulated ones would
+// have. (Each delay is one fast-forward or one push, whichever the window
 // allows; a float adds one push, its catch-up entry. Floats move window
 // ends, so fast-forwards alone are not pinned.) The fingerprints were
 // derived without floats, where the delay count is fast_forwards + pushes.
-// sim.context_switches + sim.gated_waits (the resumptions without gated
-// wakes) is pinned at one worker only: with more, whether a blocking
-// verb's issuer finds its record already filled when it awaits it depends
-// on host timing.
+// sim.context_switches + sim.gated_waits is the resumption count without
+// gated wakes.
 
 struct VelaFp {
   Time elapsed = 0;
@@ -567,16 +564,15 @@ VelaFp vela_fp(Cluster& cl, Time elapsed, std::uint64_t ops = 0,
           st.counter("sim.context_switches") + st.counter("sim.gated_waits")};
 }
 
-ClusterConfig vela_cfg(int nodes, int tpn, int workers, int pipeline) {
+ClusterConfig vela_cfg(int nodes, int tpn, int pipeline) {
   ClusterConfig c = dsm_cfg(nodes, tpn);
-  c.engine_threads = workers;
   c.net.pipeline = pipeline;
   return c;
 }
 
 // Four nodes queue on one global MCS lock: grant spins and link waits.
-VelaFp vela_mcs(int workers, int pipeline) {
-  Cluster cl(vela_cfg(4, 1, workers, pipeline));
+VelaFp vela_mcs(int pipeline) {
+  Cluster cl(vela_cfg(4, 1, pipeline));
   GlobalMcsLock lock(cl);
   const Time e = cl.run([&](Thread& t) {
     for (int k = 0; k < 20; ++k) {
@@ -589,8 +585,8 @@ VelaFp vela_mcs(int workers, int pipeline) {
   return vela_fp(cl, e);
 }
 
-VelaFp vela_pq(argoapps::DsmLockKind kind, int workers, int pipeline) {
-  Cluster cl(vela_cfg(4, 3, workers, pipeline));
+VelaFp vela_pq(argoapps::DsmLockKind kind, int pipeline) {
+  Cluster cl(vela_cfg(4, 3, pipeline));
   argoapps::PqParams p;
   p.duration = 150'000;
   p.prefill = 128;
@@ -598,8 +594,8 @@ VelaFp vela_pq(argoapps::DsmLockKind kind, int workers, int pipeline) {
   return vela_fp(cl, cl.now(), r.ops, r.hqdl);
 }
 
-VelaFp vela_mutex(int workers, int pipeline) {
-  Cluster cl(vela_cfg(3, 2, workers, pipeline));
+VelaFp vela_mutex(int pipeline) {
+  Cluster cl(vela_cfg(3, 2, pipeline));
   DsmMutex lock(cl);
   auto ctr = cl.alloc<std::uint64_t>(1);
   const Time e = cl.run([&](Thread& t) {
@@ -616,8 +612,8 @@ VelaFp vela_mutex(int workers, int pipeline) {
 
 // The flag word is homed on node 0: node 0's waiters spin locally, the
 // rest remotely.
-VelaFp vela_flag(int workers, int pipeline) {
-  Cluster cl(vela_cfg(3, 2, workers, pipeline));
+VelaFp vela_flag(int pipeline) {
+  Cluster cl(vela_cfg(3, 2, pipeline));
   DsmFlag flag(cl);
   auto data = cl.alloc<std::uint64_t>(8);
   const Time e = cl.run([&](Thread& t) {
@@ -640,36 +636,60 @@ TEST(VelaIdentity, RecordedResultsAtEveryWorkerCountAndDepth) {
     const char* name;
     int pipeline;
     VelaFp want;
-    std::function<VelaFp(int, int)> run;
+    std::function<VelaFp(int)> run;
   } cases[] = {
       {"global_mcs", 1, {416517, 14192598990595445839ull, 576}, vela_mcs},
       {"global_mcs", 16, {416517, 14192598990595445839ull, 576}, vela_mcs},
       {"pq_hqdl", 1, {231054, 10369511168309020145ull, 814},
-       [](int w, int d) { return vela_pq(DsmLockKind::Hqdl, w, d); }},
+       [](int d) { return vela_pq(DsmLockKind::Hqdl, d); }},
       {"pq_hqdl", 16, {227835, 16976102682998999875ull, 844},
-       [](int w, int d) { return vela_pq(DsmLockKind::Hqdl, w, d); }},
+       [](int d) { return vela_pq(DsmLockKind::Hqdl, d); }},
       {"pq_cohort", 1, {366159, 14842358924035715955ull, 376},
-       [](int w, int d) { return vela_pq(DsmLockKind::Cohort, w, d); }},
+       [](int d) { return vela_pq(DsmLockKind::Cohort, d); }},
       {"pq_cohort", 16, {333759, 17863699879761819877ull, 372},
-       [](int w, int d) { return vela_pq(DsmLockKind::Cohort, w, d); }},
+       [](int d) { return vela_pq(DsmLockKind::Cohort, d); }},
       {"dsm_mutex", 1, {525897, 5824421259757279204ull, 676}, vela_mutex},
       {"dsm_mutex", 16, {522697, 5381639178171489769ull, 675}, vela_mutex},
       {"dsm_flag", 1, {51692, 17532846167804768209ull, 492}, vela_flag},
       {"dsm_flag", 16, {47789, 15924858060319843160ull, 468}, vela_flag},
   };
   for (const auto& c : cases) {
-    for (const int workers : {1, 2, 4}) {
-      const VelaFp got = c.run(workers, c.pipeline);
-      const std::string what = std::string(c.name) + " pipeline=" +
-                               std::to_string(c.pipeline) +
-                               " workers=" + std::to_string(workers);
-      EXPECT_EQ(got.elapsed, c.want.elapsed) << what << ": virtual time moved";
-      EXPECT_EQ(got.fp, c.want.fp) << what << ": counters moved";
-      if (workers == 1) {
-        EXPECT_EQ(got.switches, c.want.switches) << what << ": switches moved";
-      }
-    }
+    const VelaFp got = c.run(c.pipeline);
+    const std::string what =
+        std::string(c.name) + " pipeline=" + std::to_string(c.pipeline);
+    EXPECT_EQ(got.elapsed, c.want.elapsed) << what << ": virtual time moved";
+    EXPECT_EQ(got.fp, c.want.fp) << what << ": counters moved";
+    EXPECT_EQ(got.switches, c.want.switches) << what << ": switches moved";
   }
+}
+
+// Every per-engine sim.* scheduler counter repeats exactly for a fixed
+// shard partition: two fresh runs of four nodes queueing on one global MCS
+// lock, whose blocking verbs stall fibers in await(), count the same
+// resumptions, run-queue traffic, fast-forwards, floats and gated waits.
+TEST(VelaIdentity, SimCountersRepeatAcrossFreshRuns) {
+  auto run = [] {
+    Cluster cl(vela_cfg(4, 1, 1));
+    GlobalMcsLock lock(cl);
+    cl.run([&](Thread& t) {
+      for (int k = 0; k < 20; ++k) {
+        lock.acquire(t);
+        t.compute(3000);
+        lock.release(t);
+        t.compute(100 * static_cast<Time>(t.node()));
+      }
+    });
+    const argo::ClusterStats st = cl.stats();
+    std::vector<std::uint64_t> v;
+    for (const char* name :
+         {"sim.context_switches", "sim.runq_pushes", "sim.runq_pops",
+          "sim.fast_forwards", "sim.poll_floats", "sim.gated_waits"})
+      v.push_back(st.counter(name));
+    return v;
+  };
+  const std::vector<std::uint64_t> first = run();
+  EXPECT_GT(first[0], 0u);
+  EXPECT_EQ(first, run());
 }
 
 }  // namespace
