@@ -89,6 +89,11 @@ echo "=== golden simulated results ==="
 scripts/golden_suite.sh --build build --out build/golden
 python3 scripts/bench_compare.py --golden bench/golden_quick.json build/golden
 
+echo "=== perfbench tests ==="
+# The repository benchmark's own tests: build perfbench_driver from src/
+# and run each workload at tiny size through run.py, checks included.
+python3 perfbench/test_perfbench.py
+
 echo "=== sanitizer build (ASan + UBSan) ==="
 cmake -B build-sanitize -S . -DARGO_SANITIZE=ON
 cmake --build build-sanitize -j "$JOBS"

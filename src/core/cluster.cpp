@@ -140,11 +140,13 @@ void Cluster::register_metrics() {
   // contract — they count host work, not simulated work, and differ
   // between shard partitions. For a fixed partition every one of them
   // repeats exactly from run to run: the engine advances its shards on one
-  // host thread in a fixed order. sim.gated_waits counts the resumptions a
-  // gated wake saved (a read miss queued on a sibling's fill without being
-  // resumed): context switches plus gated waits is the resumption count
-  // without the gate, which is what VelaIdentity pins. Identity suites and
-  // the golden gate skip them (ClusterStats::host_side).
+  // host thread in a fixed order. sim.gated_waits and sim.spin_steps count
+  // the resumptions spin steps saved (Engine::delay_then_spin): a read
+  // miss queued on a sibling's fill without being resumed, and an HQDL
+  // backoff iteration run by the scheduler. Context switches plus gated
+  // waits plus spin steps is the resumption count without them, which is
+  // what VelaIdentity pins. Identity suites and the golden gate skip them
+  // (ClusterStats::host_side).
   metrics_.add_counter("sim.context_switches",
                        [this] { return eng_.context_switches(); });
   metrics_.add_counter("sim.runq_pushes", [this] { return eng_.runq_pushes(); });
@@ -157,6 +159,8 @@ void Cluster::register_metrics() {
                        [this] { return eng_.polls_skipped(); });
   metrics_.add_counter("sim.gated_waits",
                        [this] { return eng_.gated_waits(); });
+  metrics_.add_counter("sim.spin_steps",
+                       [this] { return eng_.spin_steps(); });
   metrics_.add_counter("sim.stacks_reused",
                        [this] { return eng_.stacks_reused(); });
   metrics_.add_counter("sim.stacks_mapped",

@@ -96,15 +96,8 @@ struct NodeTopology {
   Time cacheline_cross_numa = 100; ///< transfer across groups/sockets
   Time atomic_rmw = 20;       ///< uncontended atomic on a held line
   Time futex_wake = 1500;     ///< OS wakeup of a sleeping thread (mutex)
-
-  int numa_group_of(int core) const { return core / (cores / numa_groups); }
-
-  /// Cost for core `dst` to obtain a cacheline last touched by core `src`.
-  Time cacheline_transfer(int src, int dst) const {
-    if (src == dst) return l1_hit;
-    return numa_group_of(src) == numa_group_of(dst) ? cacheline_same_numa
-                                                    : cacheline_cross_numa;
-  }
+  // Core c belongs to NUMA group c / (cores / numa_groups); the cost
+  // formula lives in argosync::CoreMap.
 };
 
 }  // namespace argonet

@@ -313,6 +313,10 @@ void Engine::RunQueue::push(SimThread* t, Time when, std::uint64_t seq) {
   }
 }
 
+void Engine::RunQueue::rekey_head(Time when, std::uint64_t seq) {
+  sift_down(0, {when, seq, heap_.front().thread});
+}
+
 void Engine::RunQueue::pop() {
   heap_.front().thread->runq_pos_ = kNone;
   const Entry last = heap_.back();
@@ -489,45 +493,78 @@ void Engine::park() {
   if (self->stop_requested_) throw SimStopped{};
 }
 
-void Engine::delay(Time ns) { delay_gated(ns, nullptr, nullptr); }
-
-void Engine::delay_then_wait(Time ns, WaitQueue& q, const bool& busy) {
-  delay_gated(ns, &q, &busy);
-}
-
-void Engine::delay_gated(Time ns, WaitQueue* q, const bool* busy) {
+void Engine::delay(Time ns) {
   SimThread* self = g_thread;
   assert(self && "delay() outside a simulated thread");
+  sleep(self, ns, nullptr);
+}
+
+bool Engine::sleep(SimThread* self, Time ns, SpinStep* step) {
   Shard& s = *self->home_;
   const Time when = s.clock + ns;
   // Our run-queue entry is (when, seq); the seq is taken now, exactly as
   // the scheduler path would take it, so the fast path below cannot
-  // reorder anything. A fast-forward never consults the gate: the caller
-  // checks `busy` itself, at the same instant the pop would have.
+  // reorder anything.
   const std::uint64_t seq = s.next_seq++;
   // A stopping fiber must reach park() to unwind (SimStopped).
-  if (!self->stop_requested_ && fast_forward(s, when, seq)) return;
+  if (!self->stop_requested_ && fast_forward(s, when, seq, false))
+    return false;
   ++s.pushes;
-  self->gate_q_ = q;
-  self->gate_busy_ = busy;
+  self->step_ = step;
   s.runq.push(self, when, seq);
   park();
+  return true;
+}
+
+void Engine::delay_then_spin(Time ns, SpinStep& step) {
+  SimThread* self = g_thread;
+  assert(self && "delay_then_spin() outside a simulated thread");
+  // Each fast-forwarded delay runs the next step here, on the fiber's
+  // stack, at the same instant the pop would have run it.
+  while (!sleep(self, ns, &step)) {
+    g_thread = nullptr;
+    ns = step.step(self->home_->clock);
+    g_thread = self;
+    if (ns == SpinStep::kResume) return;
+    if (ns == SpinStep::kParked) {
+      park();
+      return;
+    }
+  }
+}
+
+void Engine::delay_then_wait(Time ns, WaitQueue& q, const bool& busy) {
+  // A local class shares this member function's access to WaitQueue.
+  struct Gate final : SpinStep {
+    SimThread* self;
+    WaitQueue& q;
+    const bool& busy;
+    Gate(SimThread* t, WaitQueue& wq, const bool& b)
+        : self(t), q(wq), busy(b) {}
+    Time step(Time) override {
+      if (!busy) return kResume;
+      q.enqueue(self);
+      return kParked;
+    }
+  } gate(g_thread, q, busy);
+  delay_then_spin(ns, gate);
 }
 
 // Same-fiber fast-forward. When no other fiber's entry precedes our own
 // (when, seq), park() would run the effects due at or before `when` and
 // then pop our own entry and resume us in place. Run those effects here
-// instead (on this fiber's stack, with no current thread, as park() would),
-// then advance the clock in place and keep running, skipping the run-queue
-// push and pop and the resumption park() would count. A running fiber has
-// no live run-queue entry, so skipping the push/pop leaves no state
-// behind. Fails when another fiber's entry comes first (possibly one an
-// effect run here just woke) or the window ends before `when`.
-bool Engine::fast_forward(Shard& s, Time when, std::uint64_t seq) {
-  while (when >= horizon(s)) {
+// instead (with no current thread, as park() would), then advance the
+// clock in place and keep running, skipping the run-queue push and pop and
+// the resumption park() would count. A running fiber has no live run-queue
+// entry, and a spinning one (`at_head`) keeps its entry at the head, where
+// nothing can pass it, so skipping the push/pop leaves no state behind.
+// Fails when another fiber's entry comes first (possibly one an effect run
+// here just woke) or the window ends before `when`.
+bool Engine::fast_forward(Shard& s, Time when, std::uint64_t seq,
+                          bool at_head) {
+  for (;;) {
     if (when >= window_end_) return false;
-    if (!s.runq.empty() && s.runq.top().before({when, seq, nullptr}))
-      return false;
+    if (s.runq.passed_by({when, seq, nullptr}, at_head)) return false;
     if (s.effq.empty() || s.effq.top().when > when) break;
     SimThread* self = g_thread;
     g_thread = nullptr;
@@ -677,6 +714,30 @@ void Engine::await(const SimRecord& rec) {
   }
 }
 
+inline bool Engine::spin(Shard& s, SimThread* t, SpinStep& step) {
+  for (;;) {
+    const Time d = step.step(s.clock);
+    if (d == SpinStep::kResume) return true;
+    if (d == SpinStep::kParked) {
+      t->step_ = nullptr;
+      s.runq.pop();
+      ++s.gated_waits;
+      return false;
+    }
+    // t's delay(d), as it would take it after resuming here. Another
+    // entry due first, the usual outcome, is decided without the call.
+    const Time when = s.clock + d;
+    const std::uint64_t seq = s.next_seq++;
+    if (s.runq.passed_by({when, seq, nullptr}, true) ||
+        !fast_forward(s, when, seq, true)) {
+      ++s.pushes;
+      ++s.spin_steps;
+      s.runq.rekey_head(when, seq);
+      return false;
+    }
+  }
+}
+
 SimThread* Engine::next_fiber(Shard& s, Time w1, bool& progressed) {
   while (true) {
     // An effect may have failed (run here, or inside a fast-forward): stop
@@ -703,6 +764,14 @@ SimThread* Engine::next_fiber(Shard& s, Time w1, bool& progressed) {
     if (!effect_next) {
       SimThread* next = f->thread;
       s.clock = f->when;
+      ++s.pops;
+      // A spin step runs in place of the resumption; a stopping fiber is
+      // always resumed. The step stays with the entry while it is
+      // re-keyed, and is cleared when the entry goes.
+      if (SpinStep* step = next->step_) {
+        if (!next->stop_requested_ && !spin(s, next, *step)) continue;
+        next->step_ = nullptr;
+      }
 #if defined(ARGO_USE_FCONTEXT)
       // The resumption's first loads read the fiber's saved frame (and the
       // frames just above it), a cold miss more often than not: start them
@@ -712,16 +781,6 @@ SimThread* Engine::next_fiber(Shard& s, Time w1, bool& progressed) {
         __builtin_prefetch(frame + 64 * line);
 #endif
       s.runq.pop();
-      ++s.pops;
-      // A closed gate: the fiber would resume only to find `busy` set and
-      // wait on `q` at once, with nothing observable in between, so it
-      // joins `q` here instead. A stopping fiber is always resumed.
-      WaitQueue* gate = std::exchange(next->gate_q_, nullptr);
-      if (gate != nullptr && *next->gate_busy_ && !next->stop_requested_) {
-        gate->enqueue(next);
-        ++s.gated_waits;
-        continue;
-      }
       return next;
     }
     run_effect(s);

@@ -155,6 +155,25 @@ class FiberStack {
 /// target-side hook, its completion record and an empty write payload).
 using EffectFn = SmallFn<void(), 128>;
 
+/// A parked fiber's continuation that the scheduler can run without
+/// resuming the fiber (Engine::delay_then_spin): the body of a spin loop
+/// between its delays, for a loop whose iterations only read and write
+/// host state of the fiber's own node (a node-local lock word, say). At
+/// the pop that would resume the fiber, step(now) runs instead and returns
+/// either kResume (resume the fiber now), kParked (the step queued the
+/// fiber elsewhere, on a WaitQueue, and it must not resume now) or the
+/// next delay. A step runs with no current fiber and never calls delay,
+/// park, post_effect or anything else that needs one.
+class SpinStep {
+ public:
+  static constexpr Time kResume = std::numeric_limits<Time>::max();
+  static constexpr Time kParked = kResume - 1;
+  virtual Time step(Time now) = 0;
+
+ protected:
+  ~SpinStep() = default;
+};
+
 /// The virtual-time scheduler.
 class Engine {
  public:
@@ -215,15 +234,25 @@ class Engine {
   /// and no resumption. Bounded by the current lookahead window.
   void delay(Time ns);
 
+  /// Spin steps: delay(ns), then `d = step.step(now())` and delay(d)
+  /// again until the step returns SpinStep::kResume (return) or kParked
+  /// (wait where the step queued the fiber). Clocks, sequence numbers and
+  /// fast-forwards are exactly those of the same loop written with
+  /// delay(); but when the fiber has to park, its run-queue entry carries
+  /// the step, and the pop that would resume it (next_fiber) runs the step
+  /// instead. A step that returns a delay re-keys the entry in place (or
+  /// fast-forwards, as the fiber's own delay() would), so the fiber
+  /// resumes only when a step returns kResume. Each pop that ends without
+  /// resuming counts in spin_steps() (re-queued) or gated_waits()
+  /// (kParked), not in context_switches(). A stopping fiber is always
+  /// resumed, to unwind.
+  void delay_then_spin(Time ns, SpinStep& step);
+
   /// Gated wake: delay(ns) followed by one `if (busy) q.wait()`, for a
-  /// fiber whose path from the wake to that wait has no side effect. The
-  /// sequence number and fast-forward are exactly delay()'s; when the
-  /// fiber has to park, its run-queue entry carries the gate, and the pop
-  /// that would resume it (next_fiber) checks `busy` instead: set, the
-  /// fiber joins `q` unresumed, exactly where its own wait would have put
-  /// it (counted in gated_waits(), not in context_switches()). A stopping
-  /// fiber is always resumed, to unwind. Callers re-check `busy` on return,
-  /// as after any wait.
+  /// fiber whose path from the wake to that wait has no side effect. A
+  /// spin step: when `busy` is set at the wake the fiber joins `q`
+  /// without being resumed, exactly where its own wait would have put it.
+  /// Callers re-check `busy` on return, as after any wait.
   void delay_then_wait(Time ns, WaitQueue& q, const bool& busy);
 
   /// Idle-poll skip, for a fiber that has just read a word nothing but its
@@ -257,11 +286,13 @@ class Engine {
   }
   std::uint64_t polls_skipped() const { return sum(&Shard::polls_skipped); }
   std::uint64_t poll_floats() const { return sum(&Shard::poll_floats); }
-  /// Gated wakes whose gate was closed at the pop: fibers that joined
-  /// their wait queue without being resumed. context_switches() +
-  /// gated_waits() is the resumption count the same program makes with
-  /// plain delay() and its own wait.
+  /// Pops that ran a spin step instead of resuming the fiber: gated waits
+  /// (the step queued the fiber on a wait queue) and spin steps (the step
+  /// re-queued it). context_switches() + gated_waits() + spin_steps() is
+  /// the resumption count the same program makes with plain delay() and
+  /// its own wait.
   std::uint64_t gated_waits() const { return sum(&Shard::gated_waits); }
+  std::uint64_t spin_steps() const { return sum(&Shard::spin_steps); }
   std::uint64_t stacks_reused() const { return stacks_reused_; }
   /// Fiber stacks freshly mapped (spawns the pool could not serve).
   std::uint64_t stacks_mapped() const { return stacks_mapped_; }
@@ -350,9 +381,18 @@ class Engine {
     bool empty() const { return heap_.empty(); }
     std::size_t size() const { return heap_.size(); }
     const Entry& top() const { return heap_.front(); }
+    // Whether an entry precedes `e`, not counting the head with
+    // `skip_head` (the head's children are the candidates then).
+    bool passed_by(const Entry& e, bool skip_head) const {
+      const std::size_t n = heap_.size();
+      if (!skip_head) return n > 0 && heap_[0].before(e);
+      return (n > 1 && heap_[1].before(e)) || (n > 2 && heap_[2].before(e));
+    }
     // Queue `t` at (when, seq), replacing its entry if it has one.
     void push(SimThread* t, Time when, std::uint64_t seq);
     void pop();
+    // Move the head's entry to (when, seq), no earlier than its key.
+    void rekey_head(Time when, std::uint64_t seq);
     // Drop `t`'s entry, if any.
     void erase(SimThread* t);
 
@@ -409,6 +449,7 @@ class Engine {
     std::uint64_t polls_skipped = 0;
     std::uint64_t poll_floats = 0;
     std::uint64_t gated_waits = 0;
+    std::uint64_t spin_steps = 0;
     std::uint64_t pushes = 0;
     std::uint64_t pops = 0;
     RunQueue runq;
@@ -445,9 +486,17 @@ class Engine {
   // `from` (data = the jumper, null = the scheduler) and returns the jumper.
   static SimThread* resumed_by(void* from, void* data);
   void make_runnable(SimThread* t, Time when);
-  // delay() and delay_then_wait(): park until clock + ns behind the gate
-  // (q, busy), or with none when q is null.
-  void delay_gated(Time ns, WaitQueue* q, const bool* busy);
+  // delay() and delay_then_spin(): advance the running fiber `self` by
+  // `ns`, in place (same-fiber fast-forward; returns false) or by parking
+  // until its wake, whose pop runs `step` first when it is set (returns
+  // true once resumed).
+  bool sleep(SimThread* self, Time ns, SpinStep* step);
+  // next_fiber's side of a spin step: `t`'s entry heads the run queue and
+  // the clock reads its wake. Runs its steps, fast-forwarding between
+  // them as t's own delays would, until one returns kResume (true: resume
+  // t, its entry still at the head) or kParked (t's entry is popped), or
+  // a delay cannot fast-forward (t's entry is re-keyed in place).
+  bool spin(Shard& s, SimThread* t, SpinStep& step);
   // Suspend `self` and resume `next` (null on either side: the scheduler
   // context), passing `self` as the jump's data word; sets
   // g_thread to `next` and counts its resumption. Returns, once something
@@ -474,22 +523,25 @@ class Engine {
   // The shard's next event below w1, the one scheduling rule shared by
   // shard_step and park(): runs the effects due first (they precede fiber
   // wakes at the same instant), then pops the next due fiber's entry, sets
-  // the clock to its wake and returns it; a popped fiber whose gate is
-  // closed joins its wait queue instead. Null when nothing is due below
-  // w1, an effect failed, or the one-shard run has no non-daemon fiber
-  // left. Sets `progressed` when anything ran.
+  // the clock to its wake and returns it; a popped fiber with a spin step
+  // runs the step instead, and is returned only if the step resumes it.
+  // Null when nothing is due below w1, an effect failed, or the one-shard
+  // run has no non-daemon fiber left. Sets `progressed` when anything ran.
   SimThread* next_fiber(Shard& s, Time w1, bool& progressed);
   void route_outboxes();
   // The earliest instant anything but the running fiber is due on `s`:
-  // the window end, the run-queue head or the effect-queue head. The one
-  // definition of "nothing else is due" behind fast_forward and the
-  // idle-poll skip.
+  // the window end, the run-queue head or the effect-queue head: what the
+  // idle-poll skip may not pass, and what fast_forward tests entry by
+  // entry.
   Time horizon(Shard& s);
   // Queue the shard's floater at the end of its last poll that ends
   // strictly before `h` (the shard's next event), accounting the polls
   // it skipped as skip_idle_polls would have in place.
   void catch_up(Shard& s, Time h);
-  bool fast_forward(Shard& s, Time when, std::uint64_t seq);
+  // Same-fiber fast-forward of the running fiber's delay to (when, seq).
+  // `at_head`: the fiber is spinning (spin()), its own entry still heads
+  // the run queue, and the entry after it is the rival.
+  bool fast_forward(Shard& s, Time when, std::uint64_t seq, bool at_head);
   // Queue an effect on `s` (from its own shard, or between windows).
   void push_effect(Shard& s, Effect&& e);
   // Pop and run the shard's earliest effect; false when it threw (the
@@ -557,9 +609,9 @@ class SimThread {
   bool finished_ = false;
   bool blocked_ = false;   // parked on a WaitQueue or SimGate
   bool stop_requested_ = false;
-  // Gate of the queued entry (delay_then_wait), cleared at its pop.
-  WaitQueue* gate_q_ = nullptr;
-  const bool* gate_busy_ = nullptr;
+  // Spin step of the queued entry (delay_then_spin): kept while the step
+  // re-keys the entry, cleared when the entry is popped.
+  SpinStep* step_ = nullptr;
   Engine* engine_;
   struct Impl;
   std::unique_ptr<Impl> impl_;

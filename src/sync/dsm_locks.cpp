@@ -237,12 +237,76 @@ HqdLock::HqdLock(Cluster& cluster, std::size_t queue_capacity,
     nodes_.emplace_back(&cluster.config().topo);
 }
 
+void HqdLock::spin_on_word(Thread& t, NodeQ& nq, argosim::Time deadline) {
+  // Each iteration's phases, in order: the word's transfer delay, its
+  // ownership move, the atomic's delay, the check, the backoff delay. The
+  // step runs every phase after the first delay; `next` is the one due at
+  // the end of the current delay.
+  struct Backoff final : argosim::SpinStep {
+    enum class Phase { Own, Check, Fetch };
+    NodeQ& nq;
+    int core;
+    argosim::Time atomic_rmw;
+    std::size_t capacity;
+    argosim::Time deadline;
+    Phase next = Phase::Own;
+    Backoff(NodeQ& q, int c, argosim::Time rmw, std::size_t cap,
+            argosim::Time d)
+        : nq(q), core(c), atomic_rmw(rmw), capacity(cap), deadline(d) {}
+    argosim::Time step(argosim::Time now) override {
+      switch (next) {
+        case Phase::Own:
+          nq.word.move_to(core);
+          next = Phase::Check;
+          return atomic_rmw;
+        case Phase::Check:
+          if (!nq.helper_active || (nq.open && nq.queue.size() < capacity) ||
+              now >= deadline)
+            return kResume;
+          next = Phase::Fetch;
+          return kBackoff;  // queue closed or full: back off, retry
+        case Phase::Fetch:
+          next = Phase::Own;
+          return nq.word.cost(core);
+      }
+      return kResume;
+    }
+  } backoff(nq, t.core(), cluster_.config().topo.atomic_rmw, queue_capacity_,
+            deadline);
+  argosim::Engine::current()->delay_then_spin(nq.word.cost(t.core()), backoff);
+}
+
+void HqdLock::lead_batch(Thread& t, NodeQ& nq, DelegationStats& st,
+                         const std::function<void(Thread&)>& cs) {
+  t.acquire();  // SI fence — once per batch (§4.2)
+  ++st.batches;
+  // The helper's own section may throw (e.g. a crash aborts one of its
+  // remote ops). The batch must still drain and the locks must still be
+  // released — other threads' entries are queued behind us — so the
+  // error is parked and rethrown once the lock state is clean.
+  std::exception_ptr own_err;
+  try {
+    cs(t);
+  } catch (const argosim::SimStopped&) {
+    throw;  // this fiber is being killed: unwind, do not mask it
+  } catch (...) {
+    own_err = std::current_exception();
+  }
+  ++st.executed;
+  run_batch(t, nq, st, 1);
+  t.release();  // SD fence — once per batch
+  global_.release(t);
+  nq.helper_active = false;
+  nq.word.touch(t.core());
+  if (own_err) std::rethrow_exception(own_err);
+}
+
 void HqdLock::execute(Thread& t, const std::function<void(Thread&)>& cs,
                       bool wait) {
   NodeQ& nq = nodes_[static_cast<std::size_t>(t.node())];
   DelegationStats& st = stats_[static_cast<std::size_t>(t.node())];
   for (;;) {
-    nq.word.rmw(t.core());  // TATAS on the node-local lock word
+    spin_on_word(t, nq, kNoDeadline);
     if (!nq.helper_active) {
       // Become this node's helper: take the global lock, self-invalidate
       // once to see earlier critical sections from other nodes, run a
@@ -250,46 +314,24 @@ void HqdLock::execute(Thread& t, const std::function<void(Thread&)>& cs,
       nq.helper_active = true;
       nq.open = true;
       global_.acquire(t);
-      t.acquire();  // SI fence — once per batch (§4.2)
-      ++st.batches;
-      // The helper's own section may throw (e.g. a crash aborts one of its
-      // remote ops). The batch must still drain and the locks must still be
-      // released — other threads' entries are queued behind us — so the
-      // error is parked and rethrown once the lock state is clean.
-      std::exception_ptr own_err;
-      try {
-        cs(t);
-      } catch (const argosim::SimStopped&) {
-        throw;  // this fiber is being killed: unwind, do not mask it
-      } catch (...) {
-        own_err = std::current_exception();
-      }
-      ++st.executed;
-      run_batch(t, nq, st, 1);
-      t.release();  // SD fence — once per batch
-      global_.release(t);
-      nq.helper_active = false;
-      nq.word.touch(t.core());
-      if (own_err) std::rethrow_exception(own_err);
+      lead_batch(t, nq, st, cs);
       return;
     }
-    if (nq.open && nq.queue.size() < queue_capacity_) {
-      nq.qline.touch(t.core());
-      // The helper may have closed the queue during the transfer delay;
-      // re-validate before enqueueing or the entry would never run.
-      if (!nq.open || nq.queue.size() >= queue_capacity_) continue;
-      if (wait) {
-        argosim::SimEvent done;
-        std::exception_ptr err;
-        nq.queue.push_back(Entry{cs, &done, t.core(), &err});
-        done.wait();
-        if (err) std::rethrow_exception(err);
-      } else {
-        nq.queue.push_back(Entry{cs, nullptr, t.core(), nullptr});
-      }
-      return;
+    // The spin left with the queue open and not full.
+    nq.qline.touch(t.core());
+    // The helper may have closed the queue during the transfer delay;
+    // re-validate before enqueueing or the entry would never run.
+    if (!nq.open || nq.queue.size() >= queue_capacity_) continue;
+    if (wait) {
+      argosim::SimEvent done;
+      std::exception_ptr err;
+      nq.queue.push_back(Entry{cs, &done, t.core(), &err});
+      done.wait();
+      if (err) std::rethrow_exception(err);
+    } else {
+      nq.queue.push_back(Entry{cs, nullptr, t.core(), nullptr});
     }
-    t.compute(kBackoff);  // queue closed or full: back off, retry
+    return;
   }
 }
 
@@ -329,7 +371,7 @@ bool HqdLock::try_execute(Thread& t, const std::function<void(Thread&)>& cs,
   DelegationStats& st = stats_[static_cast<std::size_t>(t.node())];
   const argosim::Time deadline = t.now() + timeout;
   for (;;) {
-    nq.word.rmw(t.core());
+    spin_on_word(t, nq, deadline);
     if (!nq.helper_active) {
       nq.helper_active = true;
       // The queue stays closed until the global lock is actually held:
@@ -342,51 +384,33 @@ bool HqdLock::try_execute(Thread& t, const std::function<void(Thread&)>& cs,
         return false;
       }
       nq.open = true;
-      t.acquire();  // SI fence — once per batch (§4.2)
-      ++st.batches;
-      std::exception_ptr own_err;
-      try {
-        cs(t);
-      } catch (const argosim::SimStopped&) {
-        throw;
-      } catch (...) {
-        own_err = std::current_exception();
-      }
-      ++st.executed;
-      run_batch(t, nq, st, 1);
-      t.release();  // SD fence — once per batch
-      global_.release(t);
-      nq.helper_active = false;
-      nq.word.touch(t.core());
-      if (own_err) std::rethrow_exception(own_err);
+      lead_batch(t, nq, st, cs);
       return true;
     }
-    if (nq.open && nq.queue.size() < queue_capacity_) {
-      nq.qline.touch(t.core());
-      if (!nq.open || nq.queue.size() >= queue_capacity_) continue;
-      argosim::SimEvent done;
-      std::exception_ptr err;
-      nq.queue.push_back(Entry{cs, &done, t.core(), &err});
-      const argosim::Time left = deadline > t.now() ? deadline - t.now() : 0;
-      if (done.wait_for(left)) {
-        if (err) std::rethrow_exception(err);
-        return true;
-      }
-      // Timed out. Withdraw the entry if the helper has not claimed it.
-      for (auto it = nq.queue.begin(); it != nq.queue.end(); ++it) {
-        if (it->done == &done) {
-          nq.queue.erase(it);
-          return false;
-        }
-      }
-      // Already dequeued: it is executing (or about to). The event lives
-      // on this stack, so ride out the completion — and report success.
-      done.wait();
+    // The deadline passed with the queue closed or full.
+    if (!nq.open || nq.queue.size() >= queue_capacity_) return false;
+    nq.qline.touch(t.core());
+    if (!nq.open || nq.queue.size() >= queue_capacity_) continue;
+    argosim::SimEvent done;
+    std::exception_ptr err;
+    nq.queue.push_back(Entry{cs, &done, t.core(), &err});
+    const argosim::Time left = deadline > t.now() ? deadline - t.now() : 0;
+    if (done.wait_for(left)) {
       if (err) std::rethrow_exception(err);
       return true;
     }
-    if (t.now() >= deadline) return false;
-    t.compute(kBackoff);  // queue closed or full: back off, retry
+    // Timed out. Withdraw the entry if the helper has not claimed it.
+    for (auto it = nq.queue.begin(); it != nq.queue.end(); ++it) {
+      if (it->done == &done) {
+        nq.queue.erase(it);
+        return false;
+      }
+    }
+    // Already dequeued: it is executing (or about to). The event lives
+    // on this stack, so ride out the completion — and report success.
+    done.wait();
+    if (err) std::rethrow_exception(err);
+    return true;
   }
 }
 

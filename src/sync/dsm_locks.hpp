@@ -21,6 +21,7 @@
 #include <deque>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -151,6 +152,22 @@ class HqdLock {
     CachelineSet qline;
     explicit NodeQ(const argonet::NodeTopology* t) : word(t), qline(t) {}
   };
+
+  /// TATAS on the node-local lock word with backoff, shared by execute
+  /// and try_execute: rmw the word and retry after kBackoff until the
+  /// helper is gone, the queue is open with room, or `deadline` has
+  /// passed. Returns at the instant of the check that leaves the loop;
+  /// every phase after the first delay runs as a spin step in the
+  /// scheduler, not in this fiber (Engine::delay_then_spin).
+  void spin_on_word(Thread& t, NodeQ& nq, argosim::Time deadline);
+  static constexpr argosim::Time kNoDeadline =
+      std::numeric_limits<argosim::Time>::max();
+
+  /// The helper's batch once the global lock is held: SI fence, its own
+  /// section, the delegated entries, SD fence, global release, word
+  /// handback; rethrows the own section's error once the locks are clean.
+  void lead_batch(Thread& t, NodeQ& nq, DelegationStats& st,
+                  const std::function<void(Thread&)>& cs);
 
   /// Helper-side batch drain: execute delegated entries until the queue
   /// empties or the batch limit closes it. `already` counts sections the

@@ -72,10 +72,10 @@ void McsLock::lock(int core) {
     // frees its node right after the hand-over, so its core id must be
     // read before waiting.
     const int pred_core = pred->core;
-    argosim::delay(topo_->cacheline_transfer(core, pred_core));
+    argosim::delay(cores_.cacheline_transfer(core, pred_core));
     pred->next = me;
     me->ev.wait();
-    argosim::delay(topo_->cacheline_transfer(pred_core, core));
+    argosim::delay(cores_.cacheline_transfer(pred_core, core));
   }
   owner_ = me;
 }
@@ -94,9 +94,10 @@ void McsLock::unlock(int core) {
     // A successor swapped in but has not linked yet: poll in *time* (its
     // link write completes in the future; a zero-cost yield would spin at
     // the current virtual instant forever).
-    while (me->next == nullptr) argosim::delay(topo_->cacheline_same_numa);
+    while (me->next == nullptr)
+      argosim::delay(cores_.topo().cacheline_same_numa);
   }
-  argosim::delay(topo_->cacheline_transfer(core, me->next->core));
+  argosim::delay(cores_.cacheline_transfer(core, me->next->core));
   me->next->ev.set();
   delete me;
 }
@@ -112,12 +113,12 @@ void McsLock::execute(int core, const std::function<void(int)>& cs, bool) {
 // ---------------------------------------------------------------------------
 
 CohortLock::CohortLock(const NodeTopology* topo, int cohort_limit)
-    : topo_(topo), cohort_limit_(cohort_limit), global_(topo) {
+    : cores_(topo), cohort_limit_(cohort_limit), global_(topo) {
   for (int g = 0; g < topo->numa_groups; ++g) groups_.emplace_back(topo);
 }
 
 void CohortLock::lock(int core) {
-  Group& g = groups_[static_cast<std::size_t>(topo_->numa_group_of(core))];
+  Group& g = groups_[static_cast<std::size_t>(cores_.group_of(core))];
   g.word.rmw(core);
   if (g.held) {
     g.q.wait();  // ownership handed to us by unlock()
@@ -133,7 +134,7 @@ void CohortLock::lock(int core) {
 }
 
 void CohortLock::unlock(int core) {
-  Group& g = groups_[static_cast<std::size_t>(topo_->numa_group_of(core))];
+  Group& g = groups_[static_cast<std::size_t>(cores_.group_of(core))];
   g.word.touch(core);
   ++g.batch;
   const bool pass_local = g.q.waiters() > 0 && g.batch < cohort_limit_;

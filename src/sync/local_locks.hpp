@@ -79,7 +79,7 @@ class TicketLock : public CriticalSectionExecutor {
 /// remote line write. FIFO without a global spin hotspot.
 class McsLock : public CriticalSectionExecutor {
  public:
-  explicit McsLock(const NodeTopology* topo) : topo_(topo), tail_(topo) {}
+  explicit McsLock(const NodeTopology* topo) : cores_(topo), tail_(topo) {}
 
   void execute(int core, const std::function<void(int)>& cs, bool wait) override;
   const char* name() const override { return "mcs"; }
@@ -94,7 +94,7 @@ class McsLock : public CriticalSectionExecutor {
     argosim::SimEvent ev;
     QNode* next = nullptr;
   };
-  const NodeTopology* topo_;
+  CoreMap cores_;
   CachelineSet tail_;
   QNode* tail_node_ = nullptr;
   QNode* owner_ = nullptr;
@@ -123,7 +123,7 @@ class CohortLock : public CriticalSectionExecutor {
     explicit Group(const NodeTopology* t) : word(t) {}
   };
 
-  const NodeTopology* topo_;
+  CoreMap cores_;
   int cohort_limit_;
   TicketLock global_;
   std::deque<Group> groups_;

@@ -33,17 +33,6 @@ TEST(NetConfig, TransferArithmetic) {
   EXPECT_EQ(c.mem_copy(4096), 409u);  // truncating division
 }
 
-TEST(NodeTopology, NumaGroupsAndTransferCosts) {
-  NodeTopology t;
-  EXPECT_EQ(t.numa_group_of(0), 0);
-  EXPECT_EQ(t.numa_group_of(3), 0);
-  EXPECT_EQ(t.numa_group_of(4), 1);
-  EXPECT_EQ(t.numa_group_of(15), 3);
-  EXPECT_EQ(t.cacheline_transfer(2, 2), t.l1_hit);
-  EXPECT_EQ(t.cacheline_transfer(0, 3), t.cacheline_same_numa);
-  EXPECT_EQ(t.cacheline_transfer(0, 12), t.cacheline_cross_numa);
-}
-
 TEST(Interconnect, RemoteReadCostAndData) {
   Engine eng;
   Interconnect net(2, test_cfg());

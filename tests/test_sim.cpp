@@ -1,6 +1,7 @@
 // Unit tests for the deterministic virtual-time engine (src/sim).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -1170,6 +1171,236 @@ TEST(GatedWake, GateIsClearedAtEveryPop) {
   const std::vector<std::pair<std::string, Time>> want{{"a", 30}};
   EXPECT_EQ(plain.log, want);
   EXPECT_EQ(gated.observed(), plain.observed());
+}
+
+
+// ---------------------------------------------------------------------------
+// Spin steps: delay_then_spin(ns, step) must leave exactly what the same
+// loop written with plain delay()s leaves: the same event order and times
+// (a step runs at the instant its fiber would have resumed), the same
+// run-queue pops and pushes and fast-forwards, and the same resumption
+// count once the pops a step served in place count as spin steps.
+// ---------------------------------------------------------------------------
+
+using Log = std::vector<std::pair<std::string, Time>>;
+
+struct StepResult {
+  Log log;
+  std::uint64_t pops = 0, pushes = 0, fast_forwards = 0;
+  std::uint64_t resumptions = 0;  // switches + gated waits + spin steps
+  std::uint64_t spin_steps = 0;
+  auto observed() const {
+    return std::tie(log, pops, pushes, fast_forwards, resumptions);
+  }
+};
+
+void finish(const Engine& eng, StepResult& r) {
+  r.pops = eng.runq_pops();
+  r.pushes = eng.runq_pushes();
+  r.fast_forwards = eng.delay_fast_forwards();
+  r.spin_steps = eng.spin_steps();
+  r.resumptions = eng.context_switches() + eng.gated_waits() + r.spin_steps;
+}
+
+// A poll loop on `flag`: `first` ns, then a check; while the flag is
+// clear, `gap` ns, a tick, `first` ns and the next check.
+struct PollStep final : SpinStep {
+  std::string name;
+  const bool& flag;
+  Time first, gap;
+  Log& log;
+  bool check = true;
+  PollStep(std::string n, const bool& f, Time a, Time b, Log& l)
+      : name(std::move(n)), flag(f), first(a), gap(b), log(l) {}
+  Time step(Time now) override {
+    if (check) {
+      log.emplace_back(name + " check", now);
+      if (flag) return kResume;
+      check = false;
+      return gap;
+    }
+    log.emplace_back(name + " tick", now);
+    check = true;
+    return first;
+  }
+};
+
+// The same loop as a spin step (`steps`) or with plain delays.
+void poll(bool steps, const std::string& name, const bool& flag, Time first,
+          Time gap, Log& log) {
+  if (steps) {
+    PollStep p(name, flag, first, gap, log);
+    Engine::current()->delay_then_spin(first, p);
+  } else {
+    delay(first);
+    for (;;) {
+      log.emplace_back(name + " check", now());
+      if (flag) break;
+      delay(gap);
+      log.emplace_back(name + " tick", now());
+      delay(first);
+    }
+  }
+  log.emplace_back(name + " resumed", now());
+}
+
+// Two spinners and a ticker share instants (every time is a multiple of
+// 10), so steps tie with each other and with the ticker's wakes; (when,
+// seq) must order them exactly as the fibers' own delays would.
+TEST(SpinStep, SameInstantTiesFollowSequenceNumbers) {
+  auto run = [](bool steps) {
+    Engine eng;
+    bool flag = false;
+    StepResult r;
+    eng.spawn("a", [&] { poll(steps, "a", flag, 10, 20, r.log); });
+    eng.spawn("b", [&] { poll(steps, "b", flag, 20, 10, r.log); });
+    eng.spawn("ticker", [&] {
+      for (int k = 0; k < 12; ++k) {
+        delay(10);
+        r.log.emplace_back("tick", now());
+      }
+      flag = true;
+    });
+    eng.run();
+    finish(eng, r);
+    return r;
+  };
+  const StepResult plain = run(false), steps = run(true);
+  EXPECT_EQ(steps.observed(), plain.observed());
+  EXPECT_EQ(plain.log.back(), (std::pair<std::string, Time>{"b resumed", 140}));
+  EXPECT_GT(steps.spin_steps, 0u);
+  EXPECT_EQ(plain.spin_steps, 0u);
+}
+
+// An effect due exactly at a step's instant runs before it (effects
+// precede fiber wakes at the same instant): at 10 the step is popped, and
+// at 50 and 130 (once b has gone quiet) the fast-forward between two steps
+// runs the effect inline.
+TEST(SpinStep, EffectDueAtAStepInstantRunsFirst) {
+  auto run = [](bool steps) {
+    Engine eng;
+    bool flag = false;
+    StepResult r;
+    // a's checks fall at 10, 50, 90, 130.
+    eng.spawn("a", [&] { poll(steps, "a", flag, 10, 30, r.log); });
+    eng.spawn("b", [&] {
+      for (const Time at : {Time{10}, Time{50}})
+        eng.post_effect(0, at, 0, at, 0, [&r, &eng, at] {
+          r.log.emplace_back("effect " + std::to_string(at), eng.now());
+        });
+      eng.post_effect(0, 130, 0, 130, 0, [&] {
+        r.log.emplace_back("set", eng.now());
+        flag = true;
+      });
+      delay(12);  // due before a's first tick: a parks there
+      r.log.emplace_back("b", now());
+      delay(1000);
+    });
+    eng.run();
+    finish(eng, r);
+    return r;
+  };
+  const StepResult plain = run(false), steps = run(true);
+  EXPECT_EQ(steps.observed(), plain.observed());
+  const auto at = [&log = plain.log](const std::string& what, Time t) {
+    const auto it = std::find(log.begin(), log.end(), std::pair{what, t});
+    EXPECT_NE(it, log.end()) << what << " at " << t;
+    return it - log.begin();
+  };
+  EXPECT_LT(at("effect 10", 10), at("a check", 10));
+  EXPECT_LT(at("effect 50", 50), at("a check", 50));
+  EXPECT_LT(at("set", 130), at("a check", 130));
+  EXPECT_EQ(plain.log.back(), (std::pair<std::string, Time>{"a resumed", 130}));
+  EXPECT_GT(steps.spin_steps, 0u);
+}
+
+// On a two-shard engine, the window ends between steps: a re-keyed entry
+// past the window end waits for the next window, and the flag arrives
+// from the other shard as an effect one lookahead later.
+TEST(SpinStep, WindowEndsBetweenStepsOnTwoShards) {
+  auto run = [](bool steps) {
+    Engine eng;
+    eng.enable_sharding(2, 50);
+    bool flag = false;
+    StepResult r;
+    eng.spawn_on(0, "a", [&] { poll(steps, "a", flag, 7, 13, r.log); });
+    eng.spawn_on(0, "b", [&] { poll(steps, "b", flag, 11, 17, r.log); });
+    eng.spawn_on(1, "remote", [&] {
+      delay(123);
+      eng.post_effect(0, now() + 50, 0, 1, 0, [&] { flag = true; });
+      delay(200);
+    });
+    eng.run();
+    finish(eng, r);
+    return r;
+  };
+  const StepResult plain = run(false), steps = run(true);
+  EXPECT_EQ(steps.observed(), plain.observed());
+  EXPECT_GT(steps.spin_steps, 0u);
+}
+
+// A fiber killed while spinning unwinds at the kill instant, not at its
+// next step.
+TEST(SpinStep, KilledSpinnerUnwindsAtTheKill) {
+  auto run = [](bool steps) {
+    Engine eng;
+    bool flag = false;
+    StepResult r;
+    SimThread* victim = eng.spawn("a", [&] {
+      struct OnUnwind {
+        Log& log;
+        ~OnUnwind() { log.emplace_back("a unwound", now()); }
+      } guard{r.log};
+      poll(steps, "a", flag, 10, 30, r.log);
+    });
+    eng.spawn("b", [&] { poll(steps, "b", flag, 15, 25, r.log); });
+    eng.spawn("killer", [&] {
+      delay(63);
+      Engine::current()->kill(victim);
+      delay(40);
+      flag = true;
+    });
+    eng.run();
+    finish(eng, r);
+    return r;
+  };
+  const StepResult plain = run(false), steps = run(true);
+  EXPECT_EQ(steps.observed(), plain.observed());
+  const auto unwound = std::find(plain.log.begin(), plain.log.end(),
+                                 std::pair<std::string, Time>{"a unwound", 63});
+  EXPECT_NE(unwound, plain.log.end());
+  EXPECT_GT(steps.spin_steps, 0u);
+}
+
+// shutdown() with a daemon spinner parked: it unwinds at its next wake,
+// as the plain loop's parked delay would.
+TEST(SpinStep, ShutdownUnwindsAParkedSpinner) {
+  auto run = [](bool steps) {
+    StepResult r;
+    const bool flag = false;
+    {
+      Engine eng;
+      eng.spawn("a", [&] {
+        struct OnUnwind {
+          Log& log;
+          ~OnUnwind() { log.emplace_back("a unwound", now()); }
+        } guard{r.log};
+        poll(steps, "a", flag, 10, 30, r.log);
+      }, /*daemon=*/true);
+      eng.spawn("worker", [&] {
+        delay(95);
+        r.log.emplace_back("worker done", now());
+      });
+      eng.run();
+      eng.shutdown();
+      finish(eng, r);
+    }
+    return r;
+  };
+  const StepResult plain = run(false), steps = run(true);
+  EXPECT_EQ(steps.observed(), plain.observed());
+  EXPECT_EQ(plain.log.back(), (std::pair<std::string, Time>{"a unwound", 120}));
+  EXPECT_GT(steps.spin_steps, 0u);
 }
 
 }  // namespace

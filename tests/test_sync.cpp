@@ -29,6 +29,41 @@ using argosim::Time;
 // Node-local locks (one simulated machine): exercised on a bare Engine.
 // ---------------------------------------------------------------------------
 
+TEST(NodeTopology, NumaGroupsAndTransferCosts) {
+  const argonet::NodeTopology t;
+  const CoreMap m(&t);
+  EXPECT_EQ(m.group_of(0), 0);
+  EXPECT_EQ(m.group_of(3), 0);
+  EXPECT_EQ(m.group_of(4), 1);
+  EXPECT_EQ(m.group_of(15), 3);
+  EXPECT_EQ(m.cacheline_transfer(2, 2), t.l1_hit);
+  EXPECT_EQ(m.cacheline_transfer(0, 3), t.cacheline_same_numa);
+  EXPECT_EQ(m.cacheline_transfer(0, 12), t.cacheline_cross_numa);
+}
+
+// CoreMap's divide-free group lookup against the formula it replaces,
+// over every core pair: the default 16 cores in 4 groups, and 12 cores in
+// 4 groups of 3 (a divisor that is not a power of two).
+TEST(NodeTopology, TransferMatchesTheGroupFormulaForEveryCorePair) {
+  for (const auto& [cores, groups] : {std::pair{16, 4}, std::pair{12, 4}}) {
+    argonet::NodeTopology t;
+    t.cores = cores;
+    t.numa_groups = groups;
+    const CoreMap m(&t);
+    for (int src = 0; src < cores; ++src) {
+      EXPECT_EQ(m.group_of(src), src / (cores / groups)) << src;
+      for (int dst = 0; dst < cores; ++dst) {
+        const Time want = src == dst ? t.l1_hit
+                          : src / (cores / groups) == dst / (cores / groups)
+                              ? t.cacheline_same_numa
+                              : t.cacheline_cross_numa;
+        EXPECT_EQ(m.cacheline_transfer(src, dst), want)
+            << cores << " cores: " << src << " -> " << dst;
+      }
+    }
+  }
+}
+
 struct LocalHarness {
   Engine eng;
   argonet::NodeTopology topo;
@@ -463,6 +498,55 @@ TEST(Hqdl, TryExecuteTimesOutWithoutStrandingEntries) {
   EXPECT_EQ(*cl.host_ptr(ctr), succeeded);
 }
 
+// Contended bounded delegation, pinned to recorded results: every call's
+// outcome and return instant, the run/timeout counts, the HQDL statistics
+// and the elapsed virtual time. A small queue and batch limit keep node
+// queues full or closed much of the time, and node 0's long sections keep
+// other nodes' helpers in their timed global acquisition (queue closed), so
+// many timeouts land in the closed-queue backoff.
+TEST(Hqdl, TryExecuteUnderContentionRepeatsRecordedResults) {
+  Cluster cl(dsm_cfg(3, 4));
+  HqdLock lock(cl, /*queue_capacity=*/3, /*batch_limit=*/4);
+  auto ctr = cl.alloc<std::uint64_t>(1);
+  std::uint64_t runs = 0, timeouts = 0;
+  std::uint64_t log = argotest::kFnvBasis;
+  const Time elapsed = cl.run([&](Thread& t) {
+    if (t.node() == 0 && t.tid() == 0) {
+      for (int k = 0; k < 3; ++k) {
+        lock.execute(t, [](Thread& exec) { exec.compute(12000); },
+                     /*wait=*/true);
+        t.compute(30000);
+      }
+      return;
+    }
+    for (int k = 0; k < 8; ++k) {
+      const bool ran = lock.try_execute(t, [&](Thread& exec) {
+        exec.store(ctr, exec.load(ctr) + 1);
+        exec.compute(300);
+      }, /*timeout=*/4000 + 3000 * static_cast<Time>(t.tid()));
+      ++(ran ? runs : timeouts);
+      const std::string who =
+          std::to_string(t.node()) + "." + std::to_string(t.tid());
+      log = argotest::fnv1a(
+          who + (ran ? " ran at " : " timed out at ") + std::to_string(t.now()),
+          log);
+      t.compute(500 + 250 * static_cast<Time>(t.node()));
+    }
+  });
+  const DelegationStats st = lock.total_stats();
+  EXPECT_EQ(*cl.host_ptr(ctr), runs);
+  EXPECT_EQ(runs + timeouts, 11u * 8);
+  // Recorded with the fiber-driven backoff loop (20 of the 54 timeouts
+  // found the queue closed).
+  EXPECT_EQ(elapsed, 155488u);
+  EXPECT_EQ(runs, 34u);
+  EXPECT_EQ(timeouts, 54u);
+  EXPECT_EQ(st.batches, 14u);
+  EXPECT_EQ(st.executed, 37u);  // the 34 runs and node 0's 3 sections
+  EXPECT_EQ(st.delegated, 23u);
+  EXPECT_EQ(log, 1822617465944660065ull);
+}
+
 TEST(DsmMutex, TimedLockHonorsTimeoutAndFences) {
   Cluster cl(dsm_cfg(2, 1));
   DsmMutex lock(cl);
@@ -535,8 +619,8 @@ TEST(GlobalMcs, TimedAcquireFailsWithinOneCasOfTheDeadline) {
 // allows; a float adds one push, its catch-up entry. Floats move window
 // ends, so fast-forwards alone are not pinned.) The fingerprints were
 // derived without floats, where the delay count is fast_forwards + pushes.
-// sim.context_switches + sim.gated_waits is the resumption count without
-// gated wakes.
+// sim.context_switches + sim.gated_waits + sim.spin_steps is the
+// resumption count without spin steps (gated wakes included).
 
 struct VelaFp {
   Time elapsed = 0;
@@ -561,7 +645,8 @@ VelaFp vela_fp(Cluster& cl, Time elapsed, std::uint64_t ops = 0,
                      st.counter("sim.runq_pushes") -
                      st.counter("sim.poll_floats"));
   return {elapsed, h,
-          st.counter("sim.context_switches") + st.counter("sim.gated_waits")};
+          st.counter("sim.context_switches") + st.counter("sim.gated_waits") +
+              st.counter("sim.spin_steps")};
 }
 
 ClusterConfig vela_cfg(int nodes, int tpn, int pipeline) {
@@ -664,11 +749,22 @@ TEST(VelaIdentity, RecordedResultsAtEveryWorkerCountAndDepth) {
 }
 
 // Every per-engine sim.* scheduler counter repeats exactly for a fixed
-// shard partition: two fresh runs of four nodes queueing on one global MCS
-// lock, whose blocking verbs stall fibers in await(), count the same
-// resumptions, run-queue traffic, fast-forwards, floats and gated waits.
+// shard partition: two fresh runs count the same resumptions, run-queue
+// traffic, fast-forwards, floats, gated waits and spin steps. Four nodes
+// queueing on one global MCS lock stall fibers in await() on blocking
+// verbs; the HQDL pairing heap spins on closed node queues.
 TEST(VelaIdentity, SimCountersRepeatAcrossFreshRuns) {
-  auto run = [] {
+  auto counters = [](Cluster& cl) {
+    const argo::ClusterStats st = cl.stats();
+    std::vector<std::uint64_t> v;
+    for (const char* name :
+         {"sim.context_switches", "sim.runq_pushes", "sim.runq_pops",
+          "sim.fast_forwards", "sim.poll_floats", "sim.gated_waits",
+          "sim.spin_steps"})
+      v.push_back(st.counter(name));
+    return v;
+  };
+  auto mcs = [&] {
     Cluster cl(vela_cfg(4, 1, 1));
     GlobalMcsLock lock(cl);
     cl.run([&](Thread& t) {
@@ -679,17 +775,22 @@ TEST(VelaIdentity, SimCountersRepeatAcrossFreshRuns) {
         t.compute(100 * static_cast<Time>(t.node()));
       }
     });
-    const argo::ClusterStats st = cl.stats();
-    std::vector<std::uint64_t> v;
-    for (const char* name :
-         {"sim.context_switches", "sim.runq_pushes", "sim.runq_pops",
-          "sim.fast_forwards", "sim.poll_floats", "sim.gated_waits"})
-      v.push_back(st.counter(name));
-    return v;
+    return counters(cl);
   };
-  const std::vector<std::uint64_t> first = run();
+  auto pq = [&] {
+    Cluster cl(vela_cfg(4, 3, 1));
+    argoapps::PqParams p;
+    p.duration = 150'000;
+    p.prefill = 128;
+    argoapps::pq_bench_dsm(cl, argoapps::DsmLockKind::Hqdl, p);
+    return counters(cl);
+  };
+  const std::vector<std::uint64_t> first = mcs();
   EXPECT_GT(first[0], 0u);
-  EXPECT_EQ(first, run());
+  EXPECT_EQ(first, mcs());
+  const std::vector<std::uint64_t> hq = pq();
+  EXPECT_GT(hq[6], 0u);  // the closed-queue backoff ran as spin steps
+  EXPECT_EQ(hq, pq());
 }
 
 }  // namespace
