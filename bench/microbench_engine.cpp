@@ -17,8 +17,8 @@
 //                 global MCS lock while the other node holds it: host cost
 //                 per simulated poll, which the idle-poll skip cuts
 //
-// Every row stamps the build's context-switch backend ("fcontext" or
-// "ucontext"); CI asserts which one each build leg compiled in.
+// Every row stamps the context-switch backend ("fcontext", the only one,
+// sim/fcontext.S); CI asserts it on every build leg.
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>

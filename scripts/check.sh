@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Build and test both configurations: the normal optimized build and the
-# ARGO_SANITIZE build (ASan + UBSan, with the fiber-switch annotations in
-# sim/engine.cpp keeping ASan's stack bookkeeping coherent across
-# swapcontext). Intended as the pre-merge gate.
+# ARGO_SANITIZE build (ASan + UBSan trapping on any report, with the
+# fiber-switch annotations in sim/engine.cpp keeping ASan's stack
+# bookkeeping coherent across fcontext jumps). Intended as the pre-merge
+# gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,6 +66,15 @@ if grep -rnE 'std::[t]hread|ARGO_[T]HREADS|engine_[t]hreads|sim/par[.]hpp|ARGO_[
        "the simulator runs on one host thread" >&2
   exit 1
 fi
+# Fibers switch through one backend, the fcontext assembly, in every
+# build: no ucontext path and no UBSan-only build may come back. scripts/
+# is not searched: its PC sampler reads a signal's ucontext.
+if grep -rnE '[s]wapcontext|[m]akecontext|[g]etcontext|[u]context_t|ARGO_USE[_]FCONTEXT|ARGO[_]UBSAN' \
+     src bench examples tests CMakeLists.txt; then
+  echo "FAIL: second fiber-switch backend or UBSan-only build found;" \
+       "fibers switch through fcontext alone" >&2
+  exit 1
+fi
 # Pipeline depth is an interconnect property: at depth 1 every post is the
 # blocking verb, so protocol code posts unconditionally and never reads it.
 if grep -rnE 'config\(\)\.pipeline|pipelined\(\)' src bench examples \
@@ -72,8 +82,9 @@ if grep -rnE 'config\(\)\.pipeline|pipelined\(\)' src bench examples \
   echo "FAIL: pipeline-depth read outside src/net/" >&2
   exit 1
 fi
-echo "  OK: no engine-mode switch, fast-path toggle, stale run-queue entry" \
-     "or host worker pool; pipeline-depth reads confined to src/net/"
+echo "  OK: no engine-mode switch, fast-path toggle, stale run-queue entry," \
+     "host worker pool or second fiber-switch backend; pipeline-depth" \
+     "reads confined to src/net/"
 
 echo "=== default build ==="
 cmake -B build -S .
@@ -97,7 +108,10 @@ python3 perfbench/test_perfbench.py
 echo "=== sanitizer build (ASan + UBSan) ==="
 cmake -B build-sanitize -S . -DARGO_SANITIZE=ON
 cmake --build build-sanitize -j "$JOBS"
-ctest --test-dir build-sanitize --output-on-failure -j "$JOBS"
+# Use-after-return mode: locals live in ASan's fake frames, which the
+# fiber-switch annotations must hand over at every jump.
+ASAN_OPTIONS=detect_stack_use_after_return=1 \
+  ctest --test-dir build-sanitize --output-on-failure -j "$JOBS"
 echo "--- golden simulated results under ASan + UBSan"
 scripts/golden_suite.sh --build build-sanitize --out build-sanitize/golden
 python3 scripts/bench_compare.py --golden bench/golden_quick.json \

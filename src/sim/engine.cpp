@@ -1,7 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -14,8 +13,8 @@
 
 // AddressSanitizer needs to be told about stack switches, otherwise its
 // stack bookkeeping (fake stacks, use-after-return detection) corrupts as
-// fibers swap. Each swapcontext call site is bracketed with the
-// start/finish pair; the annotations compile away in normal builds.
+// fibers swap. Each argo_fctx_jump is bracketed with the start/finish pair
+// (jump() and resumed_by()); the annotations compile away in normal builds.
 #if defined(__SANITIZE_ADDRESS__)
 #define ARGO_ASAN_FIBERS 1
 #elif defined(__has_feature)
@@ -31,12 +30,8 @@
 #include "sim/fcontext.hpp"
 #include "sim/sync.hpp"
 
-// The hand-rolled assembly switch (sim/fcontext.S) is the fast path on
-// supported architectures. ASan builds keep ucontext: ASan tracks fiber
-// stacks through the annotations bracketing swapcontext, and does not
-// understand a stack pointer that moves without them.
-#if defined(ARGO_FCONTEXT_SUPPORTED) && !defined(ARGO_ASAN_FIBERS)
-#define ARGO_USE_FCONTEXT 1
+#if !defined(__x86_64__) && !defined(__aarch64__)
+#error "argosim switches fibers with sim/fcontext.S: x86-64 or aarch64 only"
 #endif
 
 namespace argosim {
@@ -49,19 +44,11 @@ using detail::g_thread;
 constexpr std::uint32_t kNoShard = 0xffffffffu;
 thread_local std::uint32_t g_shard_idx = kNoShard;
 
-// The context the scheduler loop runs in.
-#if defined(ARGO_USE_FCONTEXT)
-// fcontext handles are one-shot (every jump re-captures the jumper): the
-// resumed side stores the jumper's fresh handle here when the scheduler
-// jumped, or in the jumping fiber's fctx_ otherwise.
+// The context the scheduler loop runs in. fcontext handles are one-shot
+// (every jump re-captures the jumper): the resumed side stores the
+// jumper's fresh handle here when the scheduler jumped, or in the jumping
+// fiber's fctx_ otherwise.
 thread_local fctx_t g_sched_fctx = nullptr;
-#else
-thread_local ucontext_t g_sched_ctx;
-// swapcontext carries no data word, so the jumper (null = the scheduler)
-// travels through this slot: written just before a switch, read just
-// after resumption, on the same host thread.
-thread_local SimThread* g_jumper = nullptr;
-#endif
 
 #if defined(ARGO_ASAN_FIBERS)
 // Bounds of the scheduler's (OS thread's) stack, learned from ASan
@@ -71,28 +58,14 @@ thread_local const void* g_sched_stack_bottom = nullptr;
 thread_local std::size_t g_sched_stack_size = 0;
 #endif
 
-#if !defined(ARGO_USE_FCONTEXT)
-// The resumed side of a swapcontext: returns the jumper (null = the
-// scheduler) and finishes the ASan switch into `self` (null = the
-// scheduler). ASan reports the stack we came from; it is the scheduler's
-// only when the scheduler jumped.
-SimThread* finish_switch(SimThread* self, void* fake_stack) {
-  SimThread* jumper = g_jumper;
+// Frames of a fiber that exited by switching away never unwound: clear
+// their redzone poisoning before the range serves another fiber or is
+// mapped again.
+void unpoison_dead_stack([[maybe_unused]] const FiberStack& st) {
 #if defined(ARGO_ASAN_FIBERS)
-  const void* bottom = nullptr;
-  std::size_t size = 0;
-  __sanitizer_finish_switch_fiber(fake_stack, &bottom, &size);
-  if (self != nullptr && jumper == nullptr) {
-    g_sched_stack_bottom = bottom;
-    g_sched_stack_size = size;
-  }
-#else
-  (void)self;
-  (void)fake_stack;
+  ASAN_UNPOISON_MEMORY_REGION(st.base(), st.size());
 #endif
-  return jumper;
 }
-#endif
 
 std::size_t page_size() {
   static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
@@ -126,40 +99,28 @@ FiberStack& FiberStack::operator=(FiberStack&& o) noexcept {
 
 void FiberStack::unmap() {
   if (base_ == nullptr) return;
-#if defined(ARGO_ASAN_FIBERS)
-  // Frames of a fiber that exited by switching away never unwound: clear
-  // their redzone poisoning before the range can be mapped again.
-  ASAN_UNPOISON_MEMORY_REGION(base_, size_);
-#endif
+  unpoison_dead_stack(*this);
   const std::size_t page = page_size();
   munmap(static_cast<char*>(base_) - page, size_ + page);
   base_ = nullptr;
   size_ = 0;
 }
 
-struct SimThread::Impl {
-#if !defined(ARGO_USE_FCONTEXT)
-  ucontext_t ctx{};
-#endif
-  FiberStack stack;
-  bool started = false;
-  std::exception_ptr error;
-};
-
 SimThread::SimThread(Engine* eng, std::uint64_t id, std::string name,
                      std::function<void()> body, FiberStack stack, bool daemon)
     : daemon_(daemon),
       engine_(eng),
-      impl_(std::make_unique<Impl>()),
+      stack_(std::move(stack)),
       id_(id),
       name_(std::move(name)),
       body_(std::move(body)) {
-  impl_->stack = std::move(stack);
+  // Stack colouring: every stack is a separate mapping, so without an
+  // offset all fibers' hot top frames share one address mod 4 KiB and pile
+  // into the same few L1d/L2 sets. Shift each fiber's top down by one of
+  // 64 cache-line offsets within a page.
+  fctx_ = argo_fctx_make(stack_.base(), stack_.size() - (id_ * 7 % 64) * 64,
+                         &Engine::fiber_main);
 }
-
-SimThread::~SimThread() = default;
-
-const FiberStack& SimThread::stack() const { return impl_->stack; }
 
 Engine::Engine() { shards_.push_back(std::make_unique<Shard>()); }
 
@@ -242,17 +203,14 @@ SimThread* Engine::spawn_on(std::uint32_t unit, std::string name,
   assert(shard < shards_.size());
   Shard& s = *shards_[shard];
   FiberStack stack;
-#if !defined(ARGO_ASAN_FIBERS)
   // Recycle a finished fiber's stack rather than unmapping and mapping
   // one per spawn. Only default-size stacks are pooled (odd sizes are rare
-  // enough not to matter). ASan builds always allocate fresh: its shadow
-  // poisoning from a dead fiber's frames may outlive the fiber.
+  // enough not to matter).
   if (stack_size == default_stack_size && !s.stack_pool.empty()) {
     stack = std::move(s.stack_pool.back());
     s.stack_pool.pop_back();
     ++stacks_reused_;
   }
-#endif
   if (!stack) {
     stack = FiberStack(stack_size);
     ++stacks_mapped_;
@@ -352,92 +310,63 @@ void Engine::make_runnable(SimThread* t, Time when) {
   s.runq.push(t, when, s.next_seq++);
 }
 
-#if defined(ARGO_USE_FCONTEXT)
-// The first jump into a made context lands here.
-void Engine::fiber_main_fctx(void* from, void* data) {
-  resumed_by(from, data);
-  fiber_main();
-}
-
-SimThread* Engine::resumed_by(void* from, void* data) {
-  auto* jumper = static_cast<SimThread*>(data);
-  (jumper != nullptr ? jumper->fctx_ : g_sched_fctx) = from;
-  return jumper;
-}
-#endif
-
-// A fiber's base frame, on both backends. Whoever resumed the fiber set
-// g_thread to it. It exits by jumping to the scheduler for good, which
-// reaps its stack off-stack.
-void Engine::fiber_main() {
+// A fiber's base frame: the first jump into its made context lands here,
+// with g_thread already set to it by the resumer. It exits by jumping to
+// the scheduler for good, which reaps its stack off-stack.
+void Engine::fiber_main(void* from, void* data) {
   SimThread* t = g_thread;
-#if !defined(ARGO_USE_FCONTEXT)
-  finish_switch(t, nullptr);
-#endif
+  resumed_by(from, data, t, nullptr);
   try {
     if (t->stop_requested_) throw SimStopped{};
     t->body_();
   } catch (const SimStopped&) {
     // clean shutdown of a parked fiber
   } catch (...) {
-    t->impl_->error = std::current_exception();
+    t->error_ = std::current_exception();
   }
   t->finished_ = true;
   t->body_ = nullptr;
   t->engine_->jump(t, nullptr);
 }
 
-const char* Engine::context_backend() {
-#if defined(ARGO_USE_FCONTEXT)
-  return "fcontext";
-#else
-  return "ucontext";
+SimThread* Engine::resumed_by(void* from, void* data,
+                              [[maybe_unused]] SimThread* self,
+                              [[maybe_unused]] void* fake_stack) {
+  auto* jumper = static_cast<SimThread*>(data);
+#if defined(ARGO_ASAN_FIBERS)
+  // ASan reports the stack we came from; it is the scheduler's only when
+  // the scheduler jumped.
+  const void* bottom = nullptr;
+  std::size_t size = 0;
+  __sanitizer_finish_switch_fiber(fake_stack, &bottom, &size);
+  if (self != nullptr && jumper == nullptr) {
+    g_sched_stack_bottom = bottom;
+    g_sched_stack_size = size;
+  }
 #endif
+  (jumper != nullptr ? jumper->fctx_ : g_sched_fctx) = from;
+  return jumper;
 }
+
+const char* Engine::context_backend() { return "fcontext"; }
 
 SimThread* Engine::jump(SimThread* self, SimThread* next) {
   if (next != nullptr) {
     g_thread = next;
     ++next->home_->switches;
-    SimThread::Impl& n = *next->impl_;
-    if (!n.started) {
-      n.started = true;
-#if defined(ARGO_USE_FCONTEXT)
-      // Stack colouring: every stack is a separate mapping, so without an
-      // offset all fibers' hot top frames share one address mod 4 KiB and
-      // pile into the same few L1d/L2 sets. Shift each fiber's top down by
-      // one of 64 cache-line offsets within a page.
-      next->fctx_ = argo_fctx_make(
-          n.stack.base(), n.stack.size() - (next->id_ * 7 % 64) * 64,
-          &Engine::fiber_main_fctx);
-#else
-      getcontext(&n.ctx);
-      n.ctx.uc_stack.ss_sp = n.stack.base();
-      n.ctx.uc_stack.ss_size = n.stack.size();
-      n.ctx.uc_link = &g_sched_ctx;
-      makecontext(&n.ctx, &Engine::fiber_main, 0);
-#endif
-    }
   }
-  [[maybe_unused]] void* fake_stack = nullptr;
+  void* fake_stack = nullptr;
 #if defined(ARGO_ASAN_FIBERS)
   // A finished fiber never resumes: the null fake-stack slot releases its
   // fake stack.
   __sanitizer_start_switch_fiber(
       self != nullptr && self->finished_ ? nullptr : &fake_stack,
-      next != nullptr ? next->impl_->stack.base() : g_sched_stack_bottom,
-      next != nullptr ? next->impl_->stack.size() : g_sched_stack_size);
+      next != nullptr ? next->stack_.base() : g_sched_stack_bottom,
+      next != nullptr ? next->stack_.size() : g_sched_stack_size);
 #endif
-#if defined(ARGO_USE_FCONTEXT)
   const FctxTransfer r =
       argo_fctx_jump(next != nullptr ? next->fctx_ : g_sched_fctx, self);
-  return resumed_by(r.fctx, r.data);
-#else
-  g_jumper = self;
-  swapcontext(self != nullptr ? &self->impl_->ctx : &g_sched_ctx,
-              next != nullptr ? &next->impl_->ctx : &g_sched_ctx);
-  return finish_switch(self, fake_stack);
-#endif
+  return resumed_by(r.fctx, r.data, self, fake_stack);
 }
 
 void Engine::switch_to(SimThread* t) {
@@ -457,21 +386,17 @@ void Engine::reap_finished_one(SimThread* t) {
   // A fiber killed while parked in await() finishes with its wake entry
   // still queued.
   s.runq.erase(t);
-#if !defined(ARGO_ASAN_FIBERS)
   // The fiber has jumped to the scheduler for good — its stack is dead
   // and can serve the next spawn on this shard.
-  if (t->impl_->stack.size() == default_stack_size)
-    s.stack_pool.push_back(std::move(t->impl_->stack));
-#endif
+  if (t->stack_.size() == default_stack_size) {
+    unpoison_dead_stack(t->stack_);
+    s.stack_pool.push_back(std::move(t->stack_));
+  }
   if (!t->daemon_) {
     --live_nondaemon_;
     finish_max_ = std::max(finish_max_, s.clock);
   }
-  if (t->impl_->error) {
-    std::exception_ptr err = t->impl_->error;
-    t->impl_->error = nullptr;
-    std::rethrow_exception(err);
-  }
+  if (t->error_) std::rethrow_exception(std::exchange(t->error_, nullptr));
 }
 
 // Direct handoff: the parking fiber makes the shard's next-event decision
@@ -577,13 +502,6 @@ bool Engine::fast_forward(Shard& s, Time when, std::uint64_t seq,
   return true;
 }
 
-Time Engine::horizon(Shard& s) {
-  Time h = window_end_;
-  if (!s.runq.empty()) h = std::min(h, s.runq.top().when);
-  if (!s.effq.empty()) h = std::min(h, s.effq.top().when);
-  return h;
-}
-
 namespace {
 // Whole polls of `period` ns, from `from`, that end strictly before `h`:
 // poll k (from 0) ends at from + (k + 1) * period.
@@ -597,8 +515,12 @@ std::uint64_t Engine::skip_idle_polls(Time period, std::uint64_t cap) {
   assert(self && "skip_idle_polls() outside a simulated thread");
   if (self->stop_requested_ || period == 0 || cap == 0) return 0;
   Shard& s = *self->home_;
+  // The shard's next event: the window end, or the run-queue or
+  // effect-queue head if earlier. Polls may not pass it.
   const Time w1 = window_end_;
-  const Time h = horizon(s);
+  Time h = w1;
+  if (!s.runq.empty()) h = std::min(h, s.runq.top().when);
+  if (!s.effq.empty()) h = std::min(h, s.effq.top().when);
   if (h == kUnbounded) return 0;
   const Time from = s.clock;
   if (h < w1 || cap != kNoCap) {
@@ -772,14 +694,12 @@ SimThread* Engine::next_fiber(Shard& s, Time w1, bool& progressed) {
         if (!next->stop_requested_ && !spin(s, next, *step)) continue;
         next->step_ = nullptr;
       }
-#if defined(ARGO_USE_FCONTEXT)
       // The resumption's first loads read the fiber's saved frame (and the
       // frames just above it), a cold miss more often than not: start them
       // now, ahead of the heap's sift-down.
       const char* frame = static_cast<const char*>(next->fctx_);
       for (int line = 0; line < 4; ++line)
         __builtin_prefetch(frame + 64 * line);
-#endif
       s.runq.pop();
       return next;
     }

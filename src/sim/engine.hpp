@@ -311,9 +311,8 @@ class Engine {
     for (const auto& s : shards_) n += s->runq.size();
     return n;
   }
-  /// Fiber-switch backend, fixed at build time: "fcontext" (hand-rolled
-  /// assembly switch, sim/fcontext.S) on supported architectures,
-  /// "ucontext" under sanitizers or on other architectures.
+  /// Fiber-switch backend: always "fcontext", the hand-rolled assembly
+  /// switch of sim/fcontext.S (ASan builds annotate it), in every build.
   static const char* context_backend();
 
   /// Reschedule the calling fiber at the current time, after every other
@@ -466,8 +465,7 @@ class Engine {
     // nothing.
     std::vector<std::pair<std::uint32_t, Effect>> outbox;
     // Default-size stacks of this shard's finished fibers, handed to the
-    // next spawn on the shard. Off under ASan (fake-stack bookkeeping
-    // assumes fresh stacks).
+    // next spawn on the shard (under ASan, unpoisoned when pooled).
     std::vector<FiberStack> stack_pool;
     alignas(64) char pad_[64] = {};
 
@@ -480,11 +478,14 @@ class Engine {
     }
   };
 
-  static void fiber_main();
-  static void fiber_main_fctx(void* from, void* data);
-  // fcontext: the resumed side of a jump stores the jumper's fresh handle
-  // `from` (data = the jumper, null = the scheduler) and returns the jumper.
-  static SimThread* resumed_by(void* from, void* data);
+  // A fiber's base frame, the entry of its made context.
+  static void fiber_main(void* from, void* data);
+  // The resumed side of a jump into `self` (null = the scheduler): stores
+  // the jumper's fresh handle `from` (data = the jumper, null = the
+  // scheduler) and returns the jumper. Under ASan it first finishes the
+  // switch that `fake_stack` (null on a fiber's first run) started.
+  static SimThread* resumed_by(void* from, void* data, SimThread* self,
+                               void* fake_stack);
   void make_runnable(SimThread* t, Time when);
   // delay() and delay_then_spin(): advance the running fiber `self` by
   // `ns`, in place (same-fiber fast-forward; returns false) or by parking
@@ -529,11 +530,6 @@ class Engine {
   // run has no non-daemon fiber left. Sets `progressed` when anything ran.
   SimThread* next_fiber(Shard& s, Time w1, bool& progressed);
   void route_outboxes();
-  // The earliest instant anything but the running fiber is due on `s`:
-  // the window end, the run-queue head or the effect-queue head: what the
-  // idle-poll skip may not pass, and what fast_forward tests entry by
-  // entry.
-  Time horizon(Shard& s);
   // Queue the shard's floater at the end of its last poll that ends
   // strictly before `h` (the shard's next event), accounting the polls
   // it skipped as skip_idle_polls would have in place.
@@ -585,8 +581,7 @@ class SimThread {
   SimRecord& op_record() { return op_record_; }
   /// This fiber's stack (usable range; empty once the finished fiber's
   /// stack went back to the engine's pool).
-  const FiberStack& stack() const;
-  ~SimThread();
+  const FiberStack& stack() const { return stack_; }
 
  private:
   friend class Engine;
@@ -598,8 +593,8 @@ class SimThread {
   SimThread& operator=(const SimThread&) = delete;
 
   // Scheduling state first: a resumption and a park read these together.
-  // The suspended fcontext (fcontext backend; unused on ucontext), so the
-  // scheduler's prefetch of the saved frame is one load off the entry.
+  // The suspended context (sim/fcontext.hpp), first so the scheduler's
+  // prefetch of the saved frame is one load off the entry.
   void* fctx_ = nullptr;
   Engine::Shard* home_ = nullptr;  // shards_[shard_]
   std::uint32_t shard_ = 0;
@@ -613,8 +608,8 @@ class SimThread {
   // re-keys the entry, cleared when the entry is popped.
   SpinStep* step_ = nullptr;
   Engine* engine_;
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  FiberStack stack_;
+  std::exception_ptr error_;  // what the body threw, rethrown at reaping
   std::uint64_t id_;
   std::string name_;
   std::function<void()> body_;

@@ -1,12 +1,12 @@
 // Hand-rolled fiber context switch (fcontext-style ABI).
 //
-// swapcontext() saves and restores the signal mask on every switch — two
-// sigprocmask syscalls per round trip, ~370 ns on current hosts — although
-// fibers in this engine never touch signal state. These routines switch
-// only what the System V / AAPCS64 calling conventions require a callee to
-// preserve (callee-saved GPRs, the stack pointer, and the FP control state
-// on x86-64), which makes a round trip a couple dozen instructions with no
-// kernel involvement.
+// libc's ucontext switch saves and restores the signal mask on every
+// switch — two sigprocmask syscalls per round trip, ~370 ns on current
+// hosts — although fibers in this engine never touch signal state. These
+// routines switch only what the System V / AAPCS64 calling conventions
+// require a callee to preserve (callee-saved GPRs, the stack pointer, and
+// the FP control state on x86-64), which makes a round trip a couple dozen
+// instructions with no kernel involvement.
 //
 // A context handle is the stack pointer of the suspended context's saved
 // register frame; there is no separate context object. Jumping into a
@@ -17,20 +17,14 @@
 // the host thread's scheduler slot: any context can resume any other,
 // which is what lets a parking fiber jump straight into the next one.
 //
-// The backend is chosen at build time: ASan builds (ARGO_SANITIZE) keep
-// ucontext, whose switches ASan knows how to annotate (see engine.cpp). Unsupported architectures compile the engine without
-// this header's symbols and always take ucontext.
+// This is the engine's only fiber switch, on x86-64 and aarch64; the
+// engine does not build elsewhere. ASan builds bracket every jump with
+// its fiber-switch annotations (see engine.cpp).
 #pragma once
 
 #include <cstddef>
 
-#if defined(__x86_64__) || defined(__aarch64__)
-#define ARGO_FCONTEXT_SUPPORTED 1
-#endif
-
 namespace argosim {
-
-#if defined(ARGO_FCONTEXT_SUPPORTED)
 
 /// A suspended context: the stack pointer of its saved register frame.
 using fctx_t = void*;
@@ -58,7 +52,5 @@ FctxTransfer argo_fctx_jump(fctx_t to, void* data);
 fctx_t argo_fctx_make(void* stack_base, std::size_t size,
                       void (*entry)(fctx_t from, void* data));
 }
-
-#endif  // ARGO_FCONTEXT_SUPPORTED
 
 }  // namespace argosim

@@ -578,11 +578,8 @@ TEST(OneEngine, PerNodeClusterReusesStacksAcrossRuns) {
   const std::uint64_t mapped = cl.stats().counter("sim.stacks_mapped");
   EXPECT_EQ(mapped, 12u);
   cl.run(body);
-#if !defined(__SANITIZE_ADDRESS__)
-  // ASan builds intentionally map every stack fresh.
   EXPECT_EQ(cl.stats().counter("sim.stacks_mapped"), mapped);
   EXPECT_EQ(cl.stats().counter("sim.stacks_reused"), 12u);
-#endif
 }
 
 // Membership and a barrier hook (the validator) need same-instant access to
